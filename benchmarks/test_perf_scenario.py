@@ -118,10 +118,17 @@ def _reference():
 
 
 @pytest.mark.parametrize(
-    "n_shards", [1, 4], ids=["5k-nodes,1-shards", "5k-nodes,4-shards"]
+    "n_shards",
+    [None, 1, 4],
+    ids=["5k-nodes,no-shard", "5k-nodes,1-shards", "5k-nodes,4-shards"],
 )
 def test_perf_scenario_sharded(benchmark, n_shards):
-    cfg = SHARD_CFG.with_overrides(shard=ShardConfig(n_shards=n_shards))
+    """Plain single-process numpy (``no-shard``) next to 1 and 4 shard
+    workers on the same workload, so the sharded engine's cost or gain is
+    read against the path it would replace."""
+    cfg = SHARD_CFG
+    if n_shards is not None:
+        cfg = cfg.with_overrides(shard=ShardConfig(n_shards=n_shards))
     result = benchmark.pedantic(run_scenario, args=(cfg,), rounds=2, iterations=1)
     # Bit-identity is unconditional: any shard count must reproduce the
     # single-process numpy run exactly — paths, payoffs, earnings and
@@ -136,5 +143,5 @@ def test_perf_scenario_sharded(benchmark, n_shards):
     # serialises and the sharded run can only tie the single-process
     # path (see docs/PERFORMANCE.md), so the ratio assert is gated on
     # the cores this process may schedule on.
-    if n_shards >= 4 and len(os.sched_getaffinity(0)) >= 4:
+    if n_shards is not None and n_shards >= 4 and len(os.sched_getaffinity(0)) >= 4:
         assert ref["wall"] / benchmark.stats.stats.min >= 2.0

@@ -30,6 +30,7 @@ executable specification the differential tests check against.
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -84,16 +85,18 @@ class HistoryProfile:
     #: (:class:`repro.core.kernels.WorldArrays`) compare a remembered
     #: value against this to invalidate derived selectivity arrays.
     version: int = field(default=0, repr=False)
-    #: Optional write-through mirror: an object with
-    #: ``on_record(node_id, cid, round_index, predecessor, successor)``
-    #: and ``on_forget(node_id, cid)``, notified *after* the indices and
-    #: ``version`` are updated.  The sharded engine binds its
-    #: shared-memory hit table here so cumulative per-(cid, edge) entry
-    #: counts stay exactly equal to the ``bisect`` numerators without
-    #: ever re-scanning the dict indices.  Mirrors assume append-only
-    #: histories: binding one to a capacity-bounded profile is rejected
-    #: at bind time (eviction would silently diverge the counts).
-    sink: Optional[object] = field(default=None, repr=False, compare=False)
+    #: Write-through subscribers, held by weak reference (see
+    #: :meth:`subscribe`).  Each is an object with
+    #: ``on_hits(node_id, cid, round_index, successor, delta)`` —
+    #: ``delta`` is ``+1`` per stored record and ``-1`` per record that
+    #: capacity eviction drops — and ``on_forget(node_id, cid)``, notified
+    #: *after* the indices and ``version`` are updated.  The numpy
+    #: planner's hit-row store (:class:`repro.core.kernels.HitRows`)
+    #: subscribes here so its per-(cid, edge) entry counts stay exact
+    #: without re-scanning the indices.
+    _subscribers: List["weakref.ref[object]"] = field(
+        default_factory=list, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.capacity is not None and self.capacity < 1:
@@ -136,15 +139,37 @@ class HistoryProfile:
         bucket.append(rec)
         self._index_add(rec)
         self.version += 1
-        if self.sink is not None:
-            self.sink.on_record(  # type: ignore[attr-defined]
-                self.node_id, cid, round_index, predecessor, successor
-            )
+        if self._subscribers:
+            self._notify("on_hits", cid, round_index, successor, 1)
         if self.capacity is not None and len(bucket) > self.capacity:
             evicted = bucket[0 : len(bucket) - self.capacity]
             del bucket[0 : len(bucket) - self.capacity]
             for old in evicted:
                 self._index_remove(old)
+                if self._subscribers:
+                    self._notify("on_hits", old.cid, old.round_index, old.successor, -1)
+
+    # -- write-through subscribers ---------------------------------------
+    def subscribe(self, subscriber: object) -> None:
+        """Notify ``subscriber`` of every later record, eviction and
+        forget (see ``_subscribers``).  The profile keeps only a weak
+        reference, so it never extends the subscriber's lifetime and no
+        reference cycle runs through it."""
+        self._subscribers = [ref for ref in self._subscribers if ref() is not None]
+        self._subscribers.append(weakref.ref(subscriber))
+
+    def is_subscribed(self, subscriber: object) -> bool:
+        return any(ref() is subscriber for ref in self._subscribers)
+
+    def _notify(self, method: str, *args: int) -> None:
+        live = []
+        for ref in self._subscribers:
+            sub = ref()
+            if sub is not None:
+                getattr(sub, method)(self.node_id, *args)
+                live.append(ref)
+        if len(live) != len(self._subscribers):
+            self._subscribers = live
 
     def records_for(self, cid: int) -> List[HistoryRecord]:
         """All stored records for a series (oldest first)."""
@@ -273,6 +298,14 @@ class HistoryProfile:
             hits += 1
         return min(1.0, hits / max_entries)
 
+    def latest_rounds(self) -> Dict[int, int]:
+        """Highest stored round index per series cid."""
+        return {
+            cid: max(rounds[-1] for rounds in edges.values())
+            for cid, edges in self._edge_rounds.items()
+            if edges
+        }
+
     def known_successors(self, cid: int) -> List[int]:
         """Distinct successors seen for a series (sorted, deterministic)."""
         return sorted(self._edge_rounds.get(cid, {}))
@@ -290,8 +323,8 @@ class HistoryProfile:
         self._edge_rounds.pop(cid, None)
         self._pos_rounds.pop(cid, None)
         self.version += 1
-        if self.sink is not None:
-            self.sink.on_forget(self.node_id, cid)  # type: ignore[attr-defined]
+        if self._subscribers:
+            self._notify("on_forget", cid)
 
     # -- attack surface (§5(3)) -----------------------------------------
     def observed_edges(self) -> List[Tuple[int, int, int]]:

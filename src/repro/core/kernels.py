@@ -33,10 +33,11 @@ RNG stream aligned:
 
 1. *Same scalar inputs.*  Availability values are read from each node's
    cached ``availability_vector()`` normalisation (never re-summed with
-   numpy's pairwise summation); selectivity hit counts come from the
-   same sorted-round-index bisects the scalar path uses
-   (:meth:`HistoryProfile.selectivity_hits_block` and its
-   position-aware sibling ``selectivity_hits_block_pos``).
+   numpy's pairwise summation); selectivity hit counts are the same
+   integers the scalar path's sorted-round-index bisects count — either
+   those bisects themselves (:meth:`HistoryProfile.selectivity_hits_block`
+   and its position-aware sibling ``selectivity_hits_block_pos``) or a
+   :class:`HitRows` row kept equal to them by write-through.
 2. *Same float expressions.*  Every arithmetic step mirrors the scalar
    expression tree op for op (``w_s*sigma + w_a*alpha`` then clamp;
    ``(q + tail_sum + 1.0) / (tail_n + 2)``; …) — numpy's float64 ufuncs
@@ -96,13 +97,15 @@ bit-identical, so mixing them within one run is sound.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from bisect import bisect_left
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.sim.monitoring import PERF
 
 if TYPE_CHECKING:  # typing only: no runtime dependency on the upper layers
+    from repro.core.history import HistoryProfile
     from repro.core.routing import ForwardingContext
     from repro.network.overlay import Overlay
 
@@ -460,6 +463,134 @@ def spne_level_step(
     out_n[st_dead] = 0
 
 
+#: Round horizon that makes ``selectivity_hits_block`` count every stored
+#: entry, whatever its round.
+_ALL_ROUNDS = 1 << 62
+
+
+class HitRows:
+    """Per-cid selectivity hit counts over the :class:`WorldArrays` edge
+    axis, kept incrementally exact.
+
+    ``row(cid, r, histories)[e]`` is the number of history entries node
+    ``owner(e)`` stores for ``(cid, successor=head(e))``.  A row counts
+    *every* stored entry, which equals the ``bisect_left`` numerator of
+    :meth:`HistoryProfile.selectivity_hits_block` for round ``r`` exactly
+    when all of the cid's entries lie below ``r``.  The store tracks the
+    highest round ever recorded per cid and returns ``None`` when that
+    condition fails, so the caller falls back to the bisects.  Eviction
+    and ``forget_series`` leave the tracked round as an upper bound, which
+    can only cause extra fallbacks, never a wrong row.
+
+    A row is materialised from the sorted indices of only the nodes that
+    ever recorded for the cid, then kept fresh by write-through: the
+    store subscribes to every profile in ``histories`` (profiles added
+    later are picked up when the mapping grows) and applies each record,
+    eviction and forget to the live rows.  A topology rebuild
+    (``WorldArrays.generation`` moves) drops every row.  The store holds
+    no reference to the histories or to any profile, and profiles hold it
+    only weakly, so no reference cycle keeps a finished run alive.
+    """
+
+    def __init__(self, world: WorldArrays) -> None:
+        self.world = world
+        #: cid -> int32 hit row, valid for ``_generation``.
+        self.rows: Dict[int, np.ndarray] = {}
+        self._generation = world.generation
+        #: cid -> nodes that ever recorded for it (a superset once
+        #: entries are evicted).
+        self._recorded: Dict[int, Set[int]] = {}
+        #: cid -> highest round index ever recorded for it.
+        self._max_round: Dict[int, int] = {}
+        self._n_bound = 0
+
+    def bind(self, histories: "Mapping[int, HistoryProfile]") -> None:
+        """Subscribe to every profile not yet subscribed, seeding the
+        per-cid bookkeeping from its stored entries.  O(1) unless the
+        mapping grew since the last call."""
+        if len(histories) == self._n_bound:
+            return
+        for nid, profile in histories.items():
+            if profile.is_subscribed(self):
+                continue
+            profile.subscribe(self)
+            for cid, latest in profile.latest_rounds().items():
+                self._note(nid, cid, latest)
+                self.rows.pop(cid, None)
+        self._n_bound = len(histories)
+
+    def row(
+        self, cid: int, round_index: int, histories: "Mapping[int, HistoryProfile]"
+    ) -> Optional[np.ndarray]:
+        """The cid's hit row for ``round_index`` under the current
+        topology, or ``None`` when some stored entry is not below
+        ``round_index`` (the row would over-count)."""
+        world = self.world
+        if self._generation != world.generation:
+            self.rows.clear()
+            self._generation = world.generation
+        self.bind(histories)
+        if self._max_round.get(cid, 0) >= round_index:
+            return None
+        row = self.rows.get(cid)
+        if row is None:
+            row = np.zeros(world.n_edges, dtype=np.int32)
+            starts = world.indptr.tolist()
+            nbr_lists = world.nbr_lists
+            # Segments are disjoint, so the visiting order is irrelevant.
+            for nid in self._recorded.get(cid, ()):
+                lst = nbr_lists.get(nid)
+                if lst:
+                    start = starts[nid]
+                    row[start : start + len(lst)] = histories[
+                        nid
+                    ].selectivity_hits_block(cid, lst, _ALL_ROUNDS)
+            self.rows[cid] = row
+        return row
+
+    def drop(self, cid: int) -> None:
+        """Release the cid's row (its frontier was evicted)."""
+        self.rows.pop(cid, None)
+
+    # -- write-through (called by HistoryProfile) -----------------------
+    def _note(self, node_id: int, cid: int, round_index: int) -> None:
+        recorded = self._recorded.get(cid)
+        if recorded is None:
+            recorded = self._recorded[cid] = set()
+        recorded.add(node_id)
+        if round_index > self._max_round.get(cid, 0):
+            self._max_round[cid] = round_index
+
+    def _live_row(self, cid: int) -> Optional[np.ndarray]:
+        if self._generation != self.world.generation:
+            return None  # stale layout: dropped on the next row() call
+        return self.rows.get(cid)
+
+    def on_hits(
+        self, node_id: int, cid: int, round_index: int, successor: int, delta: int
+    ) -> None:
+        if delta > 0:
+            self._note(node_id, cid, round_index)
+        row = self._live_row(cid)
+        if row is None:
+            return
+        lst = self.world.nbr_lists.get(node_id)
+        if lst:
+            j = bisect_left(lst, successor)
+            if j < len(lst) and lst[j] == successor:
+                row[int(self.world.indptr[node_id]) + j] += delta
+
+    def on_forget(self, node_id: int, cid: int) -> None:
+        recorded = self._recorded.get(cid)
+        if recorded is not None:
+            recorded.discard(node_id)
+        row = self._live_row(cid)
+        lst = self.world.nbr_lists.get(node_id)
+        if row is not None and lst:
+            start = int(self.world.indptr[node_id])
+            row[start : start + len(lst)] = 0
+
+
 class Frontier:
     """Per-connection derived state inside a :class:`BatchPlanner`.
 
@@ -543,6 +674,9 @@ class BatchPlanner:
     def __init__(self, world: WorldArrays) -> None:
         self.world = world
         self.frontiers: Dict[int, Frontier] = {}
+        #: Selectivity hit rows for the full-row builds; a row lives as
+        #: long as its cid's frontier.
+        self.hits = HitRows(world)
         #: High-water mark of frontiers scored in one stacked kernel
         #: call — the cross-connection batching observable.
         self.max_batched_frontiers = 0
@@ -574,7 +708,9 @@ class BatchPlanner:
     # -- frontier bookkeeping ----------------------------------------------
     def _new_frontier(self, cid: int, round_index: int, responder: int) -> Frontier:
         if len(self.frontiers) >= MAX_FRONTIERS:
-            self.frontiers.pop(next(iter(self.frontiers)))
+            oldest = next(iter(self.frontiers))
+            del self.frontiers[oldest]
+            self.hits.drop(oldest)
         fr = Frontier(cid, round_index, responder)
         self.frontiers[cid] = fr
         return fr
@@ -724,11 +860,13 @@ class BatchPlanner:
         prepared frontier's hit counts into one ``(F, E)`` matrix and
         score all rows with a single vectorised expression.
 
-        Per-frontier hit gathering stays a Python loop of bisects (rule
-        1 of the bit-identity contract), but the arithmetic — the part
-        that used to run once per node per connection — runs once per
-        batch.  Rows are element-wise independent, so co-batching can
-        never change a row's bits.
+        Each member's hit counts are one row gather from :class:`HitRows`
+        — the same integers the bisects count (rule 1 of the bit-identity
+        contract), and int32 converts to float64 exactly.  When the cid
+        has an entry at or past the member's round, the row would
+        over-count, so the member falls back to one bisect per edge
+        (``PERF.hit_row_fallbacks``).  Rows are element-wise independent,
+        so co-batching can never change a row's bits.
         """
         fr.wants_full_row = True
         if fr.row_complete:
@@ -748,15 +886,20 @@ class BatchPlanner:
         hits_mat = np.empty((len(members), n_edges), dtype=np.float64)
         histories = context.histories
         for i, member in enumerate(members):
-            row: List[int] = []
-            extend = row.extend
             cid, rnd = member.cid, member.round_index
+            row = self.hits.row(cid, rnd, histories)
+            if row is not None:
+                hits_mat[i, :] = row
+                continue
+            self._perf.hit_row_fallbacks += 1
+            counts: List[int] = []
+            extend = counts.extend
             for nid, lst in world.nbr_lists.items():
                 if lst:
                     extend(
                         histories[nid].selectivity_hits_block(cid, lst, rnd)
                     )
-            hits_mat[i, :] = row
+            hits_mat[i, :] = counts
         max_entries = np.array(
             [float(member.round_index - 1) for member in members],
             dtype=np.float64,

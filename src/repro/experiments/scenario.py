@@ -720,10 +720,10 @@ def run_scenario(config: ExperimentConfig) -> ScenarioResult:
     # ---- sharded engine -------------------------------------------------
     # Swap the builder's lazily-created world/planner for the shared-
     # memory pair *before* the first decision touches them; everything
-    # downstream (histories via their sink, ledger balances, the
-    # prober's fast-sweep mirror, the event loop's interrupt poll) then
-    # routes through the engine.  Decisions stay bit-identical to the
-    # single-process numpy path for any shard count.
+    # downstream (ledger balances, the prober's fast-sweep mirror, the
+    # event loop's interrupt poll) then routes through the engine.
+    # Decisions stay bit-identical to the single-process numpy path for
+    # any shard count.
     shard_engine = None
     if config.shard is not None:
         from repro.sim.shard import ShardEngine
@@ -733,19 +733,16 @@ def run_scenario(config: ExperimentConfig) -> ScenarioResult:
                 f"sharded runs require the numpy backend, "
                 f"got {builder.backend!r}"
             )
-        shard_max_cids = config.shard.max_cids or (2 * config.n_pairs + 16)
         shard_engine = ShardEngine(
             overlay,
             config.shard.n_shards,
             config.seed,
             slack=config.shard.slack,
-            max_cids=shard_max_cids,
             max_levels=max(config.lookahead, 1),
         )
         shard_engine.start()
         builder._world = shard_engine.world
         builder._planner = shard_engine.planner
-        shard_engine.bind_histories(histories)
         if bank is not None:
             shard_engine.bind_ledger(bank.ledger)
         prober.sweep_listener = shard_engine.world.on_fast_sweep

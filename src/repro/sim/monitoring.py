@@ -219,7 +219,10 @@ class PerfCounters:
       (``kernel_batch_elements / kernel_calls`` is the mean batch size);
     - ``array_rebuilds`` — WorldArrays (re)builds of derived arrays after
       an invalidation (topology CSR, per-node availability slices, flat
-      quality/liveness vectors).
+      quality/liveness vectors);
+    - ``hit_row_fallbacks`` — full quality rows whose selectivity counts
+      came from per-edge bisects because the connection already had
+      history at or past the round being built (0 in scenario runs).
     """
 
     _FIELDS = (
@@ -235,6 +238,7 @@ class PerfCounters:
         "kernel_calls",
         "kernel_batch_elements",
         "array_rebuilds",
+        "hit_row_fallbacks",
     )
 
     __slots__ = _FIELDS

@@ -3,16 +3,16 @@ shard workers for 10k-100k-node overlays.
 
 One scenario, K worker processes, zero pickled node objects.  The
 authoritative hot-path state — topology CSR, SPNE gather tables, the
-availability vector, the overlay liveness mask, per-cid selectivity hit
-tables, SPNE level planes and (when a bank runs) the ledger balances —
-lives in ``multiprocessing.shared_memory`` segments.  The object layer
+availability vector, the overlay liveness mask, SPNE level planes and
+(when a bank runs) the ledger balances — lives in
+``multiprocessing.shared_memory`` segments.  The object layer
 (:class:`~repro.network.node.PeerNode`,
-:class:`~repro.core.history.HistoryProfile`,
 :class:`~repro.payment.ledger.Account`) stays the API surface but
-becomes a *view*: histories mirror into the shared hit table through
-their write-through ``sink`` hook, accounts serve their balance from a
-slot in the shared balances array, and availability is maintained in a
-shared per-edge vector refreshed from a session-time matrix.
+becomes a *view*: accounts serve their balance from a slot in the
+shared balances array, and availability is maintained in a shared
+per-edge vector refreshed from a session-time matrix.  Selectivity hit
+rows are coordinator-only and come from the base planner's
+:class:`~repro.core.kernels.HitRows`.
 
 **Division of labour (the bit-identity design).**  The coordinator
 process runs the entire event loop: every RNG draw, every Model I and
@@ -67,7 +67,6 @@ import multiprocessing
 import signal
 import threading
 import weakref
-from bisect import bisect_left
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Any, Dict, List, Optional, Tuple
@@ -106,13 +105,11 @@ class ShardConfig:
     ``slack`` multiplies the bootstrap-time array sizes into shared
     segment capacities (churn may grow the overlay — exceeding the
     reserve raises :class:`ShardCapacityError` rather than corrupting
-    state); ``max_cids`` bounds the shared selectivity hit table
-    (``None`` derives ``2 * n_pairs + 16`` at engine start).
+    state).
     """
 
     n_shards: int = 2
     slack: float = 2.0
-    max_cids: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.n_shards, int) or self.n_shards < 1:
@@ -121,8 +118,6 @@ class ShardConfig:
             raise ValueError(f"n_shards unreasonably large: {self.n_shards}")
         if self.slack < 1.0:
             raise ValueError(f"slack must be >= 1.0, got {self.slack}")
-        if self.max_cids is not None and self.max_cids < 1:
-            raise ValueError(f"max_cids must be >= 1 or None, got {self.max_cids}")
 
 
 class _SigintLatch:
@@ -208,142 +203,6 @@ def _attach_segments(
 def _merge_counts(dst: Dict[str, int], src: Dict[str, int]) -> None:
     for key, value in src.items():
         dst[key] = dst.get(key, 0) + int(value)
-
-
-# ---------------------------------------------------------------------------
-# Shared selectivity hit table
-# ---------------------------------------------------------------------------
-
-
-class HitTable:
-    """Shared-memory per-(cid, edge) selectivity hit counts.
-
-    ``buf[slot, e]`` is the number of history entries node
-    ``owner(e)`` stores for ``(cid(slot), successor=head(e))`` — exactly
-    the ``bisect_left`` numerator :meth:`HistoryProfile.
-    selectivity_hits_block` computes at query time, because histories on
-    the hot path are append-only (capacity-bounded profiles are rejected
-    at bind time) and every stored entry's round index is strictly below
-    the round any frontier queries with (records commit after the round;
-    frontiers query the *next* round).
-
-    Rows are materialised lazily from the profiles' own sorted indices
-    (the ground truth) and then kept incrementally fresh through the
-    profiles' write-through ``sink`` hooks; a topology rebuild
-    invalidates every row's edge layout, detected per row via a stored
-    ``WorldArrays.generation`` stamp.  The cid -> slot map evicts in
-    insertion order when ``max_cids`` is exceeded — evicted rows simply
-    re-materialise on the next query.
-    """
-
-    def __init__(self, world: WorldArrays, buf: np.ndarray, max_cids: int) -> None:
-        self.world = world
-        self.buf = buf
-        self.max_cids = max_cids
-        self.slots: Dict[int, int] = {}
-        self.slot_gen = np.full(max_cids, -1, dtype=np.int64)
-        self.profiles: Optional[Dict[int, object]] = None
-        #: Which nodes have ever recorded for each cid — materialising a
-        #: row only needs to read those profiles (the rest contribute
-        #: all-zero segments, which the row reset already provides).
-        self.recorded: Dict[int, set] = {}
-
-    def bind(self, histories: Dict[int, object]) -> None:
-        """Install this table as every profile's write-through sink."""
-        for profile in histories.values():
-            if profile.capacity is not None:  # type: ignore[attr-defined]
-                raise ValueError(
-                    "the shared hit table requires append-only histories "
-                    "(HistoryProfile.capacity=None); eviction would "
-                    "silently diverge the counts"
-                )
-            profile.sink = self  # type: ignore[attr-defined]
-        for nid, profile in histories.items():
-            for cid in profile._edge_rounds:  # type: ignore[attr-defined]
-                self.recorded.setdefault(cid, set()).add(nid)
-        self.profiles = histories
-
-    # -- sink protocol (called by HistoryProfile) -----------------------
-    def on_record(
-        self, node_id: int, cid: int, round_index: int, predecessor: int, successor: int
-    ) -> None:
-        rec = self.recorded.get(cid)
-        if rec is None:
-            rec = self.recorded[cid] = set()
-        rec.add(node_id)
-        slot = self.slots.get(cid)
-        if slot is None or self.slot_gen[slot] != self.world.generation:
-            # Row not materialised (or stale layout): the next query
-            # rebuilds it from the profiles, which already include this
-            # record.
-            return
-        world = self.world
-        lst = world.nbr_lists.get(node_id)
-        if not lst:
-            return
-        j = bisect_left(lst, successor)
-        if j < len(lst) and lst[j] == successor:
-            self.buf[slot, int(world.indptr[node_id]) + j] += 1
-
-    def on_forget(self, node_id: int, cid: int) -> None:
-        rec = self.recorded.get(cid)
-        if rec is not None:
-            rec.discard(node_id)
-        slot = self.slots.get(cid)
-        if slot is None or self.slot_gen[slot] != self.world.generation:
-            return
-        world = self.world
-        start = int(world.indptr[node_id])
-        end = int(world.indptr[node_id + 1])
-        self.buf[slot, start:end] = 0
-
-    # -- queries --------------------------------------------------------
-    def row(self, cid: int) -> np.ndarray:
-        """The cid's per-edge hit counts under the current topology
-        (length ``world.n_edges``), materialising or refreshing the row
-        if needed."""
-        world = self.world
-        slot = self.slots.get(cid)
-        if slot is not None and self.slot_gen[slot] == world.generation:
-            return self.buf[slot, : world.n_edges]
-        if slot is None:
-            slot = self._allocate_slot()
-            self.slots[cid] = slot
-        return self._materialise(cid, slot)
-
-    def _allocate_slot(self) -> int:
-        used = set(self.slots.values())
-        if len(used) < self.max_cids:
-            for candidate in range(self.max_cids):
-                if candidate not in used:
-                    return candidate
-        # Evict the oldest-inserted cid (deterministic dict order).
-        oldest = next(iter(self.slots))
-        return self.slots.pop(oldest)
-
-    def _materialise(self, cid: int, slot: int) -> np.ndarray:
-        world = self.world
-        assert self.profiles is not None, "HitTable.bind was never called"
-        row = self.buf[slot]
-        row[:] = 0
-        horizon = 1 << 60  # counts *every* stored entry (all rounds < horizon)
-        profiles = self.profiles
-        indptr = world.indptr
-        nbr_lists = world.nbr_lists
-        # Only nodes that ever recorded for this cid can contribute
-        # non-zero counts; everyone else's segment stays at the reset
-        # zeros.  Iteration order is irrelevant — segments are disjoint.
-        for nid in self.recorded.get(cid, ()):
-            lst = nbr_lists.get(nid)
-            if lst:
-                start = int(indptr[nid])
-                row[start : start + len(lst)] = profiles[
-                    nid
-                ].selectivity_hits_block(  # type: ignore[attr-defined]
-                    cid, lst, horizon
-                )
-        self.slot_gen[slot] = world.generation
-        return row[: world.n_edges]
 
 
 # ---------------------------------------------------------------------------
@@ -485,18 +344,16 @@ class ShardWorld(WorldArrays):
 
 
 # ---------------------------------------------------------------------------
-# Planner: hit-table quality rows + worker-dispatched level sweeps
+# Planner: worker-dispatched level sweeps
 # ---------------------------------------------------------------------------
 
 
 class ShardPlanner(BatchPlanner):
-    """:class:`BatchPlanner` whose full quality rows gather from the
-    shared hit table (no per-edge bisects) and whose SPNE level sweeps
-    fan out to the shard workers.  Both substitutions are bit-identical
-    to the base planner: the hit table reproduces the bisect numerators
-    exactly (see :class:`HitTable`), and the workers run the very same
-    :func:`spne_state_validity`/:func:`spne_level_step` kernels over a
-    range decomposition that is bitwise-exact by construction."""
+    """:class:`BatchPlanner` whose SPNE level sweeps fan out to the
+    shard workers.  Bit-identical to the base planner: the workers run
+    the very same :func:`spne_state_validity`/:func:`spne_level_step`
+    kernels over a range decomposition that is bitwise-exact by
+    construction."""
 
     def __init__(self, world: ShardWorld, engine: "ShardEngine") -> None:
         super().__init__(world)
@@ -509,55 +366,6 @@ class ShardPlanner(BatchPlanner):
             self.engine.publish_mask(mask)
             self._published_mask_key = self._mask_key
         return mask
-
-    def _ensure_full_rows(self, fr, context) -> None:
-        """Cross-connection quality build served from the shared hit
-        table: one row gather per member instead of one bisect per
-        (member, edge).  The arithmetic below is the base method's
-        expression tree, op for op."""
-        fr.wants_full_row = True
-        if fr.row_complete:
-            return
-        world = self.world
-        members = [fr]
-        for other in self.frontiers.values():
-            if other is fr or not (other.wants_full_row and other.prepared):
-                continue
-            other.prepared = False
-            if other.generation != world.generation:
-                self._reset_frontier(other)
-            self._sync_round_token(other)
-            if not other.row_complete:
-                members.append(other)
-        n_edges = world.n_edges
-        table = self.engine.hits
-        hits_mat = np.empty((len(members), n_edges), dtype=np.float64)
-        for i, member in enumerate(members):
-            hits_mat[i, :] = table.row(member.cid)
-        max_entries = np.array(
-            [float(member.round_index - 1) for member in members],
-            dtype=np.float64,
-        )
-        safe = np.where(max_entries > 0.0, max_entries, 1.0)
-        sigma = np.minimum(1.0, hits_mat / safe[:, None])
-        weights = context.weights
-        q = (
-            weights.selectivity * sigma
-            + weights.availability * world.alpha_flat[None, :]
-        )
-        q = np.minimum(1.0, np.maximum(0.0, q))
-        alpha_gen = world.alpha_generation
-        for member, q_row in zip(members, q):
-            member.q_flat = q_row
-            member.q_built = np.ones(world.size, dtype=bool)
-            member.row_complete = True
-            member.q_token = (member.round_index, alpha_gen)
-        if len(members) > self.max_batched_frontiers:
-            self.max_batched_frontiers = len(members)
-        perf = self._perf
-        perf.kernel_calls += 1
-        perf.kernel_batch_elements += int(q.size)
-        perf.edges_scored += int(q.size)
 
     def _ensure_levels(self, fr, context, depth, position_aware) -> None:
         """Whole-build dispatch: every missing level goes to the workers
@@ -765,7 +573,6 @@ class ShardEngine:
         seed: int,
         *,
         slack: float = 2.0,
-        max_cids: int = 64,
         max_levels: int = 8,
     ) -> None:
         if n_shards < 1:
@@ -776,13 +583,11 @@ class ShardEngine:
         self.n_shards = n_shards
         self.seed = seed
         self.slack = float(slack)
-        self.max_cids = int(max_cids)
         #: Level planes per build batch; builds needing more levels are
         #: chunked into several dispatches.
         self.max_levels = int(max_levels)
         self.world = ShardWorld(overlay, engine=self)
         self.planner = ShardPlanner(self.world, self)
-        self.hits: Optional[HitTable] = None
         self.started = False
         self.closed = False
         #: Aggregated worker counter snapshots (populated by close()).
@@ -821,9 +626,7 @@ class ShardEngine:
         n_planes = self.max_levels + 1  # plane 0 holds the previous level
         self._alloc("lsum", (n_planes, self._e_cap), np.float64)
         self._alloc("ln", (n_planes, self._e_cap), np.int64)
-        self._alloc("hits", (self.max_cids, self._e_cap), np.int64)
         self._alloc("bal", (self._size_cap,), np.float64)
-        self.hits = HitTable(world, self._views["hits"], self.max_cids)
         self._finalizer = weakref.finalize(
             self, _release_segments, list(self._segments.values())
         )
@@ -871,10 +674,6 @@ class ShardEngine:
             return multiprocessing.get_context("fork")
         except ValueError:  # platforms without fork
             return multiprocessing.get_context("spawn")
-
-    def bind_histories(self, histories: Dict[int, object]) -> None:
-        assert self.hits is not None, "start() must run before bind_histories"
-        self.hits.bind(histories)
 
     def bind_ledger(self, ledger) -> None:
         """Move the ledger's balances into the shared balances array
@@ -933,8 +732,8 @@ class ShardEngine:
     def _detach_object_layer(self) -> None:
         """Copy every object-layer view out of shared memory before the
         segments are unlinked: bound ledger balances return to plain
-        attributes, the world's alpha vector becomes a private array,
-        and the history sinks are unhooked.  Without this, a post-run
+        attributes and the world's alpha vector becomes a private
+        array.  Without this, a post-run
         ``bank.audit()`` (or any later world access) would read through
         an unmapped buffer."""
         if self._ledger is not None:
@@ -943,12 +742,6 @@ class ShardEngine:
         world = self.world
         if world.alpha_flat is not None:
             world.alpha_flat = np.array(world.alpha_flat, dtype=np.float64)
-        hits = self.hits
-        if hits is not None and hits.profiles is not None:
-            for profile in hits.profiles.values():
-                profile.sink = None  # type: ignore[attr-defined]
-            hits.profiles = None
-        self.hits = None
         self._views.clear()
 
     # -- shared-state publication ---------------------------------------

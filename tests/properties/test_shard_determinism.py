@@ -9,13 +9,15 @@ order-insensitive segment reductions — so equality here must be exact
 (``==`` on floats), not approximate.  Hypothesis drives random small
 worlds through every supported wrinkle the sharded path claims to
 cover: both utility strategies, churn on and off, with and without a
-bank.
+bank.  A fixed-seed cell adds Sybil whitewashing, whose mid-run spawns
+add history profiles after the run started.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.config import ChurnConfig, ExperimentConfig
+from repro.experiments.config import ChurnConfig, ExperimentConfig, SybilConfig
 from repro.experiments.scenario import run_scenario
 from repro.sim.shard import ShardConfig
 
@@ -79,3 +81,26 @@ def test_sharded_run_bit_identical_for_any_shard_count(world):
                 f"shard count {n_shards} diverged on {field} "
                 f"(world={world})"
             )
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_sharded_run_bit_identical_under_sybil_whitewash(seed):
+    """Whitewashing spawns fresh identities mid-run, so their history
+    profiles appear after the planner first bound the histories.  Their
+    records must still reach the selectivity hit rows, or the sharded run
+    silently diverges from the single-process one (these seeds did)."""
+    kwargs = dict(
+        seed=seed,
+        n_nodes=30,
+        n_pairs=8,
+        total_transmissions=160,
+        strategy="utility-II",
+        lookahead=3,
+        backend="numpy",
+        sybil=SybilConfig(n_sybil=4, strategy_mode="whitewash", whitewash_every=20.0),
+    )
+    reference = _fingerprint(run_scenario(ExperimentConfig(**kwargs)))
+    sharded = _fingerprint(
+        run_scenario(ExperimentConfig(shard=ShardConfig(n_shards=2), **kwargs))
+    )
+    assert sharded == reference

@@ -2,25 +2,22 @@
 
 The differential property suite (``tests/properties/
 test_shard_determinism.py``) pins the end-to-end seed -> result
-contract; these tests pin each mechanism in isolation: the hit table's
-bisect-equivalence, capacity policing, ledger balance round-trips,
-engine lifecycle hygiene (no leaked shared-memory segments, idempotent
-close) and the partition's determinism.
+contract; these tests pin each mechanism in isolation: capacity
+policing, ledger balance round-trips, engine lifecycle hygiene (no
+leaked shared-memory segments, idempotent close) and the partition's
+determinism.  The selectivity hit rows the planner gathers from are
+pinned in ``tests/core/test_hit_rows.py``.
 """
 
 import glob
-from bisect import bisect_left
 
 import numpy as np
 import pytest
 
-from repro.core.history import HistoryProfile
-from repro.core.kernels import WorldArrays
 from repro.experiments.config import ExperimentConfig
 from repro.network.overlay import Overlay
 from repro.payment.ledger import Ledger
 from repro.sim.shard import (
-    HitTable,
     ShardCapacityError,
     ShardConfig,
     ShardEngine,
@@ -31,101 +28,6 @@ def _overlay(n=24, degree=4, seed=9):
     overlay = Overlay(rng=np.random.default_rng(seed), degree=degree)
     overlay.bootstrap(n)
     return overlay
-
-
-def _bisect_row(world, histories, cid):
-    """The single-process planner's numerator: one bisect_left count per
-    (node, neighbour) edge over the stored per-edge round lists."""
-    row = np.zeros(world.n_edges, dtype=np.int64)
-    for nid, lst in world.nbr_lists.items():
-        series = histories[nid]._edge_rounds.get(cid, {})
-        start = int(world.indptr[nid])
-        for j, succ in enumerate(lst):
-            rounds = series.get(succ, [])
-            row[start + j] = bisect_left(rounds, 1 << 60)
-    return row
-
-
-# ---------------------------------------------------------------------------
-# Hit table
-# ---------------------------------------------------------------------------
-
-
-class TestHitTable:
-    def _table(self, overlay, max_cids=4):
-        world = WorldArrays(overlay)
-        world.ensure_fresh()
-        buf = np.zeros((max_cids, world.n_edges), dtype=np.int64)
-        return world, HitTable(world, buf, max_cids)
-
-    def test_rows_match_bisect_counts(self):
-        overlay = _overlay()
-        world, table = self._table(overlay)
-        histories = {nid: HistoryProfile(node_id=nid) for nid in overlay.nodes}
-        table.bind(histories)
-        rng = np.random.default_rng(3)
-        for _ in range(300):
-            nid = int(rng.choice(list(overlay.nodes)))
-            lst = world.nbr_lists[nid]
-            if not lst:
-                continue
-            succ = int(rng.choice(lst))
-            cid = int(rng.integers(0, 3))
-            round_index = int(rng.integers(1, 40))
-            histories[nid].record(cid, round_index, predecessor=-1, successor=succ)
-            # Interleave queries so both the materialise path and the
-            # write-through path are exercised.
-            if rng.random() < 0.3:
-                got = table.row(cid)
-                expected = _bisect_row(world, histories, cid)
-                np.testing.assert_array_equal(got, expected)
-        for cid in range(3):
-            np.testing.assert_array_equal(
-                table.row(cid), _bisect_row(world, histories, cid)
-            )
-
-    def test_forget_zeroes_and_rebuilds(self):
-        overlay = _overlay()
-        world, table = self._table(overlay)
-        histories = {nid: HistoryProfile(node_id=nid) for nid in overlay.nodes}
-        table.bind(histories)
-        nid = next(iter(world.nbr_lists))
-        succ = world.nbr_lists[nid][0]
-        histories[nid].record(7, 1, predecessor=-1, successor=succ)
-        assert table.row(7).sum() == 1
-        histories[nid].forget_series(7)
-        np.testing.assert_array_equal(table.row(7), _bisect_row(world, histories, 7))
-        assert table.row(7).sum() == 0
-
-    def test_slot_eviction_keeps_counts_exact(self):
-        overlay = _overlay()
-        world, table = self._table(overlay, max_cids=2)
-        histories = {nid: HistoryProfile(node_id=nid) for nid in overlay.nodes}
-        table.bind(histories)
-        nid = next(iter(world.nbr_lists))
-        succ = world.nbr_lists[nid][0]
-        for cid in range(5):  # more cids than slots
-            histories[nid].record(cid, 1 + cid, predecessor=-1, successor=succ)
-            assert table.row(cid).sum() == 1
-        # Re-querying an evicted cid rematerialises from the profiles.
-        np.testing.assert_array_equal(table.row(0), _bisect_row(world, histories, 0))
-
-    def test_rejects_bounded_histories(self):
-        overlay = _overlay()
-        _, table = self._table(overlay)
-        histories = {0: HistoryProfile(node_id=0, capacity=8)}
-        with pytest.raises(ValueError, match="append-only"):
-            table.bind(histories)
-
-    def test_bind_seeds_recorded_sets_from_existing_entries(self):
-        overlay = _overlay()
-        world, table = self._table(overlay)
-        histories = {nid: HistoryProfile(node_id=nid) for nid in overlay.nodes}
-        nid = next(iter(world.nbr_lists))
-        succ = world.nbr_lists[nid][0]
-        histories[nid].record(2, 5, predecessor=-1, successor=succ)  # pre-bind
-        table.bind(histories)
-        np.testing.assert_array_equal(table.row(2), _bisect_row(world, histories, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -228,16 +130,13 @@ class TestEngineLifecycle:
         overlay = _overlay()
         engine = ShardEngine(overlay, n_shards=2, seed=11)
         engine.start()
-        histories = {nid: HistoryProfile(node_id=nid) for nid in overlay.nodes}
-        engine.bind_histories(histories)
         ledger = Ledger()
         ledger.open_account(0, 5.0)
         engine.bind_ledger(ledger)
         engine.close()
-        # Every view must survive the unlink: balances, alpha, sinks.
+        # Every view must survive the unlink: balances and alpha.
         assert ledger.balance(0) == 5.0
         assert ledger.audit()
-        assert all(p.sink is None for p in histories.values())
         float(engine.world.alpha_flat.sum())  # must not touch dead shm
 
     def test_worker_counters_absorbed(self):
