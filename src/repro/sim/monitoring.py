@@ -222,7 +222,10 @@ class PerfCounters:
       quality/liveness vectors);
     - ``hit_row_fallbacks`` — full quality rows whose selectivity counts
       came from per-edge bisects because the connection already had
-      history at or past the round being built (0 in scenario runs).
+      history at or past the round being built (0 in scenario runs);
+    - ``spne_ball_sweeps`` — Model II decisions whose backward induction
+      ran over the deciding node's own lookahead ball instead of the
+      whole state axis (0 on small worlds, see ``BatchPlanner``).
     """
 
     _FIELDS = (
@@ -239,6 +242,7 @@ class PerfCounters:
         "kernel_batch_elements",
         "array_rebuilds",
         "hit_row_fallbacks",
+        "spne_ball_sweeps",
     )
 
     __slots__ = _FIELDS
