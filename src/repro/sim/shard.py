@@ -427,12 +427,9 @@ class _WorkerState:
         self.child_edge = np.asarray(views["che"][c0:c1])
         self.not_pred = np.asarray(views["cnp"][c0:c1])
         self.st_counts = np.asarray(views["stc"][s0:s1])
-        # Locally-offset reduceat starts, clipped in-bounds exactly the
-        # way the whole-axis build clips (empty trailing segments yield
-        # garbage rows that the dead mask overwrites either way).
-        self.red_idx = np.minimum(
-            np.asarray(views["sto"][s0 : s1]) - c0, max(n_children - 1, 0)
-        )
+        # Segment starts on the local child axis, like the whole-axis
+        # ``st_red_idx``.
+        self.red_idx = np.asarray(views["sto"][s0:s1]) - c0
         self.child_pos = np.arange(n_children, dtype=np.int64)
         self._st_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._epoch = -1
