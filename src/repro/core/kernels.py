@@ -31,9 +31,10 @@ paths, same ``ScenarioResult`` — so either backend can serve as the
 reference for the other.  Three rules keep the float streams and the
 RNG stream aligned:
 
-1. *Same scalar inputs.*  Availability values are read from each node's
-   cached ``availability_vector()`` normalisation (never re-summed with
-   numpy's pairwise summation); selectivity hit counts are the same
+1. *Same scalar inputs.*  Availability values replay each node's
+   ``availability_vector()`` normalisation: the same counters, summed
+   column by column in the node's dict order (never with numpy's
+   pairwise summation), then divided; selectivity hit counts are the same
    integers the scalar path's sorted-round-index bisects count — either
    those bisects themselves (:meth:`HistoryProfile.selectivity_hits_block`
    and its position-aware sibling ``selectivity_hits_block_pos``) or a
@@ -198,13 +199,24 @@ class WorldArrays:
                           predecessor (the no-backtracking filter).
     ``child_pos``         ``arange`` over the flat child axis.
 
+    ``alpha_flat`` is recomputed from a session-time matrix whose row
+    ``u`` holds node ``u``'s counters in neighbour-*dict* order: columns
+    summed left to right, divided element-wise, zeros where the total
+    is zero — the scalar ``PeerNode._refresh_availability`` expression
+    tree, so the bits equal each node's ``availability_vector()``.
+
     Invalidation: :meth:`ensure_fresh` rebuilds the topology (and bumps
     ``generation``) when any node's ``neighbors_version`` moved or the
-    node population changed, and re-patches per-node ``alpha_flat``
-    slices whose ``availability_version`` moved (bumping
-    ``alpha_generation``, the token frontier quality rows key on).
-    Liveness is *not* stored here — it changes mid-round under fault
-    injection and is masked per :class:`Frontier`.
+    node population changed.  A fast probe sweep reaches
+    :meth:`on_fast_sweep` through the overlay's sweep listeners and is
+    mirrored with one vectorised add.  Any other counter change moves
+    the overlay's aggregate ``availability_version`` away from the
+    world's token (which each mirrored sweep advances by one per node);
+    only then, or when some node is not wired to the overlay, a
+    per-node ``availability_version`` scan resyncs the rows that moved.
+    Recomputing alpha bumps ``alpha_generation``, the token frontier
+    quality rows key on.  Liveness is *not* stored here — it changes
+    mid-round under fault injection and is masked per :class:`Frontier`.
     """
 
     def __init__(self, overlay: "Overlay") -> None:
@@ -235,21 +247,35 @@ class WorldArrays:
         #: this for balanced per-worker child counts.
         self.st_offsets = np.zeros(1, dtype=np.int64)
         self._nbr_versions: Dict[int, int] = {}
-        self._alpha_versions: Dict[int, int] = {}
         #: O(1) staleness token: (overlay.topology_version, overlay
         #: ``_next_id``, node count) at the last rebuild, trusted only
-        #: when every snapshot node's ``_topology_listener`` was wired
-        #: to this overlay (``_wired_snapshot``) — unwired nodes mutate
-        #: without bumping the aggregate counter, so the per-node scan
-        #: stays the authoritative fallback.
+        #: when every snapshot node's ``_topology_listener`` and
+        #: ``_availability_listener`` were wired to this overlay
+        #: (``_wired_snapshot``) — unwired nodes mutate without bumping
+        #: the aggregate counters, so the per-node scans stay the
+        #: authoritative fallback.
         self._topo_token: Optional[tuple] = None
         self._wired_snapshot = False
+        #: Session-time mirror: ``_sess_mat[u, j]`` is node ``u``'s
+        #: ``j``-th neighbour counter in dict order, ``_sess_ver[u]`` the
+        #: node's ``availability_version`` the row matches, ``_sess_idx``
+        #: each edge's flat cell and ``_avail_token`` the overlay's
+        #: aggregate ``availability_version`` the matrix accounts for.
+        self._sess_mat = np.zeros((0, 0), dtype=np.float64)
+        self._sess_ver = np.zeros(0, dtype=np.int64)
+        self._sess_idx = np.zeros(0, dtype=np.int64)
+        self._avail_token: Optional[int] = None
+        self._alpha_dirty = False
         self._perf = PERF.counters
+        add_listener = getattr(overlay, "add_sweep_listener", None)
+        if add_listener is not None:
+            add_listener(self.on_fast_sweep)
 
     # -- freshness ---------------------------------------------------------
     def ensure_fresh(self) -> None:
-        """Bring topology and availability arrays up to date (cheap when
-        nothing changed: one version compare per node)."""
+        """Bring topology and availability arrays up to date (O(1) when
+        nothing changed and every node is wired to the overlay; one
+        version compare per node otherwise)."""
         if self._topology_stale():
             self._rebuild_topology()
         self._refresh_alpha()
@@ -316,9 +342,16 @@ class WorldArrays:
         self.owner_flat = owner_flat
         self.nbr_lists = nbr_lists
         self._nbr_versions = vers
-        cb = getattr(self.overlay, "_on_topology_change", None)
-        self._wired_snapshot = cb is not None and all(
-            node._topology_listener == cb for node in nodes.values()
+        topo_cb = getattr(self.overlay, "_on_topology_change", None)
+        avail_cb = getattr(self.overlay, "_on_availability_change", None)
+        self._wired_snapshot = (
+            topo_cb is not None
+            and avail_cb is not None
+            and all(
+                node._topology_listener == topo_cb
+                and node._availability_listener == avail_cb
+                for node in nodes.values()
+            )
         )
         self._topo_token = (
             getattr(self.overlay, "topology_version", None),
@@ -326,12 +359,30 @@ class WorldArrays:
             len(nodes),
         )
         self._build_state_structure()
-        # Alpha slices are laid out per edge; a new layout means every
-        # slice must be re-read.
         self.alpha_flat = np.zeros(n_edges, dtype=np.float64)
-        self._alpha_versions = {}
+        self._build_session_state()
         self.generation += 1
         self._perf.array_rebuilds += 1
+
+    def _build_session_state(self) -> None:
+        """Lay out a fresh session-time matrix; the next refresh reads
+        every row (``_sess_ver`` matches no node)."""
+        assert self.indptr is not None
+        nodes = self.overlay.nodes
+        owner = self.owner_flat
+        width = self.max_out_degree
+        # Column j of row u is u's j-th neighbour in dict order; sorting
+        # the dict-order cells by (owner, id) lines them up with the CSR.
+        dict_ids = np.fromiter(
+            (j for nid in self.nbr_lists for j in nodes[nid].neighbors),
+            dtype=np.int64,
+            count=self.n_edges,
+        )
+        cell = owner * width + np.arange(self.n_edges) - self.indptr[owner]
+        self._sess_idx = cell[np.argsort(owner * self.size + dict_ids)]
+        self._sess_mat = np.zeros((self.size, width), dtype=np.float64)
+        self._sess_ver = np.full(self.size, -1, dtype=np.int64)
+        self._avail_token = None
 
     def _build_state_structure(self) -> None:
         """Derive the SPNE gather tables from the CSR (pure topology)."""
@@ -370,29 +421,55 @@ class WorldArrays:
         self.st_child_not_pred = child_ids != pred_rep
         self.child_pos = pos
 
+    def on_fast_sweep(self, period: float) -> None:
+        """Mirror a :func:`~repro.network.probing.fast_full_sweep`: every
+        counter grows by ``period`` and every node's version by one, so
+        rows out of sync keep their lag.  The token takes the sweep's
+        one aggregate bump per node."""
+        self._sess_mat.ravel()[self._sess_idx] += period
+        self._sess_ver += 1
+        if self._avail_token is not None:
+            self._avail_token += len(self.overlay.nodes)
+        self._alpha_dirty = True
+
     def _refresh_alpha(self) -> None:
-        nodes = self.overlay.nodes
-        avers = self._alpha_versions
-        starts = self.indptr.tolist()
-        alpha = self.alpha_flat
-        touched = False
-        for nid, lst in self.nbr_lists.items():
-            node = nodes[nid]
-            ver = node.availability_version
-            if avers.get(nid) == ver:
-                continue
-            if lst:
-                # Read the node's own cached normalisation: these are the
-                # exact floats the scalar backend scores with (re-summing
-                # in numpy would round differently).
-                av = node.availability_vector()
-                start = starts[nid]
-                alpha[start : start + len(lst)] = [av[j] for j in lst]
-            avers[nid] = ver
-            touched = True
-        if touched:
-            self.alpha_generation += 1
-            self._perf.array_rebuilds += 1
+        overlay = self.overlay
+        token = getattr(overlay, "availability_version", None)
+        if not (self._wired_snapshot and token == self._avail_token):
+            # Something besides a mirrored sweep may have moved a counter.
+            nodes = overlay.nodes
+            seen = self._sess_ver.tolist()
+            stale = [
+                nid
+                for nid, node in nodes.items()
+                if seen[nid] != node.availability_version
+            ]
+            for nid in stale:
+                node = nodes[nid]
+                row = [v._session_time for v in node.neighbors.values()]
+                self._sess_mat[nid, : len(row)] = row
+                self._sess_ver[nid] = node.availability_version
+            self._avail_token = token
+            if stale:
+                self._perf.alpha_row_resyncs += len(stale)
+                self._alpha_dirty = True
+        if not self._alpha_dirty:
+            return
+        self._alpha_dirty = False
+        # Scalar parity: the total accumulates left to right over the
+        # dict-ordered counters (padding cells add an exact +0.0).
+        total = np.zeros(self.size, dtype=np.float64)
+        for col in self._sess_mat.T:
+            total += col
+        den = total[self.owner_flat]
+        num = self._sess_mat.ravel()[self._sess_idx]
+        positive = den > 0.0
+        # In place: the sharded engine keeps alpha_flat in shared memory.
+        self.alpha_flat[:] = np.where(
+            positive, num / np.where(positive, den, 1.0), 0.0
+        )
+        self.alpha_generation += 1
+        self._perf.alpha_refreshes += 1
 
 
 def _reduce_segments(

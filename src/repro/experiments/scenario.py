@@ -720,8 +720,8 @@ def run_scenario(config: ExperimentConfig) -> ScenarioResult:
     # ---- sharded engine -------------------------------------------------
     # Swap the builder's lazily-created world/planner for the shared-
     # memory pair *before* the first decision touches them; everything
-    # downstream (ledger balances, the prober's fast-sweep mirror, the
-    # event loop's interrupt poll) then routes through the engine.
+    # downstream (ledger balances, the event loop's interrupt poll) then
+    # routes through the engine.
     # Decisions stay bit-identical to the single-process numpy path for
     # any shard count.
     shard_engine = None
@@ -745,11 +745,6 @@ def run_scenario(config: ExperimentConfig) -> ScenarioResult:
         builder._planner = shard_engine.planner
         if bank is not None:
             shard_engine.bind_ledger(bank.ledger)
-        prober.sweep_listener = shard_engine.world.on_fast_sweep
-        # The prober is the only mutator of availability counters
-        # outside topology/liveness changes; its round counter lets the
-        # world skip the per-node version scan between probe periods.
-        shard_engine.world.attach_activity_source(lambda: prober.rounds_run)
         env.interrupt_check = shard_engine.poll_interrupt
 
     # ---- run the pairs as processes ------------------------------------

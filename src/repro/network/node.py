@@ -133,6 +133,10 @@ class PeerNode:
     _topology_listener: Optional[Callable[[], None]] = field(
         default=None, repr=False, compare=False
     )
+    #: The same push for every ``availability_version`` bump.
+    _availability_listener: Optional[Callable[[], None]] = field(
+        default=None, repr=False, compare=False
+    )
     #: This thread's plain counter instance, bound once at construction —
     #: ``availability_vector`` sits on the edge-scoring hot path and must
     #: not pay the ``PERF`` facade's thread-local indirection per call.
@@ -202,6 +206,8 @@ class PeerNode:
     def _invalidate_availability(self) -> None:
         self._avail_dirty = True
         self.availability_version += 1
+        if self._availability_listener is not None:
+            self._availability_listener()
 
     def _bump_neighbors_version(self) -> None:
         self.neighbors_version += 1

@@ -9,8 +9,9 @@ neighbour set.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Callable, Dict, Iterable, List, Optional, Set
 
 import numpy as np
 
@@ -51,6 +52,12 @@ class Overlay:
     #: must detect (:meth:`repro.core.kernels.WorldArrays` falls back to
     #: the per-node version scan unless every snapshot node was wired).
     topology_version: int = field(default=0, repr=False)
+    #: The same for availability invalidations (probe credits, counter
+    #: writes, neighbour-set changes), pushed by ``_availability_listener``.
+    availability_version: int = field(default=0, repr=False)
+    _sweep_listeners: List["weakref.WeakMethod"] = field(
+        default_factory=list, repr=False, compare=False
+    )
     #: Sorted online-id array cache backing :meth:`sample_peers`
     #: (rebuilt when ``liveness_version`` moves).
     _online_array: Optional[np.ndarray] = field(
@@ -61,9 +68,34 @@ class Overlay:
     def __post_init__(self):
         if self.degree < 1:
             raise ValueError(f"degree must be >= 1, got {self.degree}")
+        # One bound method per listener, shared by every spawned node.
+        self._listeners = (self._on_topology_change, self._on_availability_change)
+
+    def __getstate__(self) -> dict:
+        # Weak references do not pickle; a copy has no live views anyway.
+        return {**self.__dict__, "_sweep_listeners": []}
 
     def _on_topology_change(self) -> None:
         self.topology_version += 1
+
+    def _on_availability_change(self) -> None:
+        self.availability_version += 1
+
+    def add_sweep_listener(self, listener: Callable[[float], None]) -> None:
+        """Call the bound method ``listener`` (held weakly) with
+        ``period`` after each fast sweep, which credits every neighbour
+        view by ``period`` and invalidates each node exactly once."""
+        self._sweep_listeners.append(weakref.WeakMethod(listener))
+
+    def notify_fast_sweep(self, period: float) -> None:
+        """Tell every live sweep listener that a fast sweep just ran."""
+        live = []
+        for ref in self._sweep_listeners:
+            listener = ref()
+            if listener is not None:
+                listener(period)
+                live.append(ref)
+        self._sweep_listeners = live
 
     # -- population construction ----------------------------------------
     def spawn_node(
@@ -78,7 +110,7 @@ class Overlay:
             malicious=malicious,
             participation_cost=participation_cost,
         )
-        node._topology_listener = self._on_topology_change
+        node._topology_listener, node._availability_listener = self._listeners
         self._next_id += 1
         self.nodes[node.node_id] = node
         return node

@@ -177,6 +177,9 @@ def fast_full_sweep(overlay: Overlay, period: float, now: float) -> "Optional[di
     preconditions do not hold (caller falls back to the per-node loop).
     Eligibility is checked over the whole population *before* any
     counter moves, so a ``None`` return leaves the overlay untouched.
+    A sweep that ran is announced through
+    :meth:`Overlay.notify_fast_sweep`, so array views of the session
+    counters (:class:`repro.core.kernels.WorldArrays`) mirror it.
     """
     nodes = overlay.nodes
     if not nodes or overlay.online_count() != len(nodes):
@@ -192,6 +195,7 @@ def fast_full_sweep(overlay: Overlay, period: float, now: float) -> "Optional[di
             view.last_seen = now
         alive += len(views)
         node._invalidate_availability()
+    overlay.notify_fast_sweep(period)
     return {
         "alive": alive,
         "dead": 0,
@@ -226,10 +230,6 @@ class ActiveProber:
     #: tracer one ``probe.sweep`` span around the whole sweep.
     bus: "Optional[EventBus]" = None
     tracer: object = NULL_TRACER
-    #: Notified with ``period`` after each :func:`fast_full_sweep` that
-    #: actually ran — the sharded engine mirrors the uniform credit into
-    #: its shared session matrix without re-reading any node object.
-    sweep_listener: "Callable[[float], None] | None" = None
     rounds_run: int = 0
 
     def __post_init__(self):
@@ -251,8 +251,6 @@ class ActiveProber:
                 if swept is not None:
                     probed = swept.pop("probed")
                     totals = swept
-                    if self.sweep_listener is not None:
-                        self.sweep_listener(self.period)
                 else:
                     totals = {"alive": 0, "dead": 0, "replaced": 0, "timed_out": 0}
                     probed = 0

@@ -217,9 +217,10 @@ class PerfCounters:
       SPNE level sweeps, flat quality builds);
     - ``kernel_batch_elements`` — total elements across those calls
       (``kernel_batch_elements / kernel_calls`` is the mean batch size);
-    - ``array_rebuilds`` — WorldArrays (re)builds of derived arrays after
-      an invalidation (topology CSR, per-node availability slices, flat
-      quality/liveness vectors);
+    - ``array_rebuilds`` — WorldArrays topology rebuilds (O(churn));
+    - ``alpha_refreshes`` — WorldArrays ``alpha_flat`` recomputations;
+    - ``alpha_row_resyncs`` — session-time rows re-read from their node
+      (every row per rebuild, then only what a mirrored sweep missed);
     - ``hit_row_fallbacks`` — full quality rows whose selectivity counts
       came from per-edge bisects because the connection already had
       history at or past the round being built (0 in scenario runs);
@@ -241,6 +242,8 @@ class PerfCounters:
         "kernel_calls",
         "kernel_batch_elements",
         "array_rebuilds",
+        "alpha_refreshes",
+        "alpha_row_resyncs",
         "hit_row_fallbacks",
         "spne_ball_sweeps",
     )

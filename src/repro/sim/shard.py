@@ -9,10 +9,10 @@ availability vector, the overlay liveness mask, SPNE level planes and
 (:class:`~repro.network.node.PeerNode`,
 :class:`~repro.payment.ledger.Account`) stays the API surface but
 becomes a *view*: accounts serve their balance from a slot in the
-shared balances array, and availability is maintained in a shared
-per-edge vector refreshed from a session-time matrix.  Selectivity hit
-rows are coordinator-only and come from the base planner's
-:class:`~repro.core.kernels.HitRows`.
+shared balances array, and the world's per-edge availability vector is
+a shared segment the base :class:`~repro.core.kernels.WorldArrays`
+refreshes in place.  Selectivity hit rows are coordinator-only and come
+from the base planner's :class:`~repro.core.kernels.HitRows`.
 
 **Division of labour (the bit-identity design).**  The coordinator
 process runs the entire event loop: every RNG draw, every Model I and
@@ -69,7 +69,7 @@ import threading
 import weakref
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -211,136 +211,19 @@ def _merge_counts(dst: Dict[str, int], src: Dict[str, int]) -> None:
 
 
 class ShardWorld(WorldArrays):
-    """:class:`WorldArrays` whose availability vector lives in shared
-    memory and is refreshed from a vectorised session-time matrix.
-
-    The matrix mirrors every node's per-neighbour session counters
-    (columns in each node's *dict* order — the order the scalar
-    normalisation sums in), kept in sync two ways: the prober's
-    :func:`~repro.network.probing.fast_full_sweep` notifies
-    :meth:`on_fast_sweep` (one uniform ``+= period`` over occupied
-    cells, no object re-reads), and any other mutation is detected per
-    node through ``availability_version`` and resynced from the node's
-    views.  The alpha recomputation then replays the scalar expression
-    tree — sequential left-to-right column accumulation for the
-    normaliser, element-wise division, zeros when the total is zero —
-    so the shared vector is bit-identical to what the base class reads
-    out of each node's cached normalisation.
-    """
+    """:class:`WorldArrays` that republishes every topology rebuild to
+    the engine's shared segments (which also moves ``alpha_flat`` into
+    shared memory; the base class refreshes it in place)."""
 
     def __init__(self, overlay, engine: "Optional[ShardEngine]" = None) -> None:
         super().__init__(overlay)
         self.engine = engine
-        self._sess_mat = np.zeros((0, 0), dtype=np.float64)
-        self._sess_occ = np.zeros((0, 0), dtype=np.float64)
-        self._sess_ver = np.zeros(0, dtype=np.int64)
-        self._edge_col = np.zeros(0, dtype=np.int64)
-        self._alpha_dirty = False
-        self._activity_sources: List[Any] = []
-        self._scan_key: Optional[Tuple] = None
 
-    def attach_activity_source(self, fn) -> None:
-        """Register a zero-arg callable returning a monotone counter
-        that moves whenever availability counters might have changed
-        outside the fast-sweep mirror (e.g. ``lambda:
-        prober.rounds_run``).  With at least one source attached, the
-        per-node version scan in :meth:`_refresh_alpha` runs only when
-        a source, the liveness version or the topology generation
-        moved — between those events no code path touches the
-        counters, so skipping the scan is exact, not approximate."""
-        self._activity_sources.append(fn)
-        self._scan_key = None
-
-    # -- topology -------------------------------------------------------
     def _rebuild_topology(self) -> None:
         super()._rebuild_topology()
-        self._build_session_state()
         engine = self.engine
         if engine is not None and engine.started:
             engine.publish_topology()
-
-    def _build_session_state(self) -> None:
-        nodes = self.overlay.nodes
-        size = self.size
-        max_deg = 0
-        for node in nodes.values():
-            if len(node.neighbors) > max_deg:
-                max_deg = len(node.neighbors)
-        self._sess_mat = np.zeros((size, max_deg), dtype=np.float64)
-        self._sess_occ = np.zeros((size, max_deg), dtype=np.float64)
-        self._sess_ver = np.full(size, -1, dtype=np.int64)
-        edge_col = np.zeros(self.n_edges, dtype=np.int64)
-        indptr = self.indptr
-        for nid, lst in self.nbr_lists.items():
-            if not lst:
-                continue
-            # Column j of row nid is the node's j-th neighbour in dict
-            # (insertion) order — the order the scalar normaliser sums.
-            cols = {v: j for j, v in enumerate(nodes[nid].neighbors)}
-            start = int(indptr[nid])
-            for i, v in enumerate(lst):
-                edge_col[start + i] = cols[v]
-        self._edge_col = edge_col
-        self._alpha_dirty = True
-
-    # -- session-time mirror --------------------------------------------
-    def on_fast_sweep(self, period: float) -> None:
-        """Mirror a :func:`fast_full_sweep` (uniform ``+= period`` on
-        every neighbour view, one invalidation per node) into the
-        matrix without re-reading any object.  The version array moves
-        in lockstep with each node's ``availability_version`` bump, so
-        rows that were already out of sync stay out of sync (their
-        delta is preserved) and get resynced on the next refresh."""
-        if self._sess_mat.size:
-            self._sess_mat += period * self._sess_occ
-        self._sess_ver += 1
-        self._alpha_dirty = True
-
-    def _resync_row(self, nid: int, node) -> None:
-        row = self._sess_mat[nid]
-        occ = self._sess_occ[nid]
-        row[:] = 0.0
-        occ[:] = 0.0
-        for j, view in enumerate(node.neighbors.values()):
-            row[j] = view._session_time
-            occ[j] = 1.0
-        self._sess_ver[nid] = node.availability_version
-
-    def _refresh_alpha(self) -> None:
-        dirty = self._alpha_dirty
-        scan = True
-        if self._activity_sources:
-            key = (
-                self.overlay.liveness_version,
-                self.generation,
-                tuple(fn() for fn in self._activity_sources),
-            )
-            scan = key != self._scan_key
-            self._scan_key = key
-        if scan:
-            nodes = self.overlay.nodes
-            ver = self._sess_ver
-            for nid, node in nodes.items():
-                if ver[nid] != node.availability_version:
-                    self._resync_row(nid, node)
-                    dirty = True
-        if not dirty:
-            return
-        self._alpha_dirty = False
-        mat = self._sess_mat
-        if mat.size:
-            # Scalar parity: total accumulates left to right over the
-            # dict-ordered counters (float addition is order-sensitive),
-            # padding cells contribute exact +0.0.
-            tot = np.zeros(mat.shape[0], dtype=np.float64)
-            for j in range(mat.shape[1]):
-                tot = tot + mat[:, j]
-            safe = np.where(tot > 0.0, tot, 1.0)
-            alpha = np.where((tot > 0.0)[:, None], mat / safe[:, None], 0.0)
-            if self.n_edges:
-                self.alpha_flat[:] = alpha[self.owner_flat, self._edge_col]
-        self.alpha_generation += 1
-        self._perf.array_rebuilds += 1
 
 
 # ---------------------------------------------------------------------------
