@@ -4,11 +4,11 @@ These isolate the fast-path layers the scenario throughput benchmark
 exercises end-to-end: indexed selectivity on history-heavy profiles,
 Model I edge scoring, and Model II backward induction (lookahead 2 and
 3).  Each timed call builds a *fresh* ``ForwardingContext``, so the
-numbers reflect a round's first decision (cold per-round caches) rather
-than repeated cache hits.
+numbers reflect a round's first decision rather than a warmed planner.
 
 The decision benchmarks run once per scoring backend: ``python`` (the
-scalar reference with its selectivity/availability/SPNE-memo caches) and
+scalar reference with its indexed selectivity, cached availability
+normalisation and per-decision SPNE memo) and
 ``numpy`` (the batched kernels of :mod:`repro.core.kernels`).  The numpy
 variants share one module-scoped :class:`WorldArrays` across contexts —
 exactly how ``PathBuilder`` amortises it across rounds — so they measure

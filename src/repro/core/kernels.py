@@ -88,24 +88,28 @@ the deciding node's own slice against the *actual* predecessor
 directly (the edge ``predecessor -> node`` need not exist in the CSR —
 neighbour sets are not symmetric), cached per ``(node, predecessor)``.
 
-**Snapshot semantics.**  Quality, availability and topology are
-snapshotted per ``(cid, round)`` — the same contract the scalar caches
-document (histories commit after the round; probe counters advance
-between rounds).  Frontier quality state carries a freshness token
-``(round_index, WorldArrays.alpha_generation)`` so a speculatively
-pre-built row is dropped, never misused, when probing moved
-availability before the round actually ran.  Liveness is snapshotted
-per formation *attempt*: ``ForwardingContext.begin_attempt`` observes
-``Overlay.liveness_version`` so a mid-round crash (fault injection)
-refreshes the candidate world for the next attempt on both backends.
+**One freshness rule.**  Every decision reads the live world, on both
+backends: ``BatchPlanner`` calls :meth:`WorldArrays.ensure_fresh` at the
+start of every decision (O(1) behind the topology and availability
+tokens when nothing moved), and the scalar strategies compute straight
+from the overlay and the histories.  Nothing is snapshotted per round or
+per formation attempt, so retries inside one round see the churn,
+crash-rejoin and probe credits that happened while they backed off.
+Derived frontier state is keyed on what it reads instead: quality rows
+on ``(round_index, WorldArrays.alpha_generation)`` (histories commit
+only after a round's path succeeds, so a round's selectivity is fixed),
+candidate validity on ``Overlay.liveness_version``, everything on
+``WorldArrays.generation``.  A speculatively pre-built row is therefore
+dropped, never misused, when probing moved availability before the
+round actually ran.
 
 **Small-world crossover.**  The kernels win on batch size; on tiny
 candidate sets the array bookkeeping costs more than the scalar loop
-(measured ~3x slower for Model I at degree 5).  Dispatch therefore
-stays scalar below :data:`MODEL1_KERNEL_MIN_CANDIDATES` candidates
-(Model I) / :data:`MODEL2_KERNEL_MIN_NODES` overlay nodes (Model II)
-unless the context disables the crossover.  Both branches are
-bit-identical, so mixing them within one run is sound.
+(measured ~3x slower for Model I at degree 5).  Model I dispatch
+therefore stays scalar below :data:`MODEL1_KERNEL_MIN_CANDIDATES`
+candidates unless the context disables the crossover.  Model II always
+runs the kernels under ``numpy``.  Both branches are bit-identical, so
+mixing them within one run is sound.
 """
 
 from __future__ import annotations
@@ -134,11 +138,6 @@ BACKEND_ENV = "REPRO_BACKEND"
 #: a single tiny candidate row costs more to stage into arrays than to
 #: loop over (measured crossover on the hotpath benchmarks).
 MODEL1_KERNEL_MIN_CANDIDATES = 12
-
-#: Model II stays scalar below this many overlay nodes: the SPNE tables
-#: batch over every directed edge, so the win scales with the edge
-#: count, not the candidate count.
-MODEL2_KERNEL_MIN_NODES = 20
 
 #: Model II sweeps a decision's own lookahead ball instead of the whole
 #: state axis once this many copies of the ball's size bound fit in the
@@ -802,7 +801,6 @@ class BatchPlanner:
         #: High-water mark of frontiers scored in one stacked kernel
         #: call — the cross-connection batching observable.
         self.max_batched_frontiers = 0
-        self._last_key: Optional[Tuple[int, int]] = None
         self._mask: Optional[np.ndarray] = None
         self._mask_key: Optional[Tuple[int, int]] = None
         self._perf = PERF.counters
@@ -866,20 +864,11 @@ class BatchPlanner:
             fr.q_child = None
             fr.q_child_token = None
 
-    def _frontier(self, context: "ForwardingContext", node_id: int) -> Frontier:
-        """The synced frontier for the context's connection.
-
-        ``WorldArrays.ensure_fresh`` (the O(nodes) version scan) runs
-        once per ``(cid, round)`` — between decisions of one round only
-        liveness can move, and that has its own token.
-        """
+    def _frontier(self, context: "ForwardingContext") -> Frontier:
+        """The synced frontier for the context's connection, over a world
+        brought up to date for this decision (the one freshness rule)."""
         world = self.world
-        key = (context.cid, context.round_index)
-        if key != self._last_key:
-            world.ensure_fresh()
-            self._last_key = key
-        elif world.indptr is None or node_id + 1 >= world.indptr.size:
-            world.ensure_fresh()
+        world.ensure_fresh()
         fr = self.frontiers.get(context.cid)
         if fr is None:
             fr = self._new_frontier(
@@ -1335,7 +1324,7 @@ class BatchPlanner:
         """Batched Utility Model I: whole candidate set -> utility vector,
         arraywise argmax with the quality/id tie-break."""
         node_id = node.node_id
-        fr = self._frontier(context, node_id)
+        fr = self._frontier(context)
         self._ensure_liveness(fr, context)
         cand_idx, cand_ids = self._candidates(fr, node_id, predecessor)
         if cand_ids.size == 0:
@@ -1375,7 +1364,7 @@ class BatchPlanner:
         worlds, the cached whole state axis otherwise — then one
         vectorised root decision."""
         node_id = node.node_id
-        fr = self._frontier(context, node_id)
+        fr = self._frontier(context)
         self._ensure_liveness(fr, context)
         cand_idx, cand_ids = self._candidates(fr, node_id, predecessor)
         if cand_ids.size == 0:

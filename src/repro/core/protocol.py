@@ -159,9 +159,9 @@ class PathBuilder:
     #: ``REPRO_BACKEND`` environment variable, defaulting to the scalar
     #: reference), or pass ``"python"``/``"numpy"`` explicitly.
     backend: Optional[str] = None
-    #: Small-world crossover for the numpy backend (see
+    #: Model I small-world crossover for the numpy backend (see
     #: :class:`ForwardingContext.kernel_crossover`); tests pin this to
-    #: False to force the kernels on small worlds.
+    #: False to force the kernels on small candidate sets.
     kernel_crossover: bool = True
     #: Position-aware selectivity (§2.3 predecessor differentiation) for
     #: every context this builder creates — both backends support it.
@@ -345,11 +345,6 @@ class PathBuilder:
         self, context: ForwardingContext, initiator: int, responder: int
     ) -> Optional[List[int]]:
         """One end-to-end formation attempt; None on dead end."""
-        # Snapshot liveness for this attempt: a crash injected during a
-        # previous attempt of the same round must not leave stale
-        # candidates in the context caches (both backends key off the
-        # same overlay version counter — see ForwardingContext).
-        context.begin_attempt()
         current = initiator
         predecessor: Optional[int] = None
         forwarders: List[int] = []

@@ -34,7 +34,6 @@ from repro.core.edge_quality import QualityWeights, edge_quality
 from repro.core.history import HistoryProfile
 from repro.core.kernels import (
     MODEL1_KERNEL_MIN_CANDIDATES,
-    MODEL2_KERNEL_MIN_NODES,
     BatchPlanner,
     WorldArrays,
     validate_backend,
@@ -61,13 +60,12 @@ class ForwardingContext:
     The context is built once per connection round by the protocol layer
     and threaded through each hop's decision.
 
-    The context also owns the round's **edge-quality cache**: within one
-    round, ``q(s, v)`` is a pure function of the edge (plus the
-    selectivity predecessor when position-aware scoring is on) — history
-    records are only committed after the round's path succeeds, and probe
-    counters only advance between rounds — so every hop and every
-    backward-induction subtree of the round reuses one scored value per
-    edge instead of recomputing it.
+    **One freshness rule.**  Every decision reads the live world: edge
+    quality and candidate sets are computed from the overlay and the
+    histories as they stand when the decision is made, with no snapshot
+    carried across decisions.  Retries back off in simulated time inside
+    one round, and churn, crash-rejoin and probe credits move the world
+    meanwhile — both backends see those moves at the same decision.
     """
 
     cid: int
@@ -94,33 +92,17 @@ class ForwardingContext:
     perf: object = field(
         default_factory=lambda: PERF.counters, repr=False, compare=False
     )
-    #: Per-round edge-quality memo keyed ``(node, neighbor, selectivity
-    #: predecessor, round_index)``.  ``round_index`` is in the key so a
-    #: context reused across rounds (tests mutate ``round_index`` in
-    #: place) never serves a stale score.
-    _edge_quality_cache: Dict[
-        Tuple[int, int, Optional[int], int], float
-    ] = field(default_factory=dict, repr=False)
-    #: Per-round scored candidate lists keyed ``(node, predecessor,
-    #: round_index)`` — the (neighbor, quality) pairs every utility
-    #: strategy loops over.  Sound for the same reason as the quality
-    #: cache: candidate sets (liveness) and scores are fixed within a
-    #: round.  Cleared by :meth:`begin_attempt` when liveness changed
-    #: mid-round (injected crash), so every formation attempt scores
-    #: against a consistent liveness snapshot.
-    _scored_candidates_cache: Dict[
-        Tuple[int, Optional[int], int], List[Tuple[int, float]]
-    ] = field(default_factory=dict, repr=False)
     #: Scoring backend: ``"python"`` (scalar reference) or ``"numpy"``
     #: (batched kernels, :mod:`repro.core.kernels`).  Both produce
     #: bit-identical decisions; the utility strategies dispatch on this.
     backend: str = "python"
-    #: Small-world crossover: when True (the default), tiny decisions
-    #: stay on the scalar loop even under ``backend="numpy"`` — the
-    #: array bookkeeping costs more than it saves below the measured
-    #: batch-size thresholds (see repro.core.kernels).  Both branches
-    #: are bit-identical, so mixing them within one run is sound; tests
-    #: pin this to False to force the kernels on small worlds.
+    #: Small-world crossover: when True (the default), Model I decisions
+    #: with few candidates stay on the scalar loop even under
+    #: ``backend="numpy"`` — staging a tiny candidate row into arrays
+    #: costs more than looping over it (see repro.core.kernels).  Both
+    #: branches are bit-identical, so mixing them within one run is
+    #: sound; tests pin this to False to force the kernels on small
+    #: candidate sets.
     kernel_crossover: bool = True
     #: Shared array world for the numpy backend; the protocol layer
     #: passes one :class:`WorldArrays` across all rounds it builds so
@@ -132,8 +114,6 @@ class ForwardingContext:
     #: connection it builds so quality rows batch across connections.
     #: Lazily created here when a bare context is used standalone.
     planner: Optional[BatchPlanner] = field(default=None, repr=False)
-    #: Liveness snapshot marker for :meth:`begin_attempt`.
-    _liveness_stamp: Optional[int] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         validate_backend(self.backend)
@@ -151,7 +131,9 @@ class ForwardingContext:
     def use_kernels(self) -> bool:
         """True when this context's backend is the batched numpy kernels
         (position-aware selectivity included — predecessor-conditioned
-        scoring runs in state space; see repro.core.kernels)."""
+        scoring runs in state space; see repro.core.kernels).  This is
+        Model II's whole dispatch rule: its SPNE tables batch over the
+        lookahead ball or the state axis, so it has no crossover."""
         return self.backend == "numpy"
 
     def use_kernels_model1(self, node: PeerNode) -> bool:
@@ -162,54 +144,18 @@ class ForwardingContext:
             or len(node.neighbors) >= MODEL1_KERNEL_MIN_CANDIDATES
         )
 
-    def use_kernels_model2(self) -> bool:
-        """Model II dispatch: kernels, unless the overlay is too small —
-        the SPNE tables batch over every directed edge, so the win
-        scales with the population, not the local degree."""
-        return self.use_kernels() and (
-            not self.kernel_crossover
-            or len(self.overlay.nodes) >= MODEL2_KERNEL_MIN_NODES
-        )
-
-    def begin_attempt(self) -> None:
-        """Mark the start of one path-formation attempt.
-
-        Snapshots ``Overlay.liveness_version``; if it moved since the
-        previous attempt (a fault-injected crash took a forwarder
-        offline mid-round), the liveness-dependent scored-candidate
-        cache is dropped so this attempt scores against current
-        membership.  The numpy kernels track the same version counter
-        themselves, so both backends see identical snapshots.  No-op
-        within fault-free rounds — cached state stays warm.
-        """
-        stamp = self.overlay.liveness_version
-        if self._liveness_stamp is not None and stamp != self._liveness_stamp:
-            self._scored_candidates_cache.clear()
-        self._liveness_stamp = stamp
-
     def selectivity_predecessor(self, predecessor: Optional[int]) -> Optional[int]:
         return predecessor if self.position_aware_selectivity else None
 
     def edge_quality_for(
         self, node: PeerNode, neighbor: int, predecessor: Optional[int]
     ) -> float:
-        """Cached ``q(node, neighbor)`` for this round (see class docstring).
-
-        Equivalent to calling :func:`repro.core.edge_quality.edge_quality`
-        directly; the availability component reads the node's cached
-        normalisation vector, and the result is memoised for the rest of
-        the round.
-        """
+        """``q(node, neighbor)`` from the live histories and probe counters
+        — :func:`repro.core.edge_quality.edge_quality` with this context's
+        connection, round, weights and selectivity predecessor."""
         sel_pred = self.selectivity_predecessor(predecessor)
-        key = (node.node_id, neighbor, sel_pred, self.round_index)
-        cached = self._edge_quality_cache.get(key)
-        perf = self.perf
-        if cached is not None:
-            perf.edge_quality_cache_hits += 1
-            return cached
-        perf.edge_quality_cache_misses += 1
-        perf.edges_scored += 1
-        q = edge_quality(
+        self.perf.edges_scored += 1
+        return edge_quality(
             node,
             neighbor,
             self.history_of(node.node_id),
@@ -220,30 +166,16 @@ class ForwardingContext:
             responder=self.responder,
             availability=node.availability_vector().get(neighbor),
         )
-        self._edge_quality_cache[key] = q
-        return q
 
     def scored_candidates(
         self, node: PeerNode, predecessor: Optional[int]
     ) -> List[Tuple[int, float]]:
-        """``[(neighbor, q(node, neighbor)), ...]`` for this round's
-        candidate set — the inner loop of both utility models.
-
-        Keyed on the *actual* predecessor (it shapes the candidate set via
-        the no-backtracking rule and, under position-aware scoring, the
-        selectivity conditioning).  Callers must not mutate the returned
-        list.
-        """
-        key = (node.node_id, predecessor, self.round_index)
-        hit = self._scored_candidates_cache.get(key)
-        if hit is not None:
-            return hit
-        pairs = [
+        """``[(neighbor, q(node, neighbor)), ...]`` over the current
+        candidate set — the inner loop of both utility models."""
+        return [
             (nbr, self.edge_quality_for(node, nbr, predecessor))
             for nbr in self.candidates(node, predecessor)
         ]
-        self._scored_candidates_cache[key] = pairs
-        return pairs
 
     def history_of(self, node_id: int) -> HistoryProfile:
         return self.histories[node_id]
@@ -477,7 +409,7 @@ class UtilityModelII(RoutingStrategy):
         # One shared SPNE memo for the entire candidate set: overlapping
         # downstream subtrees are expanded exactly once per decision.
         with context.tracer.span("spne.decide"):
-            if context.use_kernels_model2():
+            if context.use_kernels():
                 return context.batch_planner().decide_model2(
                     self, node, predecessor, context
                 )

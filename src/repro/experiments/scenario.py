@@ -81,8 +81,8 @@ class ScenarioResult:
     round_latencies: List[Tuple[float, float]] = field(default_factory=list)
     #: Hot-path profiling counters accumulated during this run (delta of
     #: :data:`repro.sim.monitoring.PERF` across the run): selectivity
-    #: queries, availability/edge-quality cache hits and misses, edges
-    #: scored, SPNE memo reuse.
+    #: queries, availability cache hits and misses, edges scored, SPNE
+    #: memo reuse.
     perf_counters: Dict[str, int] = field(default_factory=dict)
     #: Fault/recovery degradation counters for this run (snapshot of the
     #: injector's :class:`~repro.sim.monitoring.DegradationCounters`):
@@ -348,7 +348,6 @@ class ScenarioResult:
             lines.append(
                 f"  hot path: {p.get('edges_scored', 0)} edges scored, "
                 f"{p.get('selectivity_queries', 0)} selectivity queries, "
-                f"{p.get('edge_quality_cache_hits', 0)} quality-cache hits, "
                 f"{p.get('spne_memo_hits', 0)} SPNE memo hits"
             )
         d = self.degradation

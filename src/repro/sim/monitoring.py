@@ -8,8 +8,8 @@
 - :class:`Histogram` — fixed-bin counter for payoff/latency
   distributions.
 - :class:`PerfCounters` / :data:`PERF` — hot-path profiling counters for
-  the routing fast path (selectivity queries, availability/edge-quality
-  cache hits, SPNE memo reuse).
+  the routing fast path (selectivity queries, availability cache hits,
+  edges scored, SPNE memo reuse).
 - :class:`DegradationCounters` — per-run fault/recovery counters
   (reformations, retries, dropped rounds, deferred settlements) filled
   by :class:`repro.sim.faults.FaultInjector` and the recovery layer.
@@ -203,9 +203,8 @@ class PerfCounters:
     - ``availability_cache_hits`` / ``availability_cache_misses`` — whether
       ``PeerNode.availability_vector`` was served from the cached
       normalisation or had to re-sum session times;
-    - ``edge_quality_cache_hits`` / ``edge_quality_cache_misses`` — per-round
-      ``ForwardingContext`` edge-quality cache outcomes;
-    - ``edges_scored`` — edge-quality evaluations actually performed;
+    - ``edges_scored`` — edge-quality evaluations performed (every scalar
+      ``ForwardingContext.edge_quality_for`` call, every kernel row element);
     - ``spne_memo_hits`` / ``spne_memo_misses`` — backward-induction subtree
       reuse inside ``UtilityModelII`` (one shared memo per decision);
     - ``utility_evaluations`` — forwarder-utility function evaluations
@@ -233,8 +232,6 @@ class PerfCounters:
         "selectivity_queries",
         "availability_cache_hits",
         "availability_cache_misses",
-        "edge_quality_cache_hits",
-        "edge_quality_cache_misses",
         "edges_scored",
         "spne_memo_hits",
         "spne_memo_misses",

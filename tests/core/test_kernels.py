@@ -67,8 +67,8 @@ def make_context(
     kernel_crossover=False,
 ):
     # The differential worlds here are deliberately tiny, below the
-    # small-world crossover thresholds — disable the heuristic so the
-    # numpy lane actually exercises the kernels (dispatch itself is
+    # Model I small-world crossover — disable the heuristic so the numpy
+    # lane actually exercises the Model I kernels (dispatch itself is
     # covered by the crossover tests below).
     return ForwardingContext(
         cid=1,
@@ -296,22 +296,48 @@ def test_backends_agree_after_topology_and_probe_changes(strategy):
 @pytest.mark.parametrize("strategy", [UtilityModelI(), UtilityModelII(lookahead=2)])
 def test_backends_agree_across_mid_round_crash(strategy):
     """A forwarder crash between formation attempts (overlay.leave inside
-    the round) must refresh both backends' candidate snapshots."""
+    the round) is seen by the next decision on both backends."""
     ov, histories = make_world(13)
     ctx_py = make_context(ov, histories, "python")
     ctx_np = make_context(ov, histories, "numpy")
     node = ov.nodes[0]
-    ctx_py.begin_attempt(), ctx_np.begin_attempt()
     first_py = strategy.select_next_hop(node, None, ctx_py)
     first_np = strategy.select_next_hop(node, None, ctx_np)
     assert first_py == first_np and first_py is not None
     # The chosen forwarder crashes mid-round; next attempt begins.
     ov.leave(first_py, now=3.0)
-    ctx_py.begin_attempt(), ctx_np.begin_attempt()
     second_py = strategy.select_next_hop(node, None, ctx_py)
     second_np = strategy.select_next_hop(node, None, ctx_np)
     assert second_py == second_np
     assert second_py != first_py  # the crashed node is no longer served
+
+
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize(
+    "strategy", [UtilityModelI(), UtilityModelII(lookahead=2)], ids=["I", "II"]
+)
+def test_backends_read_the_live_world_within_a_round(strategy, seed):
+    """Within one round (``round_index`` held fixed) a retry backs off in
+    simulated time while discovery wires new neighbours and probes credit
+    session time.  The next decision on a reused context must see that
+    world: both backends agree with a scalar context built afresh."""
+    ov, histories = make_world(seed, n=24, degree=5)
+    node = ov.nodes[0]
+    ctx_py = make_context(ov, histories, "python")
+    ctx_np = make_context(ov, histories, "numpy")
+    first = strategy.select_next_hop(node, None, ctx_py)
+    assert strategy.select_next_hop(node, None, ctx_np) == first
+    new_nbr = next(
+        i for i in sorted(ov.nodes)
+        if i not in node.neighbors and i not in (0, ctx_py.responder)
+    )
+    node.add_neighbor(new_nbr, initial_session_time=90.0)
+    node.credit_session_time(node.neighbor_ids()[0], 120.0)
+    expect = strategy.select_next_hop(
+        node, None, make_context(ov, histories, "python")
+    )
+    assert strategy.select_next_hop(node, None, ctx_np) == expect
+    assert strategy.select_next_hop(node, None, ctx_py) == expect
 
 
 # ---- dispatch & plumbing --------------------------------------------------
@@ -332,32 +358,30 @@ def test_position_aware_contexts_use_kernels():
 
 
 def test_small_world_crossover_keeps_tiny_decisions_scalar():
-    """Below the crossover thresholds the numpy backend dispatches to the
+    """Below the Model I crossover the numpy backend dispatches to the
     scalar path (per-decision array overhead dominates on tiny candidate
     sets) — decisions are bit-identical either way, so only the counters
     tell the lanes apart."""
-    ov, histories = make_world(4)  # n=14 < 20, degree 4 < 12
+    ov, histories = make_world(4)  # degree 4 < 12
     node = ov.nodes[0]
     ctx = make_context(ov, histories, "numpy", kernel_crossover=True)
     assert ctx.use_kernels()
     assert not ctx.use_kernels_model1(node)
-    assert not ctx.use_kernels_model2()
 
-    for strategy in (UtilityModelI(), UtilityModelII(lookahead=2)):
-        before = PERF.snapshot()
-        hop = strategy.select_next_hop(node, None, ctx)
-        delta = PERF.delta_since(before)
-        assert delta["kernel_calls"] == 0
-        scalar_ctx = make_context(ov, histories, "python")
-        assert hop == strategy.select_next_hop(node, None, scalar_ctx)
+    strategy = UtilityModelI()
+    before = PERF.snapshot()
+    hop = strategy.select_next_hop(node, None, ctx)
+    delta = PERF.delta_since(before)
+    assert delta["kernel_calls"] == 0
+    scalar_ctx = make_context(ov, histories, "python")
+    assert hop == strategy.select_next_hop(node, None, scalar_ctx)
 
 
 def test_small_world_crossover_engages_kernels_on_large_worlds():
     ov, histories = make_world(8, n=24, degree=5)
     node = ov.nodes[0]
     ctx = make_context(ov, histories, "numpy", kernel_crossover=True)
-    # n=24 >= MODEL2_KERNEL_MIN_NODES: the lookahead sweep is batched...
-    assert ctx.use_kernels_model2()
+    # Model II has no crossover: the lookahead sweep is always batched...
     before = PERF.snapshot()
     UtilityModelII(lookahead=2).select_next_hop(node, None, ctx)
     assert PERF.delta_since(before)["kernel_calls"] > 0

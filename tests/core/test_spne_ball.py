@@ -96,7 +96,7 @@ def ball_vs_full(ov, histories, root, predecessor, responder, depth, position_aw
         kernel_crossover=False,
     )
     planner = ctx.batch_planner()
-    fr = planner._frontier(ctx, root)
+    fr = planner._frontier(ctx)
     planner._ensure_liveness(fr, ctx)
     cand_idx, cand_ids = planner._candidates(fr, root, predecessor)
     if position_aware:

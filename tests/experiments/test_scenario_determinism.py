@@ -3,14 +3,17 @@
 ``run_scenario`` on a fixed seed must keep producing *exactly* these
 metrics (golden values captured with the indexed-selectivity / cached-
 availability / shared-SPNE-memo implementation).  Any change to the hot
-path that silently alters routing decisions — a stale cache, a memo-key
-collision, a reordered normalisation sum — shows up here as a changed
-forwarder set or payoff, not as a quiet benchmark drift.
+path that silently alters routing decisions — stale derived state, a
+memo-key collision, a reordered normalisation sum — shows up here as a
+changed forwarder set or payoff, not as a quiet benchmark drift.
 
 The goldens are enforced for **both scoring backends**: the scalar
 reference and the batched numpy kernels (repro.core.kernels) must land
 on the same bits, so every golden test is parametrized over
-``BACKENDS``.
+``BACKENDS``.  Under faults the two backends must also agree with each
+other on several seeds: retries back off inside one round while crashes,
+rejoins and probe credits move the world, and every decision on either
+backend reads that live world.
 """
 
 import pytest
@@ -21,6 +24,10 @@ from repro.experiments.scenario import run_scenario
 BASE = dict(seed=7, n_nodes=24, n_pairs=8, total_transmissions=120, use_bank=False)
 
 BACKENDS = ("python", "numpy")
+
+#: Seeds for the backend-agreement checks under faults (BASE's own seed
+#: first); the chaos lane sweeps many more.
+CHAOS_SEEDS = (7, 8, 9)
 
 #: Golden metrics per strategy, captured at the fast-path introduction.
 GOLDEN = {
@@ -121,14 +128,19 @@ def test_same_seed_same_fault_plan_identical_results():
     assert a.degradation["hops_lost"] > 0
 
 
+@pytest.mark.parametrize("seed", CHAOS_SEEDS)
 @pytest.mark.parametrize("strategy", sorted(GOLDEN))
-def test_backends_agree_under_chaos(strategy):
+def test_backends_agree_under_chaos(strategy, seed):
     """Mid-round crashes change liveness between formation attempts —
     the hardest case for the array world's invalidation.  Both backends
     must still land on identical trajectories."""
     faults = FaultConfig.from_severity(0.25)
-    a = run_scenario(_config(strategy, "python").with_overrides(faults=faults))
-    b = run_scenario(_config(strategy, "numpy").with_overrides(faults=faults))
+    a = run_scenario(
+        _config(strategy, "python").with_overrides(faults=faults, seed=seed)
+    )
+    b = run_scenario(
+        _config(strategy, "numpy").with_overrides(faults=faults, seed=seed)
+    )
     assert a.degradation == b.degradation
     assert a.payoffs == b.payoffs
     assert a.forwarder_set_sizes() == b.forwarder_set_sizes()
@@ -137,22 +149,23 @@ def test_backends_agree_under_chaos(strategy):
     assert a.degradation["forwarder_crashes"] > 0
 
 
+@pytest.mark.parametrize("seed", CHAOS_SEEDS)
 @pytest.mark.parametrize("strategy", sorted(GOLDEN))
-def test_backends_agree_under_chaos_position_aware(strategy):
+def test_backends_agree_under_chaos_position_aware(strategy, seed):
     """Chaos *and* §2.3 predecessor differentiation together: mid-round
     crashes invalidate liveness while the kernels score per-(state,
     predecessor) qualities.  The combination exercises every batched
     code path at once (position-aware base qualities, frontier resets,
-    per-attempt snapshots) and must stay bit-identical to scalar."""
+    liveness refreshes) and must stay bit-identical to scalar."""
     faults = FaultConfig.from_severity(0.25)
     a = run_scenario(
         _config(strategy, "python").with_overrides(
-            faults=faults, position_aware=True
+            faults=faults, position_aware=True, seed=seed
         )
     )
     b = run_scenario(
         _config(strategy, "numpy").with_overrides(
-            faults=faults, position_aware=True
+            faults=faults, position_aware=True, seed=seed
         )
     )
     assert a.degradation == b.degradation
@@ -161,8 +174,8 @@ def test_backends_agree_under_chaos_position_aware(strategy):
     assert a.series_settlements == b.series_settlements
     assert a.round_times == b.round_times
     assert a.degradation["forwarder_crashes"] > 0
-    # The numpy lane really ran through the kernels (n_nodes=24 clears
-    # the Model-II crossover; Model-I decisions stay scalar by design).
+    # The numpy lane really ran through the kernels (Model II always
+    # does; degree-5 Model-I decisions stay scalar by design).
     if strategy == "utility-II":
         assert b.perf_counters["kernel_calls"] > 0
 
@@ -185,9 +198,8 @@ def test_numpy_default_resolves_and_batches(monkeypatch):
 def test_nonzero_plan_drives_degradation_counters():
     """Acceptance: a nonzero plan demonstrably causes reformations,
     retries and deferred settlements, all surfaced in ScenarioResult."""
-    # Severity 0.35: at 0.3 this seed's trajectory (under per-attempt
-    # liveness snapshots) never lands a settlement inside the bank
-    # outage window, leaving bank_denials at 0.
+    # Severity 0.35: at 0.3 this seed's trajectory never lands a
+    # settlement inside the bank outage window, leaving bank_denials at 0.
     cfg = _config("utility-I").with_overrides(
         use_bank=True,
         faults=FaultConfig.from_severity(0.35),
@@ -210,11 +222,10 @@ def test_nonzero_plan_drives_degradation_counters():
 def test_perf_counters_populated_and_consistent():
     # Lookahead 3: subtree reuse across candidates only arises at depth
     # >= 3 (the (node, predecessor, depth) memo key embeds the unique
-    # parent edge, so a two-level expansion has nothing to share; the
-    # scored-candidates cache covers that case instead).  Pinned to the
-    # scalar backend: these identities describe the scalar caches, which
-    # the numpy kernels bypass (they report through kernel_* counters —
-    # see tests/core/test_kernels.py).
+    # parent edge, so a two-level expansion has nothing to share).
+    # Pinned to the scalar backend: these counters describe the scalar
+    # spec, which the numpy kernels bypass (they report through kernel_*
+    # counters — see tests/core/test_kernels.py).
     cfg = ExperimentConfig(
         strategy="utility-II", lookahead=3, backend="python", **BASE
     )
@@ -223,7 +234,5 @@ def test_perf_counters_populated_and_consistent():
     assert p["selectivity_queries"] > 0
     assert p["edges_scored"] > 0
     assert p["spne_memo_hits"] > 0
-    # Every scored edge is an edge-quality cache miss and vice versa.
-    assert p["edges_scored"] == p["edge_quality_cache_misses"]
     # The availability cache must be doing real work on the hot path.
     assert p["availability_cache_hits"] > p["availability_cache_misses"]

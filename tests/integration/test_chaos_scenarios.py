@@ -10,12 +10,20 @@ pin holds at scenario scale.
 import numpy as np
 import pytest
 
+from repro.core import routing
 from repro.experiments.config import ExperimentConfig, FaultConfig
 from repro.experiments.scenario import run_scenario
 
 pytestmark = pytest.mark.chaos
 
 BASE = dict(n_nodes=24, n_pairs=8, total_transmissions=96)
+
+#: Population of tier-1's backend-agreement checks under faults
+#: (tests/experiments/test_scenario_determinism.py), swept here over
+#: many more seeds.
+AGREEMENT_BASE = dict(
+    n_nodes=24, n_pairs=8, total_transmissions=120, use_bank=False
+)
 
 
 def chaos_config(seed, severity, **overrides):
@@ -93,3 +101,35 @@ def test_severe_chaos_with_temporal_transport_and_outages():
     # Dropped rounds still settle (forwarders did the work), so some
     # settlements happened even with the bank down a third of the time.
     assert any(result.series_settlements.values())
+
+
+@pytest.mark.parametrize("seed", range(1, 31))
+@pytest.mark.parametrize("strategy", ["utility-I", "utility-II"])
+def test_backends_agree_under_chaos_sweep(strategy, seed, monkeypatch):
+    """Retries back off inside one round while crashes, rejoins and probe
+    credits move the world; every decision on either backend reads that
+    live world, so the scalar spec and the kernels follow one trajectory
+    on every seed."""
+    # Model I kernels on every candidate set, as ``kernel_crossover=False``
+    # would: otherwise degree-5 decisions never leave the scalar loop.
+    monkeypatch.setattr(routing, "MODEL1_KERNEL_MIN_CANDIDATES", 0)
+    extra = {"lookahead": 2} if strategy == "utility-II" else {}
+    a, b = (
+        run_scenario(
+            ExperimentConfig(
+                seed=seed,
+                strategy=strategy,
+                backend=backend,
+                faults=FaultConfig.from_severity(0.25),
+                **AGREEMENT_BASE,
+                **extra,
+            )
+        )
+        for backend in ("python", "numpy")
+    )
+    assert a.degradation == b.degradation
+    assert a.payoffs == b.payoffs
+    assert a.forwarder_set_sizes() == b.forwarder_set_sizes()
+    assert a.series_settlements == b.series_settlements
+    assert a.round_times == b.round_times
+    assert b.perf_counters["kernel_calls"] > 0
