@@ -15,17 +15,13 @@ Run:  python examples/equilibrium_analysis.py
 
 from repro.core.contracts import Contract
 from repro.gametheory import (
-    RepeatedGame,
     backward_induction,
     build_forwarding_stage_game,
     build_path_formation_game,
-    one_shot_deviation_profitable,
     proposition2_min_pf,
     proposition3_is_dominant,
-    solve_zero_sum,
 )
 from repro.gametheory.forwarding_game import STAGE_STRATEGIES, StageGameParams
-from repro.gametheory.repeated import always
 
 
 def show_stage_game(contract: Contract, cost: float, label: str) -> None:
@@ -91,39 +87,6 @@ def main() -> None:
     print(f"  equilibrium payoffs: "
           f"{[round(p, 1) for p in result.equilibrium_payoffs]}")
     print(f"  subgames solved: {tree.subgame_count()}")
-
-    print("\n=== 5. why payments, not repetition ===")
-    # Repeated interaction alone cannot sustain forwarding: with no
-    # payments, NULL is the per-stage equilibrium and cooperation
-    # unravels by backward induction even over many rounds.
-    free = Contract(forwarding_benefit=0.0, routing_benefit=0.0)
-    nonrandom = STAGE_STRATEGIES.index("non-random")
-    for label, contract in (("no payments", free), ("paper incentives", rich)):
-        stage = build_forwarding_stage_game(
-            StageGameParams(contract=contract, cost=2.0), n_players=2
-        )
-        game = RepeatedGame(stage=stage, rounds=10)
-        deviation = one_shot_deviation_profitable(
-            game, [always(nonrandom), always(nonrandom)]
-        )
-        if deviation is None:
-            print(f"  {label}: cooperative forwarding every round is "
-                  f"deviation-proof (per-stage dominance, Prop. 3)")
-        else:
-            _h, player, action = deviation
-            print(f"  {label}: player {player} profitably deviates to "
-                  f"'{STAGE_STRATEGIES[action]}' - cooperation unravels")
-
-    print("\n=== 6. the adversary's randomisation, as a zero-sum game ===")
-    # A toy watcher-vs-forwarder game: the forwarder picks one of two
-    # equally good next hops; a single-tap adversary picks one link to
-    # watch.  The unique equilibrium is uniform randomisation - the
-    # quality tie-break in the implementation deliberately leaves no
-    # exploitable pattern beyond quality itself.
-    sol = solve_zero_sum([[0, 1], [1, 0]])  # payoff: 1 if unobserved
-    print(f"  forwarder mixes {tuple(round(p, 2) for p in sol.row_strategy)}, "
-          f"adversary mixes {tuple(round(p, 2) for p in sol.col_strategy)}, "
-          f"P(unobserved) = {sol.value:.2f}")
 
 
 if __name__ == "__main__":

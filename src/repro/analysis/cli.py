@@ -25,7 +25,6 @@ from repro.analysis.registry import all_rules
 from repro.analysis.reporters import render
 
 DEFAULT_BASELINE_NAME = "lint-baseline.json"
-DEFAULT_API_SURFACE_NAME = "api-surface.json"
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
@@ -83,13 +82,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "--no-cache",
         action="store_true",
         help="disable the per-file result cache for this run",
-    )
-    parser.add_argument(
-        "--api-surface",
-        default=None,
-        metavar="PATH",
-        help="regenerate the public API surface snapshot (ARCH002) at "
-        "PATH after linting",
     )
     parser.add_argument(
         "--select",
@@ -167,8 +159,6 @@ def run(args: argparse.Namespace) -> int:
     if not args.no_cache:
         cache = LintCache(Path(args.cache) if args.cache else Path(DEFAULT_CACHE_NAME))
 
-    api_surface_out = Path(args.api_surface) if args.api_surface else None
-
     try:
         report = lint_paths(
             paths,
@@ -177,14 +167,10 @@ def run(args: argparse.Namespace) -> int:
             baseline=None if args.update_baseline else baseline,
             jobs=max(1, jobs),
             cache=cache,
-            api_surface_out=api_surface_out,
         )
     except ValueError as exc:  # unknown rule code from --select/--ignore
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if api_surface_out is not None:
-        print(f"api surface written: {api_surface_out}", file=sys.stderr)
 
     if args.update_baseline:
         target = baseline_path or Path(DEFAULT_BASELINE_NAME)

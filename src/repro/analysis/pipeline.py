@@ -18,8 +18,7 @@ Since the whole-program upgrade the run has two phases:
   the ASTs regardless of what phase A cached), builds one
   :class:`repro.analysis.project.ProjectContext`, attaches it as
   ``ctx.project``, and runs the ``requires_project`` rules serially in
-  display-path order.  Findings from non-gating rules (ARCH002) land in
-  ``report.advisory`` and never affect the exit code.
+  display-path order.
 """
 
 from __future__ import annotations
@@ -108,14 +107,12 @@ def _run_rules_on(
         for finding in rule.check(ctx):
             if ctx.is_suppressed(finding.code, finding.line):
                 result.suppressed.append(finding)
-            elif rule.gating:
-                result.findings.append(finding)
             else:
-                result.advisory.append(finding)
+                result.findings.append(finding)
 
 
 class FileResult:
-    """Findings (kept + suppressed + advisory) or the parse error."""
+    """Findings (kept + suppressed) or the parse error."""
 
     def __init__(
         self,
@@ -123,12 +120,10 @@ class FileResult:
         findings: Optional[List[Finding]] = None,
         suppressed: Optional[List[Finding]] = None,
         error: Optional[str] = None,
-        advisory: Optional[List[Finding]] = None,
     ):
         self.display_path = display_path
         self.findings = findings or []
         self.suppressed = suppressed or []
-        self.advisory = advisory or []
         self.error = error
 
 
@@ -177,17 +172,12 @@ def lint_paths(
     root: Optional[Path] = None,
     jobs: int = 1,
     cache: Optional[LintCache] = None,
-    api_surface_path: Optional[Path] = None,
-    api_surface_out: Optional[Path] = None,
 ) -> LintReport:
     """Lint ``paths`` and partition results against ``baseline``.
 
     ``jobs > 1`` parallelises the per-file phase; ``cache`` short-circuits
     unchanged files.  Serial, parallel, cached and cold runs all produce
-    byte-identical reports.  ``api_surface_path`` locates the committed
-    ARCH002 snapshot (default: ``api-surface.json`` under ``root``/cwd);
-    ``api_surface_out`` additionally writes the freshly computed surface
-    there after the project phase.
+    byte-identical reports.
     """
     rules = select_rules(select, ignore)
     per_file_rules = [r for r in rules if not r.requires_project]
@@ -266,7 +256,6 @@ def lint_paths(
                     )
 
     all_findings: List[Finding] = []
-    advisory: List[Finding] = []
     for i in range(len(files)):
         entry = results[i]
         if entry is None:  # a worker died; treat as an analysis error
@@ -281,23 +270,17 @@ def lint_paths(
     # Phase B: whole-program rules, serial, in the parent.
     parsed = [ctx for ctx in contexts if ctx is not None]
     if project_rules and parsed:
-        from repro.analysis.project import ProjectContext, write_api_surface
+        from repro.analysis.project import ProjectContext
 
-        if api_surface_path is None:
-            api_surface_path = (root or Path.cwd()) / "api-surface.json"
-        project = ProjectContext(parsed, api_surface_path=api_surface_path)
+        project = ProjectContext(parsed)
         for ctx in parsed:
             ctx.project = project
         for ctx in sorted(parsed, key=lambda c: c.display_path):
             result = FileResult(ctx.display_path)
             _run_rules_on(ctx, project_rules, result)
             all_findings.extend(result.findings)
-            advisory.extend(result.advisory)
             report.suppressed.extend(result.suppressed)
-        if api_surface_out is not None:
-            write_api_surface(project, api_surface_out)
 
-    report.advisory = sorted(advisory)
     if baseline is not None:
         report.new, report.baselined, report.stale_baseline = baseline.partition(
             all_findings

@@ -33,16 +33,10 @@ code is imported or executed.
 from __future__ import annotations
 
 import ast
-import json
-import sys
-from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.analysis.astutils import dotted_name
 from repro.analysis.context import FileContext
-
-#: Schema stamp written into (and required of) ``api-surface.json``.
-API_SURFACE_SCHEMA = "repro-lint/api-surface-v1"
 
 #: Simulation hot-path entry points for DET005 reachability.  These are
 #: the functions whose transitive callees decide seed -> result; a
@@ -308,11 +302,7 @@ class ProjectContext:
     discovery order.
     """
 
-    def __init__(
-        self,
-        contexts: Iterable[FileContext],
-        api_surface_path: Optional[Path] = None,
-    ):
+    def __init__(self, contexts: Iterable[FileContext]):
         self.modules: Dict[str, ModuleInfo] = {}
         self.functions: Dict[str, FunctionInfo] = {}
         self.classes: Dict[str, ClassInfo] = {}
@@ -327,11 +317,6 @@ class ProjectContext:
                 continue  # duplicate module name (scratch copies): first wins
             self._collect(ctx)
         self._resolve_all()
-
-        self.api_surface_path = api_surface_path
-        self.api_snapshot: Optional[Dict[str, object]] = None
-        if api_surface_path is not None and api_surface_path.exists():
-            self.api_snapshot = _load_api_snapshot(api_surface_path)
 
     # -- pass 1: symbol collection ---------------------------------------
     def _collect(self, ctx: FileContext) -> None:
@@ -553,54 +538,6 @@ class ProjectContext:
             if fn.module == module and fn.node is node:
                 return fn
         return None
-
-    # -- API surface -------------------------------------------------------
-    def api_surface(self) -> Dict[str, object]:
-        """The public API of every ``repro.*`` module, JSON-ready.
-
-        Functions and methods carry their full signature (so a changed
-        default or a new required argument is drift); classes list their
-        public methods; module-level ``UPPER_CASE``/plain public
-        assignments are recorded by name.
-        """
-        modules: Dict[str, object] = {}
-        for mod in sorted(self.modules):
-            if not (mod == "repro" or mod.startswith("repro.")):
-                continue
-            if any(part.startswith("_") for part in mod.split(".")):
-                continue
-            modules[mod] = self._module_surface(self.modules[mod])
-        return {"schema": API_SURFACE_SCHEMA, "modules": modules}
-
-    def _module_surface(self, info: ModuleInfo) -> Dict[str, object]:
-        functions: Dict[str, str] = {}
-        classes: Dict[str, Dict[str, str]] = {}
-        constants: List[str] = []
-        for stmt in info.ctx.tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if not stmt.name.startswith("_"):
-                    functions[stmt.name] = _signature(stmt)
-            elif isinstance(stmt, ast.ClassDef):
-                if stmt.name.startswith("_"):
-                    continue
-                methods: Dict[str, str] = {}
-                for sub in stmt.body:
-                    if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        if not sub.name.startswith("_") or sub.name == "__init__":
-                            methods[sub.name] = _signature(sub)
-                classes[stmt.name] = methods
-            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-                targets = (
-                    stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-                )
-                for target in targets:
-                    if isinstance(target, ast.Name) and not target.id.startswith("_"):
-                        constants.append(target.id)
-        return {
-            "functions": functions,
-            "classes": classes,
-            "constants": sorted(set(constants)),
-        }
 
 
 class _CallResolver:
@@ -889,64 +826,3 @@ def _project_module(target: str) -> str:
     if target == "repro" or target.startswith("repro."):
         return target
     return ""
-
-
-def _signature(node: ast.AST) -> str:
-    """A stable, human-diffable signature string for a def."""
-    args = node.args
-    parts: List[str] = []
-    pos = list(args.posonlyargs) + list(args.args)
-    defaults = list(args.defaults)
-    n_required = len(pos) - len(defaults)
-    for i, arg in enumerate(pos):
-        if i < n_required:
-            parts.append(arg.arg)
-        else:
-            parts.append(f"{arg.arg}={_unparse(defaults[i - n_required])}")
-    if args.vararg is not None:
-        parts.append(f"*{args.vararg.arg}")
-    elif args.kwonlyargs:
-        parts.append("*")
-    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-        if default is None:
-            parts.append(arg.arg)
-        else:
-            parts.append(f"{arg.arg}={_unparse(default)}")
-    if args.kwarg is not None:
-        parts.append(f"**{args.kwarg.arg}")
-    prefix = "async def" if isinstance(node, ast.AsyncFunctionDef) else "def"
-    return f"{prefix}({', '.join(parts)})"
-
-
-def _unparse(node: ast.expr) -> str:
-    try:
-        return ast.unparse(node)
-    except Exception:  # pragma: no cover - malformed default
-        return "?"
-
-
-def _load_api_snapshot(path: Path) -> Optional[Dict[str, object]]:
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        print(
-            f"warning: unreadable api surface snapshot {path}: {exc}",
-            file=sys.stderr,
-        )
-        return None
-    if not isinstance(data, dict) or data.get("schema") != API_SURFACE_SCHEMA:
-        print(
-            f"warning: foreign api surface schema in {path} "
-            f"(expected {API_SURFACE_SCHEMA}); ignoring snapshot",
-            file=sys.stderr,
-        )
-        return None
-    return data
-
-
-def write_api_surface(project: ProjectContext, path: Path) -> None:
-    """Atomically write the project's current public API surface."""
-    payload = json.dumps(project.api_surface(), indent=2, sort_keys=True) + "\n"
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(payload, encoding="utf-8")
-    tmp.replace(path)

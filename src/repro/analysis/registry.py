@@ -38,11 +38,6 @@ class Rule(abc.ABC):
     #: project-aware rule must degrade gracefully when ``ctx.project``
     #: is ``None`` (fixture tests lint single files).
     requires_project: bool = False
-    #: Non-gating rules produce *advisory* findings: reported, never
-    #: counted into the exit code, never baselined.  Used for drift
-    #: surfacing (ARCH002) where a finding is a review prompt, not a
-    #: defect.
-    gating: bool = True
 
     @abc.abstractmethod
     def check(self, ctx: FileContext) -> Iterator[Finding]:

@@ -25,9 +25,6 @@ class LintReport:
     baselined: List[Finding] = field(default_factory=list)
     #: Findings silenced by an inline ``# repro: noqa`` marker.
     suppressed: List[Finding] = field(default_factory=list)
-    #: Findings from non-gating rules (ARCH002 drift): reported for
-    #: review, never counted into the exit code, never baselined.
-    advisory: List[Finding] = field(default_factory=list)
     #: Baseline entries that matched nothing (candidates for removal).
     stale_baseline: List[Tuple[str, str, str]] = field(default_factory=list)
     #: Files that failed to parse, as (path, message) pairs; always fatal.
@@ -43,17 +40,12 @@ class LintReport:
 
 
 def render_text(report: LintReport, statistics: bool = False) -> str:
-    """The default human report: one line per gating finding + summary."""
+    """The default human report: one line per new finding + summary."""
     lines: List[str] = []
     for path, message in report.errors:
         lines.append(f"{path}: E999 {message}")
     for f in sorted(report.new):
         lines.append(f.render())
-    if report.advisory:
-        lines.append("")
-        lines.append("advisory (non-gating):")
-        for f in sorted(report.advisory):
-            lines.append(f"  {f.render()}")
     if statistics and report.new:
         lines.append("")
         lines.append("per-rule counts:")
@@ -83,8 +75,6 @@ def summary_line(report: LintReport) -> str:
         bits.append(f"{len(report.baselined)} baselined")
     if report.suppressed:
         bits.append(f"{len(report.suppressed)} suppressed")
-    if report.advisory:
-        bits.append(f"{len(report.advisory)} advisory")
     if report.errors:
         bits.append(f"{len(report.errors)} parse errors")
     return f"repro-lint: {', '.join(bits)} — {verdict}"
@@ -99,7 +89,6 @@ def render_json(report: LintReport) -> str:
             "findings": len(report.new),
             "baselined": len(report.baselined),
             "suppressed": len(report.suppressed),
-            "advisory": len(report.advisory),
             "parse_errors": len(report.errors),
             "per_code": report.per_code(),
             "exit_code": report.exit_code,
@@ -107,7 +96,6 @@ def render_json(report: LintReport) -> str:
         "findings": [f.to_dict() for f in sorted(report.new)],
         "baselined": [f.to_dict() for f in sorted(report.baselined)],
         "suppressed": [f.to_dict() for f in sorted(report.suppressed)],
-        "advisory": [f.to_dict() for f in sorted(report.advisory)],
         "stale_baseline": [
             {"path": p, "code": c, "message": m} for p, c, m in report.stale_baseline
         ],

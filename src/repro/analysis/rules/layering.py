@@ -1,4 +1,4 @@
-"""ARCH001: import-layering violations; ARCH002: API-surface drift.
+"""ARCH001: import-layering violations.
 
 The dependency layering this repo maintains::
 
@@ -143,114 +143,6 @@ class ImportLayeringRule(Rule):
                     "level import or TYPE_CHECKING) so the model layer "
                     "loads without the obs machinery",
                 )
-
-
-@register
-class ApiSurfaceDriftRule(Rule):
-    """ARCH002: public API drifted from the committed snapshot.
-
-    Advisory (``gating = False``): a drift finding is a review prompt —
-    "this PR changes the public surface, is that intended?" — not a
-    defect, so it is reported but never fails the lint gate and is never
-    baselined.  Refresh the snapshot with ``repro lint --api-surface
-    api-surface.json`` when the change is intentional.
-
-    The rule fires once per project run, anchored at the package root
-    (``src/repro/__init__.py``), so the diff does not repeat per file.
-    """
-
-    code = "ARCH002"
-    name = "api-surface-drift"
-    requires_project = True
-    gating = False
-    rationale = (
-        "Silent API drift — a renamed public function, a changed default, "
-        "a new required argument — is how downstream scripts and the "
-        "paper-figure notebooks rot.  The project graph already knows "
-        "every public def/class/constant; snapshotting it to "
-        "api-surface.json and diffing per run turns drift into an "
-        "explicit, reviewable finding without gating (the snapshot is "
-        "refreshed in the same PR when the change is deliberate)."
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        project = ctx.project
-        if project is None or ctx.module != "repro":
-            return
-        info = project.modules.get("repro")
-        if info is None or info.ctx is not ctx:
-            return
-        path = getattr(project, "api_surface_path", None)
-        snapshot = getattr(project, "api_snapshot", None)
-        if snapshot is None:
-            if path is not None:
-                yield self.finding(
-                    ctx,
-                    ctx.tree,
-                    f"no readable API surface snapshot at {path}; "
-                    "regenerate with: repro lint --api-surface "
-                    f"{getattr(path, 'name', path)}",
-                )
-            return
-        current = project.api_surface()
-        for message in _diff_surfaces(snapshot, current):
-            yield self.finding(ctx, ctx.tree, f"API drift vs snapshot: {message}")
-
-
-def _diff_surfaces(old: dict, new: dict) -> List[str]:
-    """Human-readable drift lines, deterministic order."""
-    out: List[str] = []
-    old_mods = old.get("modules", {}) or {}
-    new_mods = new.get("modules", {}) or {}
-    for mod in sorted(set(old_mods) - set(new_mods)):
-        out.append(f"public module {mod} removed")
-    for mod in sorted(set(new_mods) - set(old_mods)):
-        out.append(f"public module {mod} added")
-    for mod in sorted(set(old_mods) & set(new_mods)):
-        out.extend(_diff_module(mod, old_mods[mod] or {}, new_mods[mod] or {}))
-    return out
-
-
-def _diff_module(mod: str, old: dict, new: dict) -> List[str]:
-    out: List[str] = []
-    out.extend(
-        _diff_signatures(
-            f"{mod}.", old.get("functions", {}) or {}, new.get("functions", {}) or {}
-        )
-    )
-    old_cls = old.get("classes", {}) or {}
-    new_cls = new.get("classes", {}) or {}
-    for name in sorted(set(old_cls) - set(new_cls)):
-        out.append(f"class {mod}.{name} removed")
-    for name in sorted(set(new_cls) - set(old_cls)):
-        out.append(f"class {mod}.{name} added")
-    for name in sorted(set(old_cls) & set(new_cls)):
-        out.extend(
-            _diff_signatures(
-                f"{mod}.{name}.", old_cls[name] or {}, new_cls[name] or {}
-            )
-        )
-    old_const = set(old.get("constants", []) or [])
-    new_const = set(new.get("constants", []) or [])
-    for name in sorted(old_const - new_const):
-        out.append(f"public constant {mod}.{name} removed")
-    for name in sorted(new_const - old_const):
-        out.append(f"public constant {mod}.{name} added")
-    return out
-
-
-def _diff_signatures(prefix: str, old: dict, new: dict) -> List[str]:
-    out: List[str] = []
-    for name in sorted(set(old) - set(new)):
-        out.append(f"{prefix}{name} removed")
-    for name in sorted(set(new) - set(old)):
-        out.append(f"{prefix}{name} added ({new[name]})")
-    for name in sorted(set(old) & set(new)):
-        if old[name] != new[name]:
-            out.append(
-                f"{prefix}{name} signature changed: {old[name]} -> {new[name]}"
-            )
-    return out
 
 
 def _module_scope_imports(ctx: FileContext) -> List[Tuple[ast.stmt, str]]:

@@ -298,12 +298,10 @@ class ExperimentConfig:
     unit_cost: float = 1.0
     payload_size: float = 1.0
     churn: ChurnConfig = field(default_factory=ChurnConfig)
-    #: Pin (I, R) endpoints online for the whole run.  Off by default:
-    #: with 100 pairs over 40 nodes nearly every node is an endpoint, and
-    #: pinning them all would disable churn.  Instead, a round whose
-    #: initiator is offline waits for it to rejoin (bounded by
-    #: ``initiator_wait_rounds`` probe periods, then the round fails).
-    pin_endpoints: bool = False
+    #: Endpoints churn like every other node: with 100 pairs over 40
+    #: nodes nearly every node is an endpoint.  A round whose initiator
+    #: is offline waits for it to rejoin, for at most this many probe
+    #: periods; then the round fails.
     initiator_wait_rounds: int = 12
     # --- defences (repro.core.defenses)
     #: Pin each initiator's first hop to a guard node.
@@ -411,6 +409,8 @@ class ExperimentConfig:
             )
         if self.termination not in ("crowds", "ttl"):
             raise ValueError(f"unknown termination {self.termination!r}")
+        if self.max_attempts < 1:
+            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
         if self.inter_round_gap <= 0 or self.probe_period <= 0:
             raise ValueError("time parameters must be positive")
         from repro.network.topology import TOPOLOGIES

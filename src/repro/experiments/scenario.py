@@ -4,8 +4,7 @@ simulation end-to-end.
 The flow (matching §3's setup):
 
 1. bootstrap an overlay of N nodes, a fraction ``f`` flagged malicious;
-2. start churn lifecycles (endpoints optionally pinned online) and the
-   active prober;
+2. start churn lifecycles and the active prober;
 3. pick ``n_pairs`` (I, R) pairs and give each a contract with ``P_f``
    drawn from [50, 100] and ``P_r = tau * P_f``;
 4. each pair runs its recurring rounds as a simulation process (rounds
@@ -64,7 +63,6 @@ class ScenarioResult:
     series_settlements: Dict[int, Dict[int, float]]
     good_node_ids: Set[int]
     malicious_node_ids: Set[int]
-    pinned_ids: Set[int]
     total_reformations: int
     sim_duration: float
     bank_audit_ok: Optional[bool]
@@ -125,18 +123,14 @@ class ScenarioResult:
             raise ValueError("temporal forwarding was not enabled")
         return float(np.mean([p for p, _rt in self.round_latencies]))
 
-    def good_payoffs(self, include_pinned: bool = False) -> List[float]:
+    def good_payoffs(self) -> List[float]:
         """Total net payoff per non-malicious node (CDF figures 6-7).
 
         The paper's skew argument ("if a peer is selected ... it is very
         likely that it will be selected again for future connections")
         concerns cumulative per-node income, so the CDFs use totals.
         """
-        skip = set() if include_pinned else self.pinned_ids
-        return [
-            self.payoffs.get(n, 0.0)
-            for n in sorted(self.good_node_ids - skip)
-        ]
+        return [self.payoffs.get(n, 0.0) for n in sorted(self.good_node_ids)]
 
     def good_series_payoffs(self) -> List[float]:
         """Settlement received per (good forwarder, series) pair.
@@ -520,11 +514,6 @@ def run_scenario(config: ExperimentConfig) -> ScenarioResult:
         pair_rng,
         exclude=colony.member_ids() if colony is not None else frozenset(),
     )
-    pinned: Set[int] = set()
-    if config.pin_endpoints:
-        for i, r in pairs:
-            pinned.add(i)
-            pinned.add(r)
 
     # ---- churn -------------------------------------------------------
     earnings: Dict[int, float] = {}
@@ -574,7 +563,7 @@ def run_scenario(config: ExperimentConfig) -> ScenarioResult:
                 scale = combined_session_scale(capacity_profile.session_scale, scale)
         never_churn: Set[int] = set(colony.member_ids()) if colony is not None else set()
         for nid in overlay.online_ids():
-            if nid in pinned or nid in never_churn:
+            if nid in never_churn:
                 continue
             env.process(
                 node_lifecycle(
@@ -1118,7 +1107,6 @@ def run_scenario(config: ExperimentConfig) -> ScenarioResult:
             - (set(colony.all_ids) if colony is not None else set())
         ),
         malicious_node_ids={n.node_id for n in overlay.malicious_nodes()},
-        pinned_ids=pinned,
         total_reformations=builder.reformations,
         sim_duration=env.now,
         bank_audit_ok=(bank.audit() if bank is not None else None),

@@ -27,19 +27,7 @@ from repro.gametheory.forwarding_game import (
     build_forwarding_stage_game,
     build_path_formation_game,
 )
-from repro.gametheory.mixed import (
-    expected_payoffs,
-    is_mixed_equilibrium,
-    solve_zero_sum,
-)
 from repro.gametheory.normal_form import NormalFormGame
-from repro.gametheory.repeated import (
-    RepeatedGame,
-    grim_trigger,
-    one_shot_deviation_profitable,
-    play,
-    tit_for_tat,
-)
 from repro.gametheory.stackelberg import (
     FollowerProfile,
     MarketPriceProcess,
@@ -63,15 +51,7 @@ __all__ = [
     "GameTree",
     "NOT_PARTICIPATE",
     "NormalFormGame",
-    "RepeatedGame",
     "TreeNode",
-    "expected_payoffs",
-    "grim_trigger",
-    "is_mixed_equilibrium",
-    "one_shot_deviation_profitable",
-    "play",
-    "solve_zero_sum",
-    "tit_for_tat",
     "backward_induction",
     "build_forwarding_stage_game",
     "build_path_formation_game",

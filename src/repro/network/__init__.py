@@ -24,8 +24,6 @@ mechanism runs on:
 
 from repro.network.bandwidth import BandwidthModel
 from repro.network.churn import ChurnModel, churn_process
-from repro.network.dot import overlay_to_dot, paths_to_dot
-from repro.network.estimators import SessionObserver, pareto_mle, pareto_mle_censored
 from repro.network.gossip import GossipMembership, PartialView
 from repro.network.node import NeighborView, NodeState, PeerNode
 from repro.network.overlay import Overlay
@@ -52,7 +50,6 @@ __all__ = [
     "Overlay",
     "PartialView",
     "PeerNode",
-    "SessionObserver",
     "TOPOLOGIES",
     "TraceEvent",
     "TransportNetwork",
@@ -60,9 +57,5 @@ __all__ = [
     "churn_process",
     "install_topology",
     "measure_path_latency",
-    "overlay_to_dot",
-    "pareto_mle",
-    "pareto_mle_censored",
-    "paths_to_dot",
     "run_probe_round",
 ]

@@ -1,1 +1,1 @@
-"""Project-fixture package root (ARCH002 anchors its findings here)."""
+"""Project-fixture package root."""

@@ -57,8 +57,8 @@ def test_project_fixture_matches_golden():
     """The multi-module tree produces exactly the project-lane golden.
 
     Runs the project-aware rules through ``lint_paths`` (ProjectContext
-    built, cross-file call edges resolved) and compares findings,
-    suppressions, and ARCH002 advisories against one combined golden.
+    built, cross-file call edges resolved) and compares findings and
+    suppressions against one combined golden.
     """
     golden = json.loads((PROJECT_FIXTURES / "project.expected.json").read_text())
     files = sorted(PROJECT_FIXTURES.rglob("*.py"))
@@ -73,13 +73,12 @@ def test_project_fixture_matches_golden():
 
     assert slim(report.new) == golden["findings"]
     assert slim(report.suppressed) == golden["suppressed"]
-    assert slim(report.advisory) == golden["advisory"]
 
 
 def test_project_rules_degrade_without_project():
     """Single-file linting of the project tree yields no project findings.
 
-    ``lint_file`` has no ProjectContext: DET005/CONC002/ARCH002 must
+    ``lint_file`` has no ProjectContext: DET005/CONC002 must
     no-op (not crash), and CONC001 falls back to its lexical lambda
     check — the documented degraded contract.
     """
@@ -99,10 +98,7 @@ def test_every_rule_has_a_positive_fixture():
     covered = set()
     for golden in FIXTURES.rglob("*.expected.json"):
         data = json.loads(golden.read_text())
-        covered.update(
-            e["code"]
-            for e in data["findings"] + data["suppressed"] + data.get("advisory", [])
-        )
+        covered.update(e["code"] for e in data["findings"] + data["suppressed"])
     missing = {rule.code for rule in all_rules()} - covered
     assert not missing, f"rules without a positive fixture: {sorted(missing)}"
 

@@ -2,25 +2,18 @@
 
 These exercise :class:`ProjectContext` directly — symbol table, module
 graph, call-edge resolution (direct, method-on-inferred-type, partial,
-submissions), BFS reachability with witnesses, worker entry points, and
-the API-surface snapshot/diff machinery — without going through the lint
-pipeline.
+submissions), BFS reachability with witnesses and worker entry points —
+without going through the lint pipeline.
 """
 
-import json
 import textwrap
 from pathlib import Path
 
 from repro.analysis.context import FileContext
-from repro.analysis.project import (
-    API_SURFACE_SCHEMA,
-    ProjectContext,
-    write_api_surface,
-)
-from repro.analysis.rules.layering import _diff_surfaces
+from repro.analysis.project import ProjectContext
 
 
-def build_project(tmp_path: Path, sources, api_surface_path=None):
+def build_project(tmp_path: Path, sources):
     """Write ``{relpath: source}`` under ``tmp_path`` and build the graph."""
     contexts = []
     for rel, src in sources.items():
@@ -29,7 +22,7 @@ def build_project(tmp_path: Path, sources, api_surface_path=None):
         src = textwrap.dedent(src)
         path.write_text(src)
         contexts.append(FileContext(path, src, display_path=rel))
-    return ProjectContext(contexts, api_surface_path=api_surface_path)
+    return ProjectContext(contexts)
 
 
 TREE = {
@@ -175,56 +168,3 @@ class TestReachability:
             """
         project = build_project(tmp_path, sources)
         assert "repro.util.helper" in project.worker_entrypoints()
-
-
-class TestApiSurface:
-    def test_surface_contents_and_privacy(self, tmp_path):
-        sources = {
-            "repro/__init__.py": '"""pkg"""\n',
-            "repro/api.py": """\
-                LIMIT = 10
-                _SECRET = 3
-
-
-                def public(a, b=2):
-                    return a + b
-
-
-                def _hidden():
-                    return 0
-
-
-                class Thing:
-                    def run(self, n):
-                        return n
-
-                    def _internal(self):
-                        return 0
-                """,
-        }
-        project = build_project(tmp_path, sources)
-        surface = project.api_surface()
-        assert surface["schema"] == API_SURFACE_SCHEMA
-        mod = surface["modules"]["repro.api"]
-        assert mod["functions"]["public"] == "def(a, b=2)"
-        assert "_hidden" not in mod["functions"]
-        assert "LIMIT" in mod["constants"] and "_SECRET" not in mod["constants"]
-        assert "run" in mod["classes"]["Thing"] and "_internal" not in mod["classes"]["Thing"]
-
-    def test_write_then_reload_roundtrip_is_driftless(self, tmp_path):
-        project = build_project(tmp_path, TREE)
-        snapshot_path = tmp_path / "api-surface.json"
-        write_api_surface(project, snapshot_path)
-        snapshot = json.loads(snapshot_path.read_text())
-        assert _diff_surfaces(snapshot, project.api_surface()) == []
-
-    def test_diff_reports_added_removed_changed(self, tmp_path):
-        project = build_project(tmp_path, TREE)
-        current = project.api_surface()
-        stale = json.loads(json.dumps(current))
-        mod = stale["modules"]["repro.util"]
-        del mod["functions"]["leaf"]  # now "added" relative to snapshot
-        mod["functions"]["retired"] = "retired(x)"  # now "removed"
-        mod["functions"]["helper"] = "helper(extra_arg)"  # now "changed"
-        drifts = "\n".join(_diff_surfaces(stale, current))
-        assert "leaf" in drifts and "retired" in drifts and "helper" in drifts

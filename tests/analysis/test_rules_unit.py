@@ -21,7 +21,6 @@ class TestRegistry:
     def test_expected_rule_set(self):
         assert rule_codes() == [
             "ARCH001",
-            "ARCH002",
             "CONC001",
             "CONC002",
             "CONC003",
@@ -81,7 +80,7 @@ class TestDet002:
     def test_only_sim_scopes_are_checked(self):
         src = "import time\nt = time.time()\n"
         assert len(run_rule("DET002", src, "repro/payment/bank.py")) == 1
-        assert len(run_rule("DET002", src, "repro/gametheory/mixed.py")) == 1
+        assert len(run_rule("DET002", src, "repro/gametheory/normal_form.py")) == 1
         # The obs layer and the harness own wall-clock measurement.
         assert run_rule("DET002", src, "repro/obs/tracing.py") == []
         assert run_rule("DET002", src, "repro/experiments/suite.py") == []

@@ -52,6 +52,8 @@ def test_validation_errors():
         ExperimentConfig(n_pairs=10, total_transmissions=5)
     with pytest.raises(ValueError):
         ExperimentConfig(inter_round_gap=0.0)
+    with pytest.raises(ValueError, match="max_attempts"):
+        ExperimentConfig(max_attempts=0)
 
 
 def test_churn_config_validation():
