@@ -127,7 +127,10 @@ class Overlay:
         A fraction ``malicious_fraction`` of the nodes (chosen uniformly at
         random) is flagged as adversarial.  Each node gets ``degree``
         distinct random neighbours (fewer only if the population is too
-        small).
+        small).  The result, and the generator state after it, are those
+        of a :meth:`join` per node followed by a :meth:`sample_peers`
+        refill of every neighbour set, built from one sorted online array
+        rather than one per node.
         """
         if n < 2:
             raise ValueError(f"need at least 2 nodes, got {n}")
@@ -139,24 +142,43 @@ class Overlay:
         n_bad = int(round(malicious_fraction * n))
         for node in self.rng.choice(created, size=n_bad, replace=False):
             node.malicious = True
+        # The wiring a ``join`` per node and then a ``sample_peers`` refill
+        # per node would give, drawn on positions: ``Generator.choice(m, k)``
+        # consumes the same entropy as ``choice(pool, k)`` for any pool of
+        # length m, and returns the positions that call would pick.
         for node in created:
-            self.join(node.node_id, now)
-        wanted = min(self.degree, len(self._online) - 1)
-        for node in created:
-            node.set_neighbors(self.sample_peers(wanted, exclude={node.node_id}))
+            self._bring_online(node, now)
+            m = len(self._online) - 1
+            if m > 0:
+                # ``join``'s wiring of the newcomer, overwritten below; the
+                # draw stays because it advances the generator.
+                self.rng.choice(m, size=min(self.degree, m), replace=False)
+        arr = self._sorted_online()
+        wanted = min(self.degree, arr.size - 1)
+        positions = np.searchsorted(arr, [node.node_id for node in created])
+        for node, pos in zip(created, positions.tolist()):
+            # A position in ``arr`` without ``node`` steps over its slot.
+            idx = self.rng.choice(arr.size - 1, size=wanted, replace=False)
+            idx[idx >= pos] += 1
+            node.set_neighbors(arr[idx].tolist())
         return created
 
     # -- membership -------------------------------------------------------
     def join(self, node_id: int, now: float) -> None:
         """Bring a node online (start of a session)."""
         node = self.nodes[node_id]
-        node.go_online(now)
-        self._online.add(node_id)
-        self.liveness_version += 1
-        self.trace.join(now, node_id)
+        self._bring_online(node, now)
         if not node.neighbors and len(self._online) > 1:
             wanted = min(self.degree, len(self._online) - 1)
             node.set_neighbors(self.sample_peers(wanted, exclude={node_id}))
+
+    def _bring_online(self, node: PeerNode, now: float) -> None:
+        """Session-start bookkeeping shared by :meth:`join` and
+        :meth:`bootstrap`; wires no neighbours."""
+        node.go_online(now)
+        self._online.add(node.node_id)
+        self.liveness_version += 1
+        self.trace.join(now, node.node_id)
 
     def leave(self, node_id: int, now: float) -> None:
         """Take a node offline (end of a session; may rejoin later)."""
@@ -171,9 +193,9 @@ class Overlay:
         node = self.nodes[node_id]
         was_online = node.is_online
         node.depart(now)
-        self._online.discard(node_id)
-        self.liveness_version += 1
         if was_online:
+            self._online.discard(node_id)
+            self.liveness_version += 1
             self.trace.depart(now, node_id)
 
     # -- queries -----------------------------------------------------------
@@ -199,11 +221,8 @@ class Overlay:
         indexes with; ids at or beyond ``size`` are ignored.  Used by the
         array-backed scoring kernels to vectorise the liveness filter."""
         mask = np.zeros(size, dtype=bool)
-        if self._online:
-            ids = np.fromiter(
-                self._online, dtype=np.int64, count=len(self._online)
-            )
-            mask[ids[ids < size]] = True
+        ids = self._sorted_online()
+        mask[ids[: np.searchsorted(ids, size)]] = True
         return mask
 
     def good_nodes(self) -> List[PeerNode]:

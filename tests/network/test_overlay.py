@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.network.node import PeerNode
 from repro.network.overlay import Overlay
 
 
@@ -44,6 +45,26 @@ class TestBootstrap:
         with pytest.raises(ValueError):
             make_overlay().bootstrap(10, malicious_fraction=1.5)
 
+    def test_builds_sorted_online_array_once(self, monkeypatch):
+        # Structural guard against the quadratic set-up: one sorted online
+        # array for the whole bootstrap, and one neighbour set per node.
+        calls = {"fromiter": 0, "set_neighbors": 0}
+        fromiter = np.fromiter
+        set_neighbors = PeerNode.set_neighbors
+
+        def counting_fromiter(*args, **kwargs):
+            calls["fromiter"] += 1
+            return fromiter(*args, **kwargs)
+
+        def counting_set_neighbors(node, ids):
+            calls["set_neighbors"] += 1
+            set_neighbors(node, ids)
+
+        monkeypatch.setattr(np, "fromiter", counting_fromiter)
+        monkeypatch.setattr(PeerNode, "set_neighbors", counting_set_neighbors)
+        make_overlay(degree=5).bootstrap(2000)
+        assert calls == {"fromiter": 1, "set_neighbors": 2000}
+
 
 class TestMembership:
     def test_leave_and_rejoin(self):
@@ -63,6 +84,17 @@ class TestMembership:
         with pytest.raises(RuntimeError):
             ov.join(3, now=6.0)
 
+    def test_depart_of_offline_node_keeps_liveness_version(self):
+        ov = make_overlay()
+        ov.bootstrap(5)
+        ov.leave(2, now=1.0)
+        version, events = ov.liveness_version, len(ov.trace)
+        ov.depart(2, now=2.0)
+        assert ov.liveness_version == version
+        assert len(ov.trace) == events
+        ov.depart(3, now=3.0)
+        assert ov.liveness_version == version + 1
+
     def test_join_wires_neighbors_for_new_node(self):
         ov = make_overlay(degree=3)
         ov.bootstrap(6)
@@ -74,6 +106,24 @@ class TestMembership:
         ov = make_overlay()
         ov.bootstrap(6)
         assert ov.online_ids() == sorted(ov.online_ids())
+
+    def test_online_mask_matches_online_set(self):
+        ov = make_overlay()
+        ov.bootstrap(12)
+        ov.leave(3, now=1.0)
+        ov.depart(5, now=1.0)
+        ov.leave(7, now=2.0)
+        ov.join(3, now=3.0)
+        ov.depart(7, now=4.0)
+        fresh = ov.spawn_node()
+        ov.join(fresh.node_id, now=5.0)
+        ov.spawn_node()
+        for size in (0, 4, ov.id_space(), ov.id_space() + 3):
+            expected = np.zeros(size, dtype=bool)
+            for nid in ov._online:
+                if nid < size:
+                    expected[nid] = True
+            np.testing.assert_array_equal(ov.online_mask(size), expected)
 
 
 class TestDiscovery:
