@@ -23,7 +23,11 @@ of vectorised kernels:
   heavy-traffic scenario scores many connections' next rounds inside a
   single numpy call instead of one call per connection.
 - ``BatchPlanner.decide_model1`` / ``decide_model2`` — batched
-  replacements for the scalar ``select_next_hop`` bodies.
+  replacements for the scalar ``select_next_hop`` bodies: the arrays give
+  the candidate set, root qualities and SPNE tails, and the scalar
+  lane's own utility functions and ``(u, q, -id)`` picker
+  (:func:`repro.core.utility.argmax_with_quality_tiebreak`) finish the
+  decision in plain Python over those values.
 
 **Bit-identity contract.**  The numpy backend must make *exactly* the
 routing decisions the scalar backend makes — same hop choices, same
@@ -41,14 +45,14 @@ RNG stream aligned:
    :class:`HitRows` row kept equal to them by write-through.
 2. *Same float expressions.*  Every arithmetic step mirrors the scalar
    expression tree op for op (``w_s*sigma + w_a*alpha`` then clamp;
-   ``(q + tail_sum + 1.0) / (tail_n + 2)``; …) — numpy's float64 ufuncs
+   ``(q + tail_sum + 1.0) / (1 + tail_n + 1)``; …) — numpy's float64 ufuncs
    round identically to CPython floats, so equal expressions give equal
    bits.  Batch rows are computed element-wise, so *what else* is in a
    batch can never change a row's bits.
 3. *Same RNG order.*  The only RNG consumer on the scoring path is the
    lazy per-link bandwidth draw inside ``CostModel.decision_cost``.
-   Cost vectors are therefore computed by a plain Python loop over the
-   candidate ids in scalar candidate order, only for top-level
+   The pick therefore calls it exactly as the scalar strategies do: once
+   per candidate, in scalar candidate order, only for top-level
    decisions — never eagerly, never batched — so first-use draws happen
    at exactly the same points of the run.  Quality rows and SPNE tables
    touch no RNG at all, which is what makes speculative cross-
@@ -58,32 +62,39 @@ RNG stream aligned:
 Model II recursion is ``(node, predecessor, depth)``; since the
 predecessor is always the node that forwarded here, the reachable
 states at each depth are exactly the *directed edges* of the overlay.
-The induction therefore runs level-synchronously over one flat array of
-per-(state, child) entries: gather the previous level's values through
-``st_child_edge``, form candidate means, and reduce per state with
-``np.maximum.reduceat`` (first-maximum index via a positional
-``np.minimum.reduceat``), reproducing the scalar loop's strict-``>``
-first-winner tie behaviour.
+The induction therefore runs level-synchronously over the states, which
+:func:`degree_blocks` lays out as dense *degree blocks*: every state
+whose child count is above half the block's width ``W`` is one row of a
+``(S, W)`` child table, padded slots masked out.  A level step gathers
+the previous level's values through the table, forms candidate means
+and takes a row ``argmax`` — the first index of the row maximum, which
+is the scalar loop's strict-``>`` first winner because children sit in
+ascending-id order.  Padding stays below the real children and there
+are at most ``floor(log2(max count)) + 1`` blocks; the paper's overlay
+(every node has ``d`` out-neighbours) is one block of width ``d``.  A
+state without children is in no block and reads ``(0.0, 0)``, the
+scalar loop's initial best.
 
 One decision reads only the states of its own *lookahead ball*: the
 candidate edges, their valid children, and so on ``lookahead`` levels
 down — at most ``candidates * max_out_degree ** lookahead`` child
-entries per level, against ``st_child_edge.size`` for the whole axis.
-Two sweeps share the same kernels.  The full sweep runs over every
-state, and its levels are cached per ``(cid, round)`` for the few
+entries per level, against ``WorldArrays.n_children`` for the whole
+axis.  Two sweeps share the same kernels.  The full sweep runs over
+every state, and its levels are cached per ``(cid, round)`` for the few
 decisions of one round.  The ball sweep (``BatchPlanner._spne_ball``)
-gathers the ball's segments top-down and steps them bottom-up for one
+gathers the ball's block rows top-down and steps them bottom-up for one
 decision; it is the array form of the scalar memo.  ``decide_model2``
 takes the ball iff its size bound times :data:`SPNE_BALL_MIN_RATIO`
-fits in the whole axis, a rule on world size alone: paper-size
-worlds keep the cached full sweep, large overlays take the ball.
+fits in the whole axis (real children, never padded slots), a rule on
+world size alone: paper-size worlds keep the cached full sweep, large
+overlays take the ball.
 
 **Position-aware selectivity.**  ``position_aware_selectivity=True``
 conditions ``sigma`` on the upstream hop.  In state space that is
 natural: state ``e = (u -> v)`` already carries the predecessor ``u``,
-so the induction's base quality becomes a per-(state, child) column
-``q_child`` (edge ``v -> w`` scored against ``u``-conditioned
-selectivity) instead of the shared per-edge row.  Root decisions score
+so the induction's base quality becomes a per-(state, child) table
+``q_child``, one per block (edge ``v -> w`` scored against
+``u``-conditioned selectivity) instead of the shared per-edge row.  Root decisions score
 the deciding node's own slice against the *actual* predecessor
 directly (the edge ``predecessor -> node`` need not exist in the CSR —
 neighbour sets are not symmetric), cached per ``(node, predecessor)``.
@@ -116,10 +127,15 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.core.utility import (
+    argmax_with_quality_tiebreak,
+    forwarder_utility_model1,
+    forwarder_utility_model2,
+)
 from repro.sim.monitoring import PERF
 
 if TYPE_CHECKING:  # typing only: no runtime dependency on the upper layers
@@ -191,12 +207,12 @@ class WorldArrays:
     having arrived from ``owner(e)``"; its children are the CSR entries
     of ``head(e)``):
 
-    ``st_counts``         Children per state.
-    ``st_red_idx``        Segment start per state on the child axis.
-    ``st_child_edge``     Flat child -> edge index gather table.
-    ``st_child_not_pred`` Per child: head differs from the state's
-                          predecessor (the no-backtracking filter).
-    ``child_pos``         ``arange`` over the flat child axis.
+    ``blocks``      The :class:`DegreeBlock` list from
+                    :func:`degree_blocks`: every state with children sits
+                    in exactly one block, as one padded row.
+    ``st_block``    Block index per state (``-1``: no children).
+    ``st_row``      Row of the state inside its block.
+    ``n_children``  Real (unpadded) children over all states.
 
     ``alpha_flat`` is recomputed from a session-time matrix whose row
     ``u`` holds node ``u``'s counters in neighbour-*dict* order: columns
@@ -235,16 +251,10 @@ class WorldArrays:
         self.owner_flat = np.zeros(0, dtype=np.int64)
         self.alpha_flat = np.zeros(0, dtype=np.float64)
         self.nbr_lists: Dict[int, List[int]] = {}
-        self.st_counts = np.zeros(0, dtype=np.int64)
-        self.st_red_idx = np.zeros(0, dtype=np.int64)
-        self.st_child_edge = np.zeros(0, dtype=np.int64)
-        self.st_child_not_pred = np.zeros(0, dtype=bool)
-        self.child_pos = np.zeros(0, dtype=np.int64)
-        #: Unclipped per-state child offsets (``st_offsets[s]`` is the
-        #: first flat-child index of state ``s``; length ``n_edges+1``).
-        #: The sharded engine partitions the state axis by bisecting
-        #: this for balanced per-worker child counts.
-        self.st_offsets = np.zeros(1, dtype=np.int64)
+        self.blocks: List[DegreeBlock] = []
+        self.st_block = np.zeros(0, dtype=np.int64)
+        self.st_row = np.zeros(0, dtype=np.int64)
+        self.n_children = 0
         self._nbr_versions: Dict[int, int] = {}
         #: O(1) staleness token: (overlay.topology_version, overlay
         #: ``_next_id``, node count) at the last rebuild, trusted only
@@ -384,41 +394,37 @@ class WorldArrays:
         self._avail_token = None
 
     def _build_state_structure(self) -> None:
-        """Derive the SPNE gather tables from the CSR (pure topology)."""
+        """Group the SPNE states into degree blocks (pure topology)."""
         assert self.indptr is not None
-        if self.n_edges == 0:
-            self.st_counts = np.zeros(0, dtype=np.int64)
-            self.st_red_idx = np.zeros(0, dtype=np.int64)
-            self.st_child_edge = np.zeros(0, dtype=np.int64)
-            self.st_child_not_pred = np.zeros(0, dtype=bool)
-            self.child_pos = np.zeros(0, dtype=np.int64)
-            self.st_offsets = np.zeros(1, dtype=np.int64)
-            return
-        deg = np.diff(self.indptr)
-        head = self.nbr_flat
-        st_counts = deg[head]
-        offsets = np.concatenate(
-            ([0], np.cumsum(st_counts))
-        ).astype(np.int64, copy=False)
-        total = int(offsets[-1])
-        self.st_counts = st_counts
-        self.st_offsets = offsets
-        self.st_red_idx = offsets[:-1]
-        if total == 0:
-            self.st_child_edge = np.zeros(0, dtype=np.int64)
-            self.st_child_not_pred = np.zeros(0, dtype=bool)
-            self.child_pos = np.zeros(0, dtype=np.int64)
-            return
-        # Segmented arange: child c of state e maps to CSR entry
-        # indptr[head(e)] + (c's rank within the segment).
-        pos = np.arange(total, dtype=np.int64)
-        rank = pos - np.repeat(offsets[:-1], st_counts)
-        child_edge = np.repeat(self.indptr[head], st_counts) + rank
-        child_ids = self.nbr_flat[child_edge]
-        pred_rep = np.repeat(self.owner_flat, st_counts)
-        self.st_child_edge = child_edge
-        self.st_child_not_pred = child_ids != pred_rep
-        self.child_pos = pos
+        counts, offsets, child_edge, not_pred = state_child_axis(
+            self.indptr, self.nbr_flat, self.owner_flat
+        )
+        self.n_children = int(offsets[-1])
+        self.blocks = degree_blocks(counts, offsets, child_edge, not_pred)
+        self.st_block = np.full(self.n_edges, -1, dtype=np.int64)
+        self.st_row = np.zeros(self.n_edges, dtype=np.int64)
+        for b, block in enumerate(self.blocks):
+            self.st_block[block.states] = b
+            self.st_row[block.states] = np.arange(block.states.size)
+
+    def block_groups(
+        self, states: np.ndarray
+    ) -> List[Tuple[int, Optional[np.ndarray], np.ndarray]]:
+        """Group ``states`` by degree block: ``(b, at, rows)`` says that
+        ``states[at]`` sit at ``rows`` of block ``b``; ``at`` is ``None``
+        when every state is in that block.  States without children are
+        in no group."""
+        blk = self.st_block[states]
+        row = self.st_row[states]
+        groups = []
+        for b in range(len(self.blocks)):
+            in_b = blk == b
+            if in_b.all():
+                return [(b, None, row)]
+            at = np.flatnonzero(in_b)
+            if at.size:
+                groups.append((b, at, row[at]))
+        return groups
 
     def on_fast_sweep(self, period: float) -> None:
         """Mirror a :func:`~repro.network.probing.fast_full_sweep`: every
@@ -471,114 +477,138 @@ class WorldArrays:
         self._perf.alpha_refreshes += 1
 
 
-def _reduce_segments(
-    ufunc: np.ufunc, values: np.ndarray, red_idx: np.ndarray, pad: object
-) -> np.ndarray:
-    """``ufunc.reduceat`` over each state's whole child segment.
+class DegreeBlock(NamedTuple):
+    """SPNE states with similar child counts, one padded row each.
 
-    ``red_idx`` holds every segment's start, so an empty segment at the
-    tail starts at ``values.size`` — out of bounds for ``reduceat``.
-    Clipping that start would end the segment before it one child early;
-    appending one ``pad`` entry instead keeps every real segment whole.
-    An empty segment's result is garbage either way, which the callers
-    mask per state (``st_counts == 0`` is dead).
+    ``states``    Ascending state ids ``(S,)``.
+    ``child``     ``(S, W)`` child index table; padding slots repeat the
+                  row's first child, so every gather stays in range.
+    ``real``      ``(S, W)``: the slot holds a real child.
+    ``not_pred``  ``(S, W)``: a real child whose head differs from the
+                  state's predecessor (the no-backtracking filter).
     """
-    if red_idx.size and red_idx[-1] == values.size:
-        values = np.append(values, pad)
-    return ufunc.reduceat(values, red_idx)
+
+    states: np.ndarray
+    child: np.ndarray
+    real: np.ndarray
+    not_pred: np.ndarray
+
+
+def state_child_axis(
+    indptr: np.ndarray, nbr_flat: np.ndarray, owner_flat: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The flat child axis of the SPNE states: ``(counts, offsets,
+    child_edge, not_pred)``.  State ``e`` owns the children
+    ``child_edge[offsets[e] : offsets[e + 1]]`` (the CSR entries of
+    ``head(e)``, ascending ids); ``offsets`` has ``n_edges + 1`` entries."""
+    counts = np.diff(indptr)[nbr_flat]
+    offsets = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    total = int(offsets[-1])
+    # Segmented arange: child c of state e maps to CSR entry
+    # indptr[head(e)] + (c's rank within the segment).
+    rank = np.arange(total, dtype=np.int64) - np.repeat(offsets[:-1], counts)
+    child_edge = np.repeat(indptr[nbr_flat], counts) + rank
+    not_pred = nbr_flat[child_edge] != np.repeat(owner_flat, counts)
+    return counts, offsets, child_edge, not_pred
+
+
+def degree_blocks(
+    counts: np.ndarray,
+    offsets: np.ndarray,
+    child_edge: np.ndarray,
+    not_pred: np.ndarray,
+) -> List[DegreeBlock]:
+    """Group the states of a flat child axis into degree blocks.
+
+    State ``s`` (a position in ``counts``) owns the flat children
+    ``child_edge[offsets[s] : offsets[s] + counts[s]]``; a block's
+    ``states`` are such positions.  Each block takes the widest remaining
+    child count ``W`` and every remaining state whose count is above
+    ``W / 2``, padded to width ``W``, until every state with children is
+    in a block.  So padding stays below the real children, and there are
+    at most ``floor(log2(max count)) + 1`` blocks.  A state without
+    children is in no block.
+    """
+    blocks: List[DegreeBlock] = []
+    rest = np.flatnonzero(counts)
+    while rest.size:
+        rest_counts = counts[rest]
+        width = int(rest_counts.max())
+        take = 2 * rest_counts > width
+        rows = rest[take]
+        rest = rest[~take]
+        cols = np.arange(width, dtype=np.int64)
+        real = cols < counts[rows][:, None]
+        first = offsets[rows][:, None]
+        pos = np.where(real, first + cols, first)
+        blocks.append(
+            DegreeBlock(rows, child_edge[pos], real, not_pred[pos] & real)
+        )
+    return blocks
 
 
 def spne_state_validity(
     valid0: np.ndarray,
-    child_edge: np.ndarray,
-    not_pred_mask: np.ndarray,
-    st_counts: np.ndarray,
-    red_idx: np.ndarray,
+    child: np.ndarray,
+    real: np.ndarray,
+    not_pred: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """State-level candidate validity for one contiguous state range.
+    """State-level candidate validity for the rows of one degree block.
 
-    ``child_edge``/``not_pred_mask``/``red_idx`` describe the range's
-    *local* child axis (``red_idx`` holds each state's segment start on
-    it, unclipped); ``valid0`` is the
-    full edge-axis liveness row the children gather from.  Returns the
-    per-child ``st_valid`` mask and per-state ``st_dead`` mask.
-
-    This is the single code path for both the whole-axis planner build
-    and the sharded per-worker build: ``logical_or.reduceat`` is
-    order-insensitive within a segment and segments never straddle a
-    range boundary, so any partition of the state axis produces the
-    same masks the whole-axis call produces.
+    ``child``/``real``/``not_pred`` are block rows (global child edge
+    ids); ``valid0`` is the full edge-axis liveness row the children
+    gather from.  Returns the per-slot ``st_valid`` mask and the per-row
+    ``st_dead`` mask.  Rows are independent, so any subset of a block's
+    rows — a shard's range, a lookahead ball level — gets the masks the
+    whole block gets.
     """
-    if child_edge.size == 0:
-        return np.zeros(0, dtype=bool), np.ones(st_counts.size, dtype=bool)
-    v0c = valid0[child_edge]
-    not_pred = v0c & not_pred_mask
+    v0c = valid0[child] & real
+    not_pred = v0c & not_pred
+    # Row "any" as a bool matrix-vector product (OR of ANDs): exact, and
+    # cheaper than a reduction along the short axis.
+    ones = np.ones(child.shape[1], dtype=bool)
     # Scalar fallback rule, per state: exclude the predecessor
     # unless that empties the candidate set.
-    has_alt = _reduce_segments(np.logical_or, not_pred, red_idx, False)
-    use_filtered = np.repeat(has_alt, st_counts)
-    st_valid = np.where(use_filtered, not_pred, v0c)
-    has_any = _reduce_segments(np.logical_or, st_valid, red_idx, False)
-    has_any[st_counts == 0] = False
-    return st_valid, ~has_any
+    st_valid = np.where((not_pred @ ones)[:, None], not_pred, v0c)
+    return st_valid, ~(v0c @ ones)
 
 
 def spne_level_step(
     base_child: np.ndarray,
     prev_sum: np.ndarray,
     prev_n: np.ndarray,
-    child_edge: np.ndarray,
-    st_counts: np.ndarray,
-    red_idx: np.ndarray,
-    child_pos: np.ndarray,
+    child: np.ndarray,
     st_valid: np.ndarray,
     st_dead: np.ndarray,
     out_sum: np.ndarray,
     out_n: np.ndarray,
 ) -> None:
-    """One backward-induction level for one contiguous state range.
+    """One backward-induction level for the rows of one degree block.
 
     ``prev_sum``/``prev_n`` are the *complete* previous level (children
-    may live in any state range); everything else is local to the range
-    (``base_child`` is the child-axis base quality, already gathered by
-    the caller; ``red_idx``/``child_pos`` index the local child axis).
-    Results are written into ``out_sum``/``out_n`` (length = states in
-    the range) — for the sharded engine these are shared-memory views.
+    may sit in any block); ``base_child`` is the ``(S, W)`` base quality
+    of each slot and ``child`` the gather index into ``prev_*``: global
+    edge ids for the full sweep, positions in the level below for a
+    lookahead ball.  Results go to ``out_sum``/``out_n`` (one entry per
+    row) — for the sharded engine these may be shared-memory views.
 
-    ``child_edge`` is the gather index into ``prev_*``: global edge ids
-    for the full axis, positions in the level below for a lookahead
-    ball (whose ``prev_*`` hold only that level's states).
-
-    Bitwise range-decomposition safety: the arithmetic is element-wise,
-    each state's ``maximum``/``minimum`` reduction covers exactly its own
-    child segment wherever the empty segments fall (see
-    :func:`_reduce_segments`), and segments never straddle a range
-    boundary; the only range-dependent values are the garbage rows of
-    empty segments, which the ``st_dead`` overwrite zeroes either way.
-    So any set of whole segments, in any order — a contiguous shard
-    range or a lookahead ball — gets the same bits as the full-axis
-    call.
+    Every row is computed from its own slots alone, so any set of rows
+    in any order — a shard range or a lookahead ball — gets the bits the
+    whole block gets.
     """
-    if child_edge.size == 0:
-        out_sum[:] = 0.0
-        out_n[:] = 0
-        return
-    total_sum = base_child + prev_sum[child_edge]
-    total_n = 1 + prev_n[child_edge]
-    mean = total_sum / total_n
-    # Invalid children get a sentinel below every reachable mean
+    total_sum = base_child + prev_sum[child]
+    total_n = 1 + prev_n[child]
+    # Invalid and padded slots get a sentinel below every reachable mean
     # (means are >= 0; the scalar loop's initial best is -1.0).
-    masked = np.where(st_valid, mean, -2.0)
-    seg_max = _reduce_segments(np.maximum, masked, red_idx, -2.0)
-    # First index attaining the segment max == the scalar loop's
-    # strict-`>` first winner (children are in ascending-id,
+    masked = np.where(st_valid, total_sum / total_n, -2.0)
+    # argmax returns the first index of the row maximum == the scalar
+    # loop's strict-`>` first winner (children are in ascending-id,
     # i.e. scalar candidate, order).
-    at_max = masked == np.repeat(seg_max, st_counts)
-    pos = np.where(at_max, child_pos, child_edge.size)
-    first = _reduce_segments(np.minimum, pos, red_idx, child_edge.size)
-    sel = np.minimum(first, child_edge.size - 1)
-    out_sum[:] = total_sum[sel]
-    out_n[:] = total_n[sel]
+    width = child.shape[1]
+    sel = masked.argmax(axis=1) + np.arange(0, masked.size, width)
+    out_sum[:] = total_sum.ravel()[sel]
+    out_n[:] = total_n.ravel()[sel]
     out_sum[st_dead] = 0.0
     out_n[st_dead] = 0
 
@@ -586,6 +616,16 @@ def spne_level_step(
 #: Round horizon that makes ``selectivity_hits_block`` count every stored
 #: entry, whatever its round.
 _ALL_ROUNDS = 1 << 62
+
+
+class _BallRows(NamedTuple):
+    """One degree block's rows within a lookahead-ball level."""
+
+    at: Optional[np.ndarray]  # positions in the level; None: all of it
+    child: np.ndarray  # child slots, re-pointed into the level below
+    base: np.ndarray
+    valid: np.ndarray
+    dead: np.ndarray
 
 
 class HitRows:
@@ -719,8 +759,8 @@ class Frontier:
     - quality (``q_flat``/``q_child``/``pos_q_cache``): keyed
       ``(round_index, WorldArrays.alpha_generation)`` — history commits
       advance the round, probe sweeps advance ``alpha_generation``;
-    - liveness (``valid0``/``st_valid``/``st_dead`` and the cost
-      cache): keyed ``Overlay.liveness_version``;
+    - liveness (``valid0`` and the per-block ``st_valid``/``st_dead``):
+      keyed ``Overlay.liveness_version``;
     - SPNE value tables (``levels_*``): keyed on both plus the
       position-aware flag.  Only the full-axis sweep fills them; a
       lookahead-ball decision keeps its values local.
@@ -732,7 +772,6 @@ class Frontier:
         "responder",
         "generation",
         "wants_full_row",
-        "prepared",
         "q_flat",
         "q_built",
         "row_complete",
@@ -747,7 +786,6 @@ class Frontier:
         "levels_sum",
         "levels_n",
         "levels_token",
-        "cost_cache",
     )
 
     def __init__(self, cid: int, round_index: int, responder: int) -> None:
@@ -758,26 +796,22 @@ class Frontier:
         #: True once any Model II decision needed the full quality row —
         #: only such connections are worth pre-building into batches.
         self.wants_full_row = False
-        #: Set by :meth:`BatchPlanner.prepare`, cleared after one
-        #: speculative build: each announced round buys at most one
-        #: pre-built row, so retired connections never leak work into
-        #: later batches.
-        self.prepared = False
         self.q_flat = np.zeros(0, dtype=np.float64)
         self.q_built = np.zeros(0, dtype=bool)
         self.row_complete = False
         self.q_token: Optional[Tuple[int, int]] = None
-        self.q_child: Optional[np.ndarray] = None
+        #: Position-aware base quality, one ``(S, W)`` table per block.
+        self.q_child: Optional[List[np.ndarray]] = None
         self.q_child_token: Optional[Tuple[int, int]] = None
         self.pos_q_cache: Dict[Tuple[int, int], np.ndarray] = {}
         self.valid0: Optional[np.ndarray] = None
-        self.st_valid: Optional[np.ndarray] = None
-        self.st_dead: Optional[np.ndarray] = None
+        #: Per-block SPNE validity (``spne_state_validity`` outputs).
+        self.st_valid: Optional[List[np.ndarray]] = None
+        self.st_dead: Optional[List[np.ndarray]] = None
         self.liveness_token: Optional[int] = None
         self.levels_sum: Optional[List[np.ndarray]] = None
         self.levels_n: Optional[List[np.ndarray]] = None
         self.levels_token: Optional[tuple] = None
-        self.cost_cache: Dict[Tuple[int, Optional[int]], np.ndarray] = {}
 
 
 class BatchPlanner:
@@ -795,6 +829,11 @@ class BatchPlanner:
     def __init__(self, world: WorldArrays) -> None:
         self.world = world
         self.frontiers: Dict[int, Frontier] = {}
+        #: Frontiers announced through :meth:`prepare` and not yet taken
+        #: into a stacked build: each announced round buys at most one
+        #: pre-built row, so retired connections never leak work into
+        #: later batches.
+        self.announced: Dict[int, Frontier] = {}
         #: Selectivity hit rows for the full-row builds; a row lives as
         #: long as its cid's frontier.
         self.hits = HitRows(world)
@@ -823,13 +862,14 @@ class BatchPlanner:
             fr = self._new_frontier(cid, round_index, responder)
         fr.round_index = round_index
         fr.responder = responder
-        fr.prepared = True
+        self.announced[cid] = fr
 
     # -- frontier bookkeeping ----------------------------------------------
     def _new_frontier(self, cid: int, round_index: int, responder: int) -> Frontier:
         if len(self.frontiers) >= MAX_FRONTIERS:
             oldest = next(iter(self.frontiers))
             del self.frontiers[oldest]
+            self.announced.pop(oldest, None)
             self.hits.drop(oldest)
         fr = Frontier(cid, round_index, responder)
         self.frontiers[cid] = fr
@@ -852,7 +892,6 @@ class BatchPlanner:
         fr.levels_sum = None
         fr.levels_n = None
         fr.levels_token = None
-        fr.cost_cache = {}
 
     def _sync_round_token(self, fr: Frontier) -> None:
         tok = (fr.round_index, self.world.alpha_generation)
@@ -884,7 +923,6 @@ class BatchPlanner:
             fr.st_dead = None
             fr.liveness_token = None
             fr.levels_token = None
-            fr.cost_cache.clear()
         self._sync_round_token(fr)
         return fr
 
@@ -912,7 +950,6 @@ class BatchPlanner:
         # larger than the edge axis.
         fr.st_valid = None
         fr.st_dead = None
-        fr.cost_cache.clear()
         fr.liveness_token = stamp
         perf = self._perf
         perf.kernel_calls += 1
@@ -921,14 +958,12 @@ class BatchPlanner:
     def _ensure_state_valid(self, fr: Frontier) -> None:
         if fr.st_valid is not None:
             return
-        world = self.world
-        fr.st_valid, fr.st_dead = spne_state_validity(
-            fr.valid0,
-            world.st_child_edge,
-            world.st_child_not_pred,
-            world.st_counts,
-            world.st_red_idx,
-        )
+        masks = [
+            spne_state_validity(fr.valid0, block.child, block.real, block.not_pred)
+            for block in self.world.blocks
+        ]
+        fr.st_valid = [valid for valid, _ in masks]
+        fr.st_dead = [dead for _, dead in masks]
 
     # -- quality -----------------------------------------------------------
     def _ensure_q_node(self, fr: Frontier, context: "ForwardingContext", node_id: int) -> None:
@@ -984,10 +1019,10 @@ class BatchPlanner:
             return
         world = self.world
         members = [fr]
-        for other in self.frontiers.values():
-            if other is fr or not (other.wants_full_row and other.prepared):
+        for other in list(self.announced.values()):
+            if other is fr or not other.wants_full_row:
                 continue
-            other.prepared = False
+            del self.announced[other.cid]
             if other.generation != world.generation:
                 self._reset_frontier(other)
             self._sync_round_token(other)
@@ -1028,7 +1063,6 @@ class BatchPlanner:
         alpha_gen = world.alpha_generation
         for member, q_row in zip(members, q):
             member.q_flat = q_row
-            member.q_built = np.ones(world.size, dtype=bool)
             member.row_complete = True
             member.q_token = (member.round_index, alpha_gen)
         if len(members) > self.max_batched_frontiers:
@@ -1039,47 +1073,53 @@ class BatchPlanner:
         perf.edges_scored += int(q.size)
 
     def _ensure_q_child(self, fr: Frontier, context: "ForwardingContext") -> None:
-        """Position-aware base quality per (state, child): the edge
-        ``head(e) -> child`` scored against selectivity conditioned on
-        ``owner(e)`` — the predecessor the SPNE state already encodes."""
+        """Position-aware base quality per (state, child) slot, one table
+        per degree block: the edge ``head(e) -> child`` scored against
+        selectivity conditioned on ``owner(e)`` — the predecessor the
+        SPNE state already encodes.  Padded slots score zero hits."""
         tok = (fr.round_index, self.world.alpha_generation)
         if fr.q_child is not None and fr.q_child_token == tok:
             return
         world = self.world
-        total = int(world.st_child_edge.size)
         histories = context.histories
         cid, rnd = fr.cid, fr.round_index
-        hits: List[int] = []
-        extend = hits.extend
         heads = world.nbr_flat.tolist()
         owners = world.owner_flat.tolist()
         nbr_lists = world.nbr_lists
-        for e in range(len(heads)):
-            lst = nbr_lists.get(heads[e])
-            if lst:
+        weights = context.weights
+        max_entries = rnd - 1
+        q_child = []
+        for block in world.blocks:
+            width = block.child.shape[1]
+            hits: List[int] = []
+            extend = hits.extend
+            for e in block.states.tolist():
+                lst = nbr_lists[heads[e]]
                 extend(
                     histories[heads[e]].selectivity_hits_block_pos(
                         cid, owners[e], lst, rnd
                     )
                 )
-        max_entries = rnd - 1
-        if max_entries == 0:
-            sigma = np.zeros(total, dtype=np.float64)
-        else:
-            sigma = np.minimum(
-                1.0, np.asarray(hits, dtype=np.float64) / max_entries
+                extend([0] * (width - len(lst)))
+            if max_entries == 0:
+                sigma = np.zeros(block.child.shape, dtype=np.float64)
+            else:
+                sigma = np.minimum(
+                    1.0,
+                    np.asarray(hits, dtype=np.float64).reshape(block.child.shape)
+                    / max_entries,
+                )
+            q = (
+                weights.selectivity * sigma
+                + weights.availability * world.alpha_flat[block.child]
             )
-        weights = context.weights
-        q = (
-            weights.selectivity * sigma
-            + weights.availability * world.alpha_flat[world.st_child_edge]
-        )
-        fr.q_child = np.minimum(1.0, np.maximum(0.0, q))
+            q_child.append(np.minimum(1.0, np.maximum(0.0, q)))
+        fr.q_child = q_child
         fr.q_child_token = tok
         perf = self._perf
         perf.kernel_calls += 1
-        perf.kernel_batch_elements += total
-        perf.edges_scored += total
+        perf.kernel_batch_elements += world.n_children
+        perf.edges_scored += world.n_children
 
     def _pos_q(
         self, fr: Frontier, context: "ForwardingContext", node_id: int, predecessor: int
@@ -1141,19 +1181,26 @@ class BatchPlanner:
         if fr.levels_sum is None or fr.levels_token != tok:
             self._reset_levels(fr)
             fr.levels_token = tok
-        base_q = fr.q_child if position_aware else fr.q_flat
-        perf = self._perf
-        while len(fr.levels_sum) <= depth:
-            child_edge = world.st_child_edge
-            if child_edge.size == 0:
+        if len(fr.levels_sum) > depth:
+            return
+        if not world.blocks:
+            while len(fr.levels_sum) <= depth:
                 fr.levels_sum.append(fr.levels_sum[0])
                 fr.levels_n.append(fr.levels_n[0])
-                continue
-            new_sum, new_n = self._level_step(fr, base_q, position_aware)
+            return
+        # q_child is already laid out per block; the per-edge row gathers
+        # through each block's child table.
+        if position_aware:
+            bases = fr.q_child
+        else:
+            bases = [fr.q_flat[block.child] for block in world.blocks]
+        perf = self._perf
+        while len(fr.levels_sum) <= depth:
+            new_sum, new_n = self._level_step(fr, bases)
             fr.levels_sum.append(new_sum)
             fr.levels_n.append(new_n)
             perf.kernel_calls += 1
-            perf.kernel_batch_elements += int(child_edge.size)
+            perf.kernel_batch_elements += world.n_children
 
     def _reset_levels(self, fr: Frontier) -> None:
         """Start a fresh level stack (level 0 = all zeros).  Overridden
@@ -1163,33 +1210,36 @@ class BatchPlanner:
         fr.levels_n = [np.zeros(n_edges, dtype=np.int64)]
 
     def _level_step(
-        self, fr: Frontier, base_q: np.ndarray, position_aware: bool
+        self, fr: Frontier, bases: List[np.ndarray]
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Compute the next level over the whole state axis.  The
-        sharded planner overrides this to fan the state ranges out to
-        shard workers; both paths run :func:`spne_level_step`, so they
-        are bitwise-identical by construction."""
+        """Compute the next level over the whole state axis, one
+        :func:`spne_level_step` per degree block; states without
+        children read ``(0.0, 0)``."""
         self._ensure_state_valid(fr)
         world = self.world
-        child_edge = world.st_child_edge
-        # q_child is already laid out on the flat child axis; the
-        # per-edge row gathers through the child table first.
-        base_child = base_q if position_aware else base_q[child_edge]
-        new_sum = np.empty(world.n_edges, dtype=np.float64)
-        new_n = np.empty(world.n_edges, dtype=np.int64)
-        spne_level_step(
-            base_child,
-            fr.levels_sum[-1],
-            fr.levels_n[-1],
-            child_edge,
-            world.st_counts,
-            world.st_red_idx,
-            world.child_pos,
-            fr.st_valid,
-            fr.st_dead,
-            new_sum,
-            new_n,
-        )
+        n_edges = world.n_edges
+        prev_sum, prev_n = fr.levels_sum[-1], fr.levels_n[-1]
+        new_sum = np.zeros(n_edges, dtype=np.float64)
+        new_n = np.zeros(n_edges, dtype=np.int64)
+        for b, block in enumerate(world.blocks):
+            # A block that holds every state (the bootstrap overlay's
+            # single block) writes the level in place.
+            whole = block.states.size == n_edges
+            out_sum = new_sum if whole else np.empty(block.states.size)
+            out_n = new_n if whole else np.empty(block.states.size, dtype=np.int64)
+            spne_level_step(
+                bases[b],
+                prev_sum,
+                prev_n,
+                block.child,
+                fr.st_valid[b],
+                fr.st_dead[b],
+                out_sum,
+                out_n,
+            )
+            if not whole:
+                new_sum[block.states] = out_sum
+                new_n[block.states] = out_n
         return new_sum, new_n
 
     def _spne_ball(
@@ -1205,67 +1255,75 @@ class BatchPlanner:
         ``levels_n[depth][cand_idx]`` of the full sweep.
 
         Top-down, level ``depth`` holds the candidate states and level
-        ``d - 1`` the distinct *valid* children of level ``d``, each level
-        a set of whole child segments gathered from the world's state
-        tables.  Bottom-up, :func:`spne_level_step` runs over each level
-        with ``child_edge`` indexing the level below locally.  Invalid
-        children point at slot 0: they are masked out of the maximum, and
-        a state with no valid child is zeroed through ``st_dead``.
+        ``d - 1`` the distinct *valid* children of level ``d``; each level
+        gathers its states' block rows (:meth:`WorldArrays.block_groups`).
+        Bottom-up, :func:`spne_level_step` runs over each group of rows
+        with the child table indexing the level below locally.  Invalid
+        and padded slots point at slot 0: they are masked out of the
+        maximum, and a state with no valid child is zeroed through
+        ``st_dead``.  A state without children is in no group and reads
+        ``(0.0, 0)``.
         """
         world = self.world
-        offsets = world.st_offsets
         base_q = fr.q_child if position_aware else fr.q_flat
-        gathered = []
+        levels = []
         states = cand_idx
         for d in range(depth, 0, -1):
-            counts = world.st_counts[states]
-            total = int(counts.sum())
-            starts = np.cumsum(counts) - counts
-            # Segmented arange: flat child axis positions of the segments.
-            gidx = np.repeat(offsets[states] - starts, counts) + np.arange(
-                total, dtype=np.int64
-            )
-            child = world.st_child_edge[gidx]
-            base_child = base_q[gidx] if position_aware else base_q[child]
-            st_valid, st_dead = spne_state_validity(
-                fr.valid0, child, world.st_child_not_pred[gidx], counts, starts
-            )
-            local = np.zeros(total, dtype=np.int64)
-            if d > 1:
-                states, inverse = np.unique(child[st_valid], return_inverse=True)
-                local[st_valid] = inverse
-            gathered.append((base_child, local, counts, starts, st_valid, st_dead))
+            groups = []
+            n_children = 0
+            for b, at, rows in world.block_groups(states):
+                block = world.blocks[b]
+                child = block.child[rows]
+                real = block.real[rows]
+                st_valid, st_dead = spne_state_validity(
+                    fr.valid0, child, real, block.not_pred[rows]
+                )
+                base = base_q[b][rows] if position_aware else base_q[child]
+                groups.append(_BallRows(at, child, base, st_valid, st_dead))
+                n_children += int(np.count_nonzero(real))
+            levels.append((states.size, n_children, groups))
+            if d == 1 or not groups:
+                for g in groups:
+                    g.child[:] = 0  # level 0 is one zero slot
+                break
+            kids = [g.child[g.valid] for g in groups]
+            states, inverse = np.unique(np.concatenate(kids), return_inverse=True)
+            # Re-point every valid slot at its child's place in the level
+            # below; the rest read slot 0.
+            start = 0
+            for g, g_kids in zip(groups, kids):
+                g.child[:] = 0
+                g.child[g.valid] = inverse[start : start + g_kids.size]
+                start += g_kids.size
             if states.size == 0:
                 break
         # Level 0 (and any level below an all-dead one) reads as zeros.
         prev_sum = np.zeros(1, dtype=np.float64)
         prev_n = np.zeros(1, dtype=np.int64)
         perf = self._perf
-        for base_child, local, counts, starts, st_valid, st_dead in reversed(
-            gathered
-        ):
-            out_sum = np.empty(counts.size, dtype=np.float64)
-            out_n = np.empty(counts.size, dtype=np.int64)
-            spne_level_step(
-                base_child,
-                prev_sum,
-                prev_n,
-                local,
-                counts,
-                starts,
-                np.arange(local.size, dtype=np.int64),
-                st_valid,
-                st_dead,
-                out_sum,
-                out_n,
-            )
+        for n_states, n_children, groups in reversed(levels):
+            out_sum = np.zeros(n_states, dtype=np.float64)
+            out_n = np.zeros(n_states, dtype=np.int64)
+            for g in groups:
+                if g.at is None:
+                    part_sum, part_n = out_sum, out_n
+                else:
+                    part_sum = np.empty(g.at.size, dtype=np.float64)
+                    part_n = np.empty(g.at.size, dtype=np.int64)
+                spne_level_step(
+                    g.base, prev_sum, prev_n, g.child,
+                    g.valid, g.dead, part_sum, part_n,
+                )
+                if g.at is not None:
+                    out_sum[g.at] = part_sum
+                    out_n[g.at] = part_n
             prev_sum, prev_n = out_sum, out_n
             perf.kernel_calls += 1
-            perf.kernel_batch_elements += int(local.size)
+            perf.kernel_batch_elements += n_children
         perf.spne_ball_sweeps += 1
         return prev_sum, prev_n
 
-    # -- candidates & costs -------------------------------------------------
+    # -- candidates & the pick ---------------------------------------------
     def _candidates(
         self, fr: Frontier, node_id: int, predecessor: Optional[int]
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -1283,86 +1341,90 @@ class BatchPlanner:
         rel = np.nonzero(valid)[0]
         return rel + start, ids[rel]
 
-    def _costs(
+    def _root_quality(
         self,
         fr: Frontier,
         context: "ForwardingContext",
         node_id: int,
         predecessor: Optional[int],
-        participation_cost: float,
-        cand_ids: np.ndarray,
+        cand_idx: np.ndarray,
     ) -> np.ndarray:
-        """Decision costs in candidate order.
+        """``q(node, candidate)`` per candidate, against the actual
+        predecessor under position-aware selectivity."""
+        sel_pred = context.selectivity_predecessor(predecessor)
+        if sel_pred is None:
+            self._ensure_q_node(fr, context, node_id)
+            return fr.q_flat[cand_idx]
+        start = int(self.world.indptr[node_id])
+        return self._pos_q(fr, context, node_id, sel_pred)[cand_idx - start]
 
-        Deliberately a Python loop: ``decision_cost`` may draw a lazy
-        per-link bandwidth sample from the shared RNG on first use, so
-        the call order must match the scalar backend exactly.  Cached
-        per (node, predecessor) within a liveness epoch — repeat calls
-        hit the bandwidth model's own pair cache and draw nothing, so
-        skipping them cannot shift the RNG stream.
+    def _pick(
+        self,
+        strategy,
+        node,
+        context: "ForwardingContext",
+        cand_ids: np.ndarray,
+        qualities: List[float],
+        utility,
+    ) -> Optional[int]:
+        """The scalar lane's pick over the batched qualities: score each
+        candidate with ``utility`` in candidate order, then take the
+        ``(u, q, -id)`` maximum.
+
+        ``decision_cost`` may draw a lazy per-link bandwidth sample from
+        the shared RNG on first use, so it is called here exactly as the
+        scalar strategies call it: once per candidate, in candidate order.
         """
-        key = (node_id, predecessor)
-        cached = fr.cost_cache.get(key)
-        if cached is not None:
-            return cached
+        contract = context.contract
         decision_cost = context.cost_model.decision_cost
-        payload = context.contract.payload_size
-        out = np.array(
-            [
-                decision_cost(participation_cost, node_id, nbr, payload)
-                for nbr in cand_ids.tolist()
-            ],
-            dtype=np.float64,
-        )
-        fr.cost_cache[key] = out
-        return out
+        payload = contract.payload_size
+        node_id = node.node_id
+        participation_cost = node.participation_cost
+        scored = [
+            (
+                utility(
+                    contract,
+                    q,
+                    decision_cost(participation_cost, node_id, nbr, payload),
+                ),
+                q,
+                nbr,
+            )
+            for nbr, q in zip(cand_ids.tolist(), qualities)
+        ]
+        perf = self._perf
+        perf.utility_evaluations += len(scored)
+        perf.kernel_calls += 1
+        perf.kernel_batch_elements += len(scored)
+        best = argmax_with_quality_tiebreak(scored)
+        if best is None or best[0] < strategy.participation_threshold:
+            return None
+        return best[2]
 
     # -- decisions ----------------------------------------------------------
     def decide_model1(
         self, strategy, node, predecessor: Optional[int], context: "ForwardingContext"
     ) -> Optional[int]:
-        """Batched Utility Model I: whole candidate set -> utility vector,
-        arraywise argmax with the quality/id tie-break."""
+        """Batched Utility Model I: candidate set and root qualities from
+        the arrays, then the scalar pick."""
         node_id = node.node_id
         fr = self._frontier(context)
         self._ensure_liveness(fr, context)
         cand_idx, cand_ids = self._candidates(fr, node_id, predecessor)
         if cand_ids.size == 0:
             return None
-        sel_pred = context.selectivity_predecessor(predecessor)
-        if sel_pred is None:
-            self._ensure_q_node(fr, context, node_id)
-            q = fr.q_flat[cand_idx]
-        else:
-            start = int(self.world.indptr[node_id])
-            q = self._pos_q(fr, context, node_id, sel_pred)[cand_idx - start]
-        cost = self._costs(
-            fr, context, node_id, predecessor, node.participation_cost, cand_ids
+        q = self._root_quality(fr, context, node_id, predecessor, cand_idx)
+        return self._pick(
+            strategy, node, context, cand_ids, q.tolist(), forwarder_utility_model1
         )
-        if q.min() < 0.0 or q.max() > 1.0:
-            raise ValueError(f"edge quality out of [0,1]: {q}")
-        if cost.min() < 0:
-            raise ValueError(f"negative cost {cost.min()}")
-        contract = context.contract
-        utility = (
-            contract.forwarding_benefit + q * contract.routing_benefit - cost
-        )
-        perf = self._perf
-        perf.utility_evaluations += int(cand_ids.size)
-        perf.kernel_calls += 1
-        perf.kernel_batch_elements += int(cand_ids.size)
-        pos = _argmax_lex(utility, q)
-        if float(utility[pos]) < strategy.participation_threshold:
-            return None
-        return int(cand_ids[pos])
 
     def decide_model2(
         self, strategy, node, predecessor: Optional[int], context: "ForwardingContext"
     ) -> Optional[int]:
         """Batched Utility Model II: level-synchronous backward induction
         over edge states — the decision's own lookahead ball on large
-        worlds, the cached whole state axis otherwise — then one
-        vectorised root decision."""
+        worlds, the cached whole state axis otherwise — then the scalar
+        pick over the candidates' path qualities."""
         node_id = node.node_id
         fr = self._frontier(context)
         self._ensure_liveness(fr, context)
@@ -1377,56 +1439,25 @@ class BatchPlanner:
         depth = strategy.lookahead
         world = self.world
         # The ball's child entries per level are bounded by this; the full
-        # sweep's per-level cost is shared by the few decisions of a round.
+        # sweep's per-level cost (the real children, never the padded
+        # slots) is shared by the few decisions of a round.
         ball_bound = cand_idx.size * world.max_out_degree ** depth
-        if ball_bound * SPNE_BALL_MIN_RATIO <= world.st_child_edge.size:
+        if ball_bound * SPNE_BALL_MIN_RATIO <= world.n_children:
             tail_sum, tail_n = self._spne_ball(fr, cand_idx, depth, position_aware)
         else:
             self._ensure_levels(fr, context, depth, position_aware)
             assert fr.levels_sum is not None and fr.levels_n is not None
             tail_sum = fr.levels_sum[depth][cand_idx]
             tail_n = fr.levels_n[depth][cand_idx]
-        sel_pred = context.selectivity_predecessor(predecessor)
-        if sel_pred is None:
-            self._ensure_q_node(fr, context, node_id)
-            q_root = fr.q_flat[cand_idx]
-        else:
-            start = int(self.world.indptr[node_id])
-            q_root = self._pos_q(fr, context, node_id, sel_pred)[cand_idx - start]
+        q_root = self._root_quality(fr, context, node_id, predecessor, cand_idx)
         # Terminal delivery edge (quality 1) appended, then normalised —
-        # same expression tree as the scalar path_quality_through.
-        path_q = (q_root + tail_sum + 1.0) / (tail_n + 2)
-        if path_q.min() < 0.0 or path_q.max() > 1.0:
-            raise ValueError(f"path quality out of [0,1]: {path_q}")
-        cost = self._costs(
-            fr, context, node_id, predecessor, node.participation_cost, cand_ids
+        # the scalar path_quality_through expression.
+        path_q = [
+            (q + t_sum + 1.0) / (1 + t_n + 1)
+            for q, t_sum, t_n in zip(
+                q_root.tolist(), tail_sum.tolist(), tail_n.tolist()
+            )
+        ]
+        return self._pick(
+            strategy, node, context, cand_ids, path_q, forwarder_utility_model2
         )
-        if cost.min() < 0:
-            raise ValueError(f"negative cost {cost.min()}")
-        contract = context.contract
-        utility = (
-            contract.forwarding_benefit + path_q * contract.routing_benefit - cost
-        )
-        perf = self._perf
-        perf.utility_evaluations += int(cand_ids.size)
-        perf.kernel_calls += 1
-        perf.kernel_batch_elements += int(cand_ids.size)
-        pos = _argmax_lex(utility, path_q)
-        if float(utility[pos]) < strategy.participation_threshold:
-            return None
-        return int(cand_ids[pos])
-
-
-def _argmax_lex(utility: np.ndarray, quality: np.ndarray) -> int:
-    """First position maximising ``(utility, quality)``.
-
-    Candidates arrive in ascending-id order, so the first position among
-    full ties is the lowest id — exactly the scalar
-    ``_argmax_with_quality_tiebreak`` ordering ``(u, q, -id)``.
-    """
-    ties = utility == utility.max()
-    if int(ties.sum()) > 1:
-        # Qualities are >= 0, so -1.0 can never win the masked max.
-        masked_q = np.where(ties, quality, -1.0)
-        ties = masked_q == masked_q.max()
-    return int(np.argmax(ties))

@@ -38,7 +38,11 @@ from repro.core.kernels import (
     WorldArrays,
     validate_backend,
 )
-from repro.core.utility import forwarder_utility_model1, forwarder_utility_model2
+from repro.core.utility import (
+    argmax_with_quality_tiebreak,
+    forwarder_utility_model1,
+    forwarder_utility_model2,
+)
 from repro.network.node import PeerNode
 from repro.network.overlay import Overlay
 from repro.sim.monitoring import PERF
@@ -263,17 +267,6 @@ def _score_edges_model1(
     return out
 
 
-def _argmax_with_quality_tiebreak(
-    scored: List[Tuple[float, float, int]]
-) -> Optional[Tuple[float, float, int]]:
-    """Max by utility; ties resolved towards higher quality, then lower id
-    (the paper specifies the quality tie-break; the id tie-break makes runs
-    reproducible)."""
-    if not scored:
-        return None
-    return max(scored, key=lambda t: (t[0], t[1], -t[2]))
-
-
 class UtilityModelI(RoutingStrategy):
     """Greedy edge-quality utility maximiser (eq. 1).
 
@@ -297,7 +290,7 @@ class UtilityModelI(RoutingStrategy):
             return context.batch_planner().decide_model1(
                 self, node, predecessor, context
             )
-        best = _argmax_with_quality_tiebreak(
+        best = argmax_with_quality_tiebreak(
             _score_edges_model1(node, predecessor, context)
         )
         if best is None or best[0] < self.participation_threshold:
@@ -427,7 +420,7 @@ class UtilityModelII(RoutingStrategy):
                 u = forwarder_utility_model2(context.contract, pq, cost)
                 perf.utility_evaluations += 1
                 scored.append((u, pq, nbr))
-            best = _argmax_with_quality_tiebreak(scored)
+            best = argmax_with_quality_tiebreak(scored)
             if best is None or best[0] < self.participation_threshold:
                 return None
             return best[2]

@@ -14,7 +14,7 @@
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.contracts import Contract
 
@@ -48,6 +48,18 @@ def forwarder_utility_model2(
     if cost < 0:
         raise ValueError(f"negative cost {cost}")
     return contract.forwarding_benefit + path_quality * contract.routing_benefit - cost
+
+
+def argmax_with_quality_tiebreak(
+    scored: List[Tuple[float, float, int]]
+) -> Optional[Tuple[float, float, int]]:
+    """The forwarder's pick over ``(utility, quality, neighbor)`` triples:
+    max by utility; ties resolved towards higher quality, then lower id
+    (the paper specifies the quality tie-break; the id tie-break makes runs
+    reproducible).  ``None`` when there is no candidate."""
+    if not scored:
+        return None
+    return max(scored, key=lambda t: (t[0], t[1], -t[2]))
 
 
 def anonymity_payoff(

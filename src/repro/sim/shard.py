@@ -22,19 +22,21 @@ single-process engine executes them — so the decision *structure* is
 identical for any shard count by construction.  Shard workers execute
 only the state-axis range computation of the backward-induction level
 sweep (:func:`repro.core.kernels.spne_state_validity` +
-:func:`repro.core.kernels.spne_level_step` over a contiguous state
-range), which is bitwise range-decomposable: the arithmetic is
-element-wise, the segment reductions are order-insensitive, and
-segments never straddle a range boundary.  Seed -> result therefore
-stays bit-identical for any ``n_shards``, pinned by the differential
-property suite.
+:func:`repro.core.kernels.spne_level_step` over the degree blocks of a
+contiguous state range), which is bitwise range-decomposable: every
+state's row is computed from its own children alone, so the block
+layout a range gets cannot change a row's bits.  Seed -> result
+therefore stays bit-identical for any ``n_shards``, pinned by the
+differential property suite.
 
-**Shard partition.**  The state axis (directed edges) is split into K
-contiguous ranges by bisecting the *unclipped* per-state child offsets
-(``WorldArrays.st_offsets``) at balanced child counts — shard k owns
+**Shard partition.**  The state axis (directed edges) is published as a
+flat child axis (:class:`ShardWorld`) and split into K contiguous ranges
+by bisecting the *unclipped* per-state child offsets
+(``ShardWorld.st_offsets``) at balanced child counts — shard k owns
 states ``[s_k, s_{k+1})`` and exactly the flat children
-``[st_offsets[s_k], st_offsets[s_{k+1}])``.  Deterministic in the
-topology and K alone.
+``[st_offsets[s_k], st_offsets[s_{k+1}])``, which it turns into degree
+blocks with the world's own :func:`repro.core.kernels.degree_blocks`.
+Deterministic in the topology and K alone.
 
 **Protocol.**  One duplex pipe per worker, strict command/ack lockstep
 (the coordinator never writes a shared segment while a command is in
@@ -76,8 +78,10 @@ import numpy as np
 from repro.core.kernels import (
     BatchPlanner,
     WorldArrays,
+    degree_blocks,
     spne_level_step,
     spne_state_validity,
+    state_child_axis,
 )
 from repro.sim.monitoring import PERF, DegradationCounters
 from repro.sim.rng import shard_stream
@@ -213,11 +217,30 @@ def _merge_counts(dst: Dict[str, int], src: Dict[str, int]) -> None:
 class ShardWorld(WorldArrays):
     """:class:`WorldArrays` that republishes every topology rebuild to
     the engine's shared segments (which also moves ``alpha_flat`` into
-    shared memory; the base class refreshes it in place)."""
+    shared memory; the base class refreshes it in place).
+
+    The segments carry the SPNE states as a flat child axis, which this
+    world keeps beside the base class's degree blocks: ``st_counts``
+    (children per state), ``st_offsets`` (unclipped segment starts,
+    ``n_edges + 1`` entries), ``st_child_edge`` and
+    ``st_child_not_pred`` (see :func:`state_child_axis`)."""
 
     def __init__(self, overlay, engine: "Optional[ShardEngine]" = None) -> None:
         super().__init__(overlay)
         self.engine = engine
+        self.st_counts = np.zeros(0, dtype=np.int64)
+        self.st_offsets = np.zeros(1, dtype=np.int64)
+        self.st_child_edge = np.zeros(0, dtype=np.int64)
+        self.st_child_not_pred = np.zeros(0, dtype=bool)
+
+    def _build_state_structure(self) -> None:
+        super()._build_state_structure()
+        (
+            self.st_counts,
+            self.st_offsets,
+            self.st_child_edge,
+            self.st_child_not_pred,
+        ) = state_child_axis(self.indptr, self.nbr_flat, self.owner_flat)
 
     def _rebuild_topology(self) -> None:
         super()._rebuild_topology()
@@ -275,8 +298,7 @@ class ShardPlanner(BatchPlanner):
         need = depth - (len(fr.levels_sum) - 1)
         if need <= 0:
             return
-        child_edge = world.st_child_edge
-        if child_edge.size == 0:
+        if not world.blocks:
             for _ in range(need):
                 fr.levels_sum.append(fr.levels_sum[0])
                 fr.levels_n.append(fr.levels_n[0])
@@ -284,7 +306,7 @@ class ShardPlanner(BatchPlanner):
         self.engine.build_levels(fr, fr.q_flat, need)
         perf = self._perf
         perf.kernel_calls += need
-        perf.kernel_batch_elements += need * int(child_edge.size)
+        perf.kernel_batch_elements += need * world.n_children
 
 
 # ---------------------------------------------------------------------------
@@ -293,28 +315,33 @@ class ShardPlanner(BatchPlanner):
 
 
 class _WorkerState:
-    """One worker's slice of the published topology: local child-axis
-    tables plus the shared planes it reads and writes."""
+    """One worker's slice of the published topology: its state range
+    turned into degree blocks (the world's own block builder over the
+    published flat child axis) plus the shared planes it reads and
+    writes."""
 
     def __init__(self, views: Dict[str, np.ndarray], meta: Tuple[int, ...]) -> None:
         size, n_edges, s0, s1, c0, c1 = meta
         self.size = size
         self.n_edges = n_edges
-        self.s0, self.s1 = s0, s1
         self.nbr = views["nbr"][:n_edges]
         self.online = views["online"]
         self.q = views["q"][:n_edges]
         self.lvl_sum = views["lsum"]
         self.lvl_n = views["ln"]
-        n_children = c1 - c0
-        self.child_edge = np.asarray(views["che"][c0:c1])
-        self.not_pred = np.asarray(views["cnp"][c0:c1])
-        self.st_counts = np.asarray(views["stc"][s0:s1])
-        # Segment starts on the local child axis, like the whole-axis
-        # ``st_red_idx``.
-        self.red_idx = np.asarray(views["sto"][s0:s1]) - c0
-        self.child_pos = np.arange(n_children, dtype=np.int64)
-        self._st_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        self.n_children = c1 - c0
+        counts = np.asarray(views["stc"][s0:s1])
+        self.blocks = degree_blocks(
+            counts,
+            np.asarray(views["sto"][s0:s1]) - c0,  # local segment starts
+            np.asarray(views["che"][c0:c1]),
+            np.asarray(views["cnp"][c0:c1]),
+        )
+        #: Global state ids of each block's rows, and of the childless
+        #: states, which read (0.0, 0) at every level.
+        self.targets = [s0 + block.states for block in self.blocks]
+        self.childless = s0 + np.flatnonzero(counts == 0)
+        self._st_cache: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {}
         self._epoch = -1
 
     def levels(self, epoch: int, responder: int, n_new: int, barrier, perf) -> None:
@@ -327,38 +354,44 @@ class _WorkerState:
         if epoch != self._epoch:
             self._st_cache.clear()
             self._epoch = epoch
-        sv = self._st_cache.get(responder)
-        if sv is None:
+        masks = self._st_cache.get(responder)
+        if masks is None:
             # Same expression the coordinator's _ensure_liveness uses:
-            # the gather through child_edge then sees identical bits.
+            # the gather through the child tables then sees identical bits.
             valid0 = self.online[self.nbr] & (self.nbr != responder)
-            sv = spne_state_validity(
-                valid0, self.child_edge, self.not_pred, self.st_counts, self.red_idx
-            )
+            masks = [
+                spne_state_validity(valid0, b.child, b.real, b.not_pred)
+                for b in self.blocks
+            ]
             if len(self._st_cache) >= 128:
                 self._st_cache.pop(next(iter(self._st_cache)))
-            self._st_cache[responder] = sv
-        st_valid, st_dead = sv
-        base_child = self.q[self.child_edge]
-        s0, s1 = self.s0, self.s1
+            self._st_cache[responder] = masks
+        bases = [self.q[block.child] for block in self.blocks]
         for i in range(1, n_new + 1):
-            spne_level_step(
-                base_child,
-                self.lvl_sum[i - 1],
-                self.lvl_n[i - 1],
-                self.child_edge,
-                self.st_counts,
-                self.red_idx,
-                self.child_pos,
-                st_valid,
-                st_dead,
-                self.lvl_sum[i, s0:s1],
-                self.lvl_n[i, s0:s1],
-            )
+            plane_sum, plane_n = self.lvl_sum[i], self.lvl_n[i]
+            for block, base, target, (st_valid, st_dead) in zip(
+                self.blocks, bases, self.targets, masks
+            ):
+                out_sum = np.empty(target.size, dtype=np.float64)
+                out_n = np.empty(target.size, dtype=np.int64)
+                spne_level_step(
+                    base,
+                    self.lvl_sum[i - 1],
+                    self.lvl_n[i - 1],
+                    block.child,
+                    st_valid,
+                    st_dead,
+                    out_sum,
+                    out_n,
+                )
+                plane_sum[target] = out_sum
+                plane_n[target] = out_n
+            plane_sum[self.childless] = 0.0
+            plane_n[self.childless] = 0
             if i < n_new and barrier is not None:
                 barrier.wait(timeout=120)
         perf.kernel_calls += n_new
-        perf.kernel_batch_elements += n_new * int(self.child_edge.size)
+        perf.kernel_batch_elements += n_new * self.n_children
 
 
 def shard_worker_main(

@@ -13,18 +13,18 @@ itself against the scalar specification.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.contracts import Contract
 from repro.core.costs import CostModel
 from repro.core.edge_quality import QualityWeights
 from repro.core.history import HistoryProfile
-from repro.core.kernels import spne_level_step, spne_state_validity
 from repro.core.routing import ForwardingContext, UtilityModelII
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.scenario import run_scenario
 from repro.network.overlay import Overlay
+from repro.network.topology import build_topology, install_topology
 
 
 def _histories(ov, rng, rounds_of_history=6):
@@ -47,10 +47,12 @@ def _histories(ov, rng, rounds_of_history=6):
     return histories
 
 
-def _random_world(seed, n, degree):
+def _random_world(seed, n, degree, topology="bootstrap"):
     rng = np.random.default_rng(seed)
     ov = Overlay(rng=rng, degree=degree)
     ov.bootstrap(n)
+    if topology != "bootstrap":
+        install_topology(ov, build_topology(topology, n=n, degree=degree, rng=rng))
     return ov, _histories(ov, rng)
 
 
@@ -97,6 +99,7 @@ def ball_vs_full(ov, histories, root, predecessor, responder, depth, position_aw
     )
     planner = ctx.batch_planner()
     fr = planner._frontier(ctx)
+    n_blocks = len(planner.world.blocks)
     planner._ensure_liveness(fr, ctx)
     cand_idx, cand_ids = planner._candidates(fr, root, predecessor)
     if position_aware:
@@ -113,7 +116,7 @@ def ball_vs_full(ov, histories, root, predecessor, responder, depth, position_aw
     ]
     assert tail_sum.tolist() == [s for s, _ in expected]
     assert tail_n.tolist() == [n for _, n in expected]
-    return tail_sum, tail_n
+    return tail_sum, tail_n, n_blocks
 
 
 @settings(max_examples=60, deadline=None)
@@ -124,23 +127,42 @@ def ball_vs_full(ov, histories, root, predecessor, responder, depth, position_aw
     depth=st.integers(min_value=1, max_value=4),
     offline_share=st.floats(min_value=0.0, max_value=0.6),
     position_aware=st.booleans(),
-    data=st.data(),
+    topology=st.sampled_from(["bootstrap", "scale-free"]),
+    responder_pick=st.integers(min_value=0, max_value=1_000),
+    predecessor_pick=st.integers(min_value=0, max_value=3),
+)
+# Multi-block: a scale-free world's hubs put its states in several
+# degree blocks, so ball levels gather rows from more than one block.
+@example(
+    seed=7, n=120, degree=5, depth=3, offline_share=0.2, position_aware=False,
+    topology="scale-free", responder_pick=5, predecessor_pick=1,
+)
+@example(
+    seed=8, n=120, degree=5, depth=2, offline_share=0.3, position_aware=True,
+    topology="scale-free", responder_pick=11, predecessor_pick=3,
 )
 def test_ball_matches_full_sweep(
-    seed, n, degree, depth, offline_share, position_aware, data
+    seed, n, degree, depth, offline_share, position_aware, topology,
+    responder_pick, predecessor_pick,
 ):
-    ov, histories = _random_world(seed, n, degree)
+    ov, histories = _random_world(seed, n, degree, topology)
     rng = np.random.default_rng(seed ^ 0x5EED)
     root = int(rng.integers(n))
     ball = _ball_nodes(ov, root, depth)
-    responder = data.draw(st.sampled_from(ball), label="responder")
+    responder = ball[responder_pick % len(ball)]
     others = [i for i in ov.nodes if i not in (root, responder)]
     n_off = int(offline_share * len(others))
     for nid in rng.choice(others, size=n_off, replace=False):
         ov.leave(int(nid), now=1.0)
     preds = [None] + ov.nodes[root].neighbor_ids()[:2] + [int(rng.integers(n))]
-    predecessor = data.draw(st.sampled_from(preds), label="predecessor")
-    ball_vs_full(ov, histories, root, predecessor, responder, depth, position_aware)
+    predecessor = preds[predecessor_pick % len(preds)]
+    _, _, n_blocks = ball_vs_full(
+        ov, histories, root, predecessor, responder, depth, position_aware
+    )
+    if topology == "bootstrap":
+        assert n_blocks == 1
+    elif n >= 100:
+        assert n_blocks > 1
 
 
 @pytest.mark.parametrize("position_aware", [False, True])
@@ -149,7 +171,7 @@ def test_state_with_no_valid_child_scores_zero(position_aware):
     ov, histories = _wired_world(
         {0: [1, 2], 1: [3, 4], 2: [5], 5: [6], 6: [7]}, n=9, offline=(3, 4)
     )
-    tail_sum, tail_n = ball_vs_full(ov, histories, 0, None, 8, 3, position_aware)
+    tail_sum, tail_n, _ = ball_vs_full(ov, histories, 0, None, 8, 3, position_aware)
     assert (tail_sum[0], tail_n[0]) == (0.0, 0)
     assert tail_n[1] == 3
 
@@ -158,7 +180,7 @@ def test_state_with_no_valid_child_scores_zero(position_aware):
 def test_root_with_dead_ball_has_empty_next_level(depth):
     # Both candidates lead only to an offline node: level depth-1 is empty.
     ov, histories = _wired_world({0: [1, 2], 1: [3], 2: [3], 3: [4]}, n=6, offline=(3,))
-    tail_sum, tail_n = ball_vs_full(ov, histories, 0, None, 5, depth, False)
+    tail_sum, tail_n, _ = ball_vs_full(ov, histories, 0, None, 5, depth, False)
     assert np.array_equal(tail_sum, np.zeros(2))
     assert np.array_equal(tail_n, np.zeros(2, dtype=np.int64))
 
@@ -178,42 +200,10 @@ def test_out_degree_zero_node_is_an_empty_segment(position_aware):
     for nid, node in ov.nodes.items():
         for j, view in node.neighbors.items():
             view.session_time = 99.0 if (nid, j) in winners else 1.0
-    tail_sum, tail_n = ball_vs_full(ov, histories, 0, None, 6, 3, position_aware)
+    tail_sum, tail_n, _ = ball_vs_full(ov, histories, 0, None, 6, 3, position_aware)
     # 0->1 is dead; 0->2 continues 2->3 -> 3->5 (both 0.495), not 3->0.
     assert tail_n.tolist() == [0, 2]
     assert tail_sum[1] == pytest.approx(0.99)
-
-
-def test_kernels_keep_the_last_child_before_a_trailing_empty_segment():
-    # State 0 = [child 0 (the predecessor), child 1]; state 1 has no
-    # children, so its segment starts at the end of the child axis.
-    # Child 1 is state 0's only non-predecessor child and its strict
-    # winner: a reduction cut one child short would miss it.
-    counts = np.array([2, 0], dtype=np.int64)
-    starts = np.array([0, 2], dtype=np.int64)
-    child = np.array([0, 1], dtype=np.int64)
-    st_valid, st_dead = spne_state_validity(
-        np.ones(2, dtype=bool), child, np.array([False, True]), counts, starts
-    )
-    assert st_valid.tolist() == [False, True]
-    assert st_dead.tolist() == [False, True]
-    out_sum = np.empty(2, dtype=np.float64)
-    out_n = np.empty(2, dtype=np.int64)
-    spne_level_step(
-        np.array([0.25, 0.75]),
-        np.zeros(2, dtype=np.float64),
-        np.zeros(2, dtype=np.int64),
-        child,
-        counts,
-        starts,
-        np.arange(2, dtype=np.int64),
-        np.ones(2, dtype=bool),
-        st_dead,
-        out_sum,
-        out_n,
-    )
-    assert out_sum.tolist() == [0.75, 0.0]
-    assert out_n.tolist() == [1, 0]
 
 
 # ---- dispatch through real scenarios -------------------------------------

@@ -18,6 +18,7 @@ backend reads that live world.
 
 import pytest
 
+from repro.core.kernels import WorldArrays
 from repro.experiments.config import ExperimentConfig, FaultConfig
 from repro.experiments.scenario import run_scenario
 
@@ -178,6 +179,40 @@ def test_backends_agree_under_chaos_position_aware(strategy, seed):
     # does; degree-5 Model-I decisions stay scalar by design).
     if strategy == "utility-II":
         assert b.perf_counters["kernel_calls"] > 0
+
+
+@pytest.mark.parametrize("topology", ["small-world", "scale-free"])
+def test_backends_agree_on_multi_block_overlays(topology, monkeypatch):
+    """Skewed out-degrees put the SPNE states in several degree blocks,
+    a layout no benchmark workload reaches (their overlays are one block
+    of width d).  Model II L3 on such a 40-node overlay must still land
+    on the scalar specification's bits."""
+    n_blocks = []
+    build = WorldArrays._build_state_structure
+
+    def counting_build(world):
+        build(world)
+        n_blocks.append(len(world.blocks))
+
+    monkeypatch.setattr(WorldArrays, "_build_state_structure", counting_build)
+    cfg = ExperimentConfig(
+        seed=3,
+        n_nodes=40,
+        n_pairs=10,
+        total_transmissions=200,
+        use_bank=False,
+        strategy="utility-II",
+        lookahead=3,
+        topology=topology,
+    )
+    a = run_scenario(cfg.with_overrides(backend="python"))
+    b = run_scenario(cfg.with_overrides(backend="numpy"))
+    assert max(n_blocks) > 1
+    assert [log.paths for log in a.series_logs] == [log.paths for log in b.series_logs]
+    assert a.payoffs == b.payoffs
+    assert a.earnings == b.earnings
+    assert a.series_settlements == b.series_settlements
+    assert a.degradation == b.degradation
 
 
 def test_numpy_default_resolves_and_batches(monkeypatch):

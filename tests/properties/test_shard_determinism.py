@@ -104,3 +104,26 @@ def test_sharded_run_bit_identical_under_sybil_whitewash(seed):
         run_scenario(ExperimentConfig(shard=ShardConfig(n_shards=2), **kwargs))
     )
     assert sharded == reference
+
+
+@pytest.mark.parametrize("topology", ["small-world", "scale-free"])
+def test_sharded_run_bit_identical_on_multi_block_worlds(topology):
+    """Skewed out-degrees give each worker's state range several degree
+    blocks, so a worker writes its plane rows block by block; the planes
+    must still equal the single-process sweep."""
+    kwargs = dict(
+        seed=4,
+        n_nodes=40,
+        n_pairs=8,
+        total_transmissions=120,
+        strategy="utility-II",
+        lookahead=3,
+        use_bank=False,
+        topology=topology,
+        backend="numpy",
+    )
+    reference = _fingerprint(run_scenario(ExperimentConfig(**kwargs)))
+    sharded = _fingerprint(
+        run_scenario(ExperimentConfig(shard=ShardConfig(n_shards=3), **kwargs))
+    )
+    assert sharded == reference
