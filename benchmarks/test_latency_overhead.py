@@ -25,17 +25,11 @@ def _latencies(strategy: str, preset: str, n_seeds: int):
         n_pairs=10 if preset == "quick" else 50,
         total_transmissions=100 if preset == "quick" else 1000,
         strategy=strategy,
-        min_bandwidth=1.0,
-        max_bandwidth=10.0,
     )
     payload, overhead, lengths = [], [], []
     for r in run_replicates(cfg, n_seeds):
         # Rebuild the same bandwidth map the scenario used (same stream).
-        bw = BandwidthModel(
-            rng=RandomStreams(r.config.seed)["bandwidth"],
-            min_bandwidth=cfg.min_bandwidth,
-            max_bandwidth=cfg.max_bandwidth,
-        )
+        bw = BandwidthModel(rng=RandomStreams(r.config.seed)["bandwidth"])
         for log in r.series_logs:
             for path in log.paths[:3]:  # sample the first rounds per pair
                 stats = measure_path_latency(path, bw)

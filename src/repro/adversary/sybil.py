@@ -46,7 +46,7 @@ from repro.core.history import HistoryProfile
 from repro.core.protocol import ConnectionSeries, PathBuilder, TerminationPolicy
 from repro.core.routing import strategy_by_name
 from repro.network.overlay import Overlay
-from repro.network.probing import run_probe_round
+from repro.network.probing import PROBE_PERIOD, run_probe_round
 from repro.sim.rng import RandomStreams
 
 #: Supported colony strategies.
@@ -196,7 +196,7 @@ def run_sybil_experiment(
     n_pairs: int = 10,
     rounds: int = 15,
     warmup_probes: int = 6,
-    probe_period: float = 5.0,
+    probe_period: float = PROBE_PERIOD,
     flap_probability: float = 0.15,
     strategy_mode: str = "persist",
     whitewash_every: int = 5,

@@ -21,6 +21,9 @@ import numpy as np
 
 #: Paper default range for the forwarding benefit draw.
 PF_RANGE = (50.0, 100.0)
+#: Payload size ``b`` of one forwarding instance: the cost law
+#: ``C^t = b*l`` is in units of one payload.
+PAYLOAD_SIZE = 1.0
 #: Paper's sweep values for the routing/forwarding benefit ratio.
 TAU_VALUES = (0.5, 1.0, 2.0, 4.0)
 
@@ -41,7 +44,7 @@ class Contract:
 
     forwarding_benefit: float
     routing_benefit: float
-    payload_size: float = 1.0
+    payload_size: float = PAYLOAD_SIZE
 
     def __post_init__(self) -> None:
         if self.forwarding_benefit < 0:
@@ -60,7 +63,7 @@ class Contract:
 
     @classmethod
     def from_tau(
-        cls, forwarding_benefit: float, tau: float, payload_size: float = 1.0
+        cls, forwarding_benefit: float, tau: float, payload_size: float = PAYLOAD_SIZE
     ) -> "Contract":
         """Build a contract from ``P_f`` and the ratio ``tau``."""
         if tau < 0:
@@ -92,7 +95,7 @@ def draw_contract(
     rng: np.random.Generator,
     tau: float,
     pf_range: "tuple[float, float]" = PF_RANGE,
-    payload_size: float = 1.0,
+    payload_size: float = PAYLOAD_SIZE,
 ) -> Contract:
     """Draw ``P_f`` uniformly from ``pf_range`` (paper: [50, 100]) at ratio tau."""
     lo, hi = pf_range

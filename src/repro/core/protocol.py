@@ -54,6 +54,14 @@ from repro.sim.faults import FaultInjector, FaultPlan, RetryPolicy
 if TYPE_CHECKING:  # lazy: core stays loadable without the obs layer (ARCH001)
     from repro.obs.events import EventBus
 
+#: Hard cap on forwarders per path: a path still forwarding at this
+#: length is delivered to the responder.
+MAX_PATH_LENGTH = 30
+
+#: Forwarders per path under hop-distance termination (a scenario's
+#: ``termination="ttl"``).
+HOP_TTL = 3
+
 
 @dataclass(frozen=True)
 class TerminationPolicy:
@@ -130,7 +138,7 @@ class PathBuilder:
         default_factory=lambda: TerminationPolicy.crowds(0.66)
     )
     weights: QualityWeights = field(default_factory=QualityWeights)
-    max_path_length: int = 30
+    max_path_length: int = MAX_PATH_LENGTH
     max_attempts: int = 10
     #: Per-hop message-loss probability.  Thin compatibility alias for the
     #: unified injector: when no ``fault_injector`` is supplied, a nonzero

@@ -32,6 +32,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.contracts import PAYLOAD_SIZE
 from repro.experiments.config import (
     CapacityConfig,
     ExperimentConfig,
@@ -39,6 +40,8 @@ from repro.experiments.config import (
     SybilConfig,
 )
 from repro.experiments.scenario import ScenarioResult, run_scenario
+from repro.gametheory.stackelberg import PRICE_CEILING, PRICE_FLOOR, FollowerProfile
+from repro.network.bandwidth import expected_transmission_cost
 
 #: The four scenario families of the suite.
 FAMILIES = ("coalition", "sybil", "pricing", "capacity")
@@ -79,7 +82,7 @@ def family_config(
     else:  # capacity
         base.update(
             malicious_fraction=0.1,
-            capacity=CapacityConfig(distribution="pareto", pareto_alpha=1.5),
+            capacity=CapacityConfig(distribution="pareto"),
         )
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -223,13 +226,12 @@ def run_family(
         if eq is not None:
             invariants["followers_clear_reserve"] = all(
                 f.reserve_price < eq.pf
-                for f in _equilibrium_followers(config, result)
+                for f in _equilibrium_followers(result)
                 if f.node_id in eq.participants
             )
             invariants["follower_surplus_nonnegative"] = eq.follower_surplus >= 0
         invariants["price_in_band"] = all(
-            config.pricing.price_floor <= p <= config.pricing.price_ceiling
-            for _, p in result.pricing_trace
+            PRICE_FLOOR <= p <= PRICE_CEILING for _, p in result.pricing_trace
         )
     else:  # capacity
         caps = result.capacities or {}
@@ -246,18 +248,8 @@ def run_family(
     )
 
 
-def _equilibrium_followers(config: ExperimentConfig, result: ScenarioResult):
-    from repro.gametheory.stackelberg import (
-        FollowerProfile,
-        uniform_bandwidth_transmission_cost,
-    )
-
-    ct = (
-        uniform_bandwidth_transmission_cost(
-            config.unit_cost, 10.0, config.min_bandwidth, config.max_bandwidth
-        )
-        * config.payload_size
-    )
+def _equilibrium_followers(result: ScenarioResult):
+    ct = expected_transmission_cost(PAYLOAD_SIZE)
     for nid in sorted(result.good_node_ids | result.malicious_node_ids):
         node = result.overlay.nodes[nid]
         if not node.malicious:

@@ -5,6 +5,35 @@ message transmissions (≈ 20 rounds per pair), ``P_f`` drawn uniformly from
 [50, 100], ``tau ∈ {0.5, 1, 2, 4}``, ``w_s = w_a = 0.5``, Pareto session
 times with a 60-minute median, transmission cost proportional to link
 bandwidth, and a fraction ``f`` of adversarial (randomly routing) nodes.
+
+The config holds what a workload varies.  The model constants no
+workload varies live in the one module that uses them:
+
+- 5-minute probing period: ``repro.network.probing.PROBE_PERIOD``;
+- Pareto session shape 2 and no fresh arrivals: the defaults of
+  ``Pareto.with_median`` and ``ChurnModel.arrival_rate``;
+- the link cost law (bandwidth ``U[1, 10]``, unit cost on the
+  reference link): ``MIN_BANDWIDTH``, ``MAX_BANDWIDTH``,
+  ``REFERENCE_BANDWIDTH``, ``UNIT_COST`` and the Prop 3 expected cost
+  ``expected_transmission_cost`` in ``repro.network.bandwidth``;
+- payload size 1: ``repro.core.contracts.PAYLOAD_SIZE``;
+- 30-forwarder path cap and the 3-forwarder ``termination="ttl"``
+  length: ``MAX_PATH_LENGTH`` and ``HOP_TTL`` in ``repro.core.protocol``;
+- 5-minute recurring-round gap, the initiator's 12-period wait, the
+  initiators' endowment and the incentive-coupling cap:
+  ``INTER_ROUND_GAP``, ``INITIATOR_WAIT_ROUNDS``, ``ENDOWMENT`` and
+  ``INCENTIVE_COUPLING_CAP`` in ``repro.experiments.scenario``;
+- temporal-mode hop delays: ``TEMPORAL_PROPAGATION_DELAY`` and
+  ``TEMPORAL_PROCESSING_DELAY`` in ``repro.network.transport``;
+- RSA key size: ``repro.payment.bank.DEFAULT_KEY_BITS``;
+- retry backoff schedule: the ``repro.sim.faults.RetryPolicy`` defaults;
+- dynamic-pricing band ``[1, 500]``: ``PRICE_FLOOR`` and
+  ``PRICE_CEILING`` in ``repro.gametheory.stackelberg``; the
+  tatonnement's step, window and start price: ``MarketPriceProcess``'s
+  defaults;
+- capacity couplings: ``AVAILABILITY_COUPLING`` and ``COST_COUPLING`` in
+  ``repro.network.capacity``; the Pareto shape and the class mix: the
+  defaults of ``draw_capacities``.
 """
 
 from __future__ import annotations
@@ -15,7 +44,7 @@ from typing import Optional, Tuple
 from repro.adversary.sybil import SYBIL_STRATEGIES
 from repro.core.contracts import PF_RANGE
 from repro.core.edge_quality import QualityWeights
-from repro.network.capacity import CAPACITY_DISTRIBUTIONS, DEFAULT_CLASSES
+from repro.network.capacity import CAPACITY_DISTRIBUTIONS
 from repro.obs import ObsConfig
 from repro.sim.faults import FaultPlan, RetryPolicy
 
@@ -46,12 +75,9 @@ class FaultConfig:
     probe_timeout: float = 0.0
     #: (start, end) windows during which the bank refuses all operations.
     bank_outages: Tuple[Tuple[float, float], ...] = ()
-    # --- recovery (capped exponential backoff, deterministic jitter)
+    # --- recovery (capped exponential backoff, deterministic jitter;
+    # the schedule itself is :class:`RetryPolicy`'s)
     max_retries: int = 3
-    backoff_base: float = 0.5
-    backoff_multiplier: float = 2.0
-    backoff_max: float = 60.0
-    backoff_jitter: float = 0.1
 
     def __post_init__(self):
         # Delegate validation to the canonical fault/retry types.
@@ -100,13 +126,7 @@ class FaultConfig:
 
     def retry_policy(self) -> RetryPolicy:
         """Compile the recovery side to a :class:`RetryPolicy`."""
-        return RetryPolicy(
-            max_retries=self.max_retries,
-            base_delay=self.backoff_base,
-            multiplier=self.backoff_multiplier,
-            max_delay=self.backoff_max,
-            jitter=self.backoff_jitter,
-        )
+        return RetryPolicy(max_retries=self.max_retries)
 
 
 @dataclass(frozen=True)
@@ -114,26 +134,27 @@ class ChurnConfig:
     """Churn knobs (see :class:`repro.network.churn.ChurnModel`)."""
 
     enabled: bool = True
+    #: Median of the Pareto session time (shape 2, the
+    #: :meth:`~repro.sim.distributions.Pareto.with_median` default).
     session_median: float = 60.0
-    session_shape: float = 2.0
     offtime_mean: float = 30.0
     depart_prob: float = 0.05
-    arrival_rate: float = 0.0
     #: Strength of the incentive->availability feedback: a node's next
     #: session is scaled by ``1 + coupling * min(own earnings / mean
-    #: earnings, cap)``.  0 = exogenous churn (earnings don't affect
-    #: uptime); this is the §1 mechanism that incentives "induce peers to
-    #: provide reliable service".
+    #: earnings, cap)``, the cap being
+    #: :data:`repro.experiments.scenario.INCENTIVE_COUPLING_CAP`.
+    #: 0 = exogenous churn (earnings don't affect uptime); this is the §1
+    #: mechanism that incentives "induce peers to provide reliable
+    #: service".
     incentive_coupling: float = 0.0
-    incentive_coupling_cap: float = 4.0
 
     def __post_init__(self):
-        if self.session_median <= 0 or self.session_shape <= 0:
-            raise ValueError("session distribution parameters must be positive")
+        if self.session_median <= 0:
+            raise ValueError("session_median must be positive")
         if self.offtime_mean <= 0:
             raise ValueError("offtime_mean must be positive")
-        if self.incentive_coupling < 0 or self.incentive_coupling_cap <= 0:
-            raise ValueError("incentive coupling parameters must be non-negative")
+        if self.incentive_coupling < 0:
+            raise ValueError("incentive_coupling must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -146,8 +167,11 @@ class PricingConfig:
     and posts the equilibrium ``P_f`` for its whole series — replacing
     the paper's exogenous ``U[50, 100]`` draw.  ``mode="market"``: every
     series prices each round from a shared tatonnement that reacts to
-    observed round failures.  Both modes are deterministic (the
-    Stackelberg solve is closed-form on the reserve grid; the market
+    observed round failures (with :class:`MarketPriceProcess`'s own
+    defaults).  Both modes keep the price in the band
+    ``[PRICE_FLOOR, PRICE_CEILING]`` of
+    :mod:`repro.gametheory.stackelberg`.  Both modes are deterministic
+    (the Stackelberg solve is closed-form on the reserve grid; the market
     process draws no RNG).
     """
 
@@ -155,42 +179,28 @@ class PricingConfig:
     # --- stackelberg (leader side)
     #: Leader's value of anonymity ``V`` in ``V * log2(1 + n)``.
     value_of_anonymity: float = 400.0
-    # --- market (tatonnement)
-    initial_price: float = 75.0
-    adjust_rate: float = 0.25
-    window: int = 8
-    #: Price band enforced in both modes.
-    price_floor: float = 1.0
-    price_ceiling: float = 500.0
 
     def __post_init__(self):
         if self.mode not in ("stackelberg", "market"):
             raise ValueError(f"unknown pricing mode {self.mode!r}")
-        if self.value_of_anonymity < 0 or self.adjust_rate < 0:
-            raise ValueError("value_of_anonymity and adjust_rate must be >= 0")
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
-        if not self.price_floor <= self.initial_price <= self.price_ceiling:
-            raise ValueError(
-                f"initial_price {self.initial_price} outside "
-                f"[{self.price_floor}, {self.price_ceiling}]"
-            )
+        if self.value_of_anonymity < 0:
+            raise ValueError("value_of_anonymity must be >= 0")
 
 
 @dataclass(frozen=True)
 class CapacityConfig:
-    """Heterogeneous node capacities (see :mod:`repro.network.capacity`)."""
+    """Heterogeneous node capacities (see :mod:`repro.network.capacity`).
+
+    The drawn capacities feed all three couplings: session durations
+    scale as ``cap ** AVAILABILITY_COUPLING``, participation cost as
+    ``cap ** -COST_COUPLING`` (both constants of
+    :mod:`repro.network.capacity`), and link bandwidth by
+    ``min(cap_a, cap_b)``.  The ``pareto`` shape and the ``classes`` mix
+    are :func:`~repro.network.capacity.draw_capacities`' defaults.
+    """
 
     distribution: str = "uniform"  # 'uniform' | 'pareto' | 'classes'
     spread: float = 0.6
-    pareto_alpha: float = 1.5
-    classes: Tuple[Tuple[float, float], ...] = DEFAULT_CLASSES
-    #: Session durations scale as ``cap ** availability_coupling``.
-    availability_coupling: float = 1.0
-    #: Participation cost scales as ``cap ** -cost_coupling``.
-    cost_coupling: float = 1.0
-    #: Scale link bandwidth by ``min(cap_a, cap_b)``.
-    bandwidth_coupling: bool = True
 
     def __post_init__(self):
         if self.distribution not in CAPACITY_DISTRIBUTIONS:
@@ -200,10 +210,6 @@ class CapacityConfig:
             )
         if not 0 <= self.spread < 1:
             raise ValueError(f"spread must be in [0, 1), got {self.spread}")
-        if self.pareto_alpha <= 0:
-            raise ValueError(f"pareto_alpha must be > 0, got {self.pareto_alpha}")
-        if self.availability_coupling < 0 or self.cost_coupling < 0:
-            raise ValueError("capacity couplings must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -253,11 +259,6 @@ class ExperimentConfig:
     # --- workload
     n_pairs: int = 100
     total_transmissions: int = 2000
-    #: Minutes between a pair's recurring rounds.  The paper does not
-    #: state its inter-round timing; 5 minutes (HTTP-style recurring
-    #: traffic) against 60-minute median sessions reproduces the paper's
-    #: clear figure-5 separation between utility and random routing.
-    inter_round_gap: float = 5.0
     # --- incentive mechanism
     strategy: str = "utility-I"  # 'random' | 'utility-I' | 'utility-II'
     #: Adversary routing behaviour: 'random' (the paper's model — an
@@ -278,8 +279,6 @@ class ExperimentConfig:
     # --- forwarding
     forward_probability: float = 0.7  # Crowds p_f
     termination: str = "crowds"  # 'crowds' | 'ttl'
-    ttl: int = 3
-    max_path_length: int = 30
     max_attempts: int = 10
     #: Per-hop message-loss probability (failure injection; a lost hop
     #: forces a path reformation).
@@ -292,22 +291,12 @@ class ExperimentConfig:
     #: sampling the true online set) or 'gossip' (Cyclon-style partial
     #: views, fully decentralised; see repro.network.gossip).
     discovery: str = "oracle"
-    probe_period: float = 5.0
-    min_bandwidth: float = 1.0
-    max_bandwidth: float = 10.0
-    unit_cost: float = 1.0
-    payload_size: float = 1.0
     churn: ChurnConfig = field(default_factory=ChurnConfig)
-    #: Endpoints churn like every other node: with 100 pairs over 40
-    #: nodes nearly every node is an endpoint.  A round whose initiator
-    #: is offline waits for it to rejoin, for at most this many probe
-    #: periods; then the round fails.
-    initiator_wait_rounds: int = 12
     # --- defences (repro.core.defenses)
     #: Pin each initiator's first hop to a guard node.
     use_guards: bool = False
     #: Rotate wire connection identifiers every this many rounds
-    #: (0 disables rotation).
+    #: (0 disables rotation; negative is rejected).
     cid_rotation_epoch: int = 0
     #: Run the §2.2 cryptographic reverse-path confirmation on every
     #: completed round (sealed hop records + initiator-side validation;
@@ -317,14 +306,8 @@ class ExperimentConfig:
     #: message-level transport (link contention, per-hop latency); round
     #: latencies are collected in ``ScenarioResult.round_latencies``.
     temporal_forwarding: bool = False
-    #: Fixed per-hop propagation / per-node processing delays (minutes)
-    #: used in temporal mode.
-    propagation_delay: float = 0.005
-    processing_delay: float = 0.002
     # --- payment
     use_bank: bool = True
-    endowment: float = 1_000_000.0
-    bank_key_bits: int = 128
     # --- chaos (repro.sim.faults)
     #: Unified fault injection + retry/backoff recovery.  None (or an
     #: all-zero :class:`FaultConfig`) leaves the run bit-identical to a
@@ -411,8 +394,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown termination {self.termination!r}")
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.inter_round_gap <= 0 or self.probe_period <= 0:
-            raise ValueError("time parameters must be positive")
+        if self.cid_rotation_epoch < 0:
+            raise ValueError(
+                f"cid_rotation_epoch must be >= 0, got {self.cid_rotation_epoch}"
+            )
         from repro.network.topology import TOPOLOGIES
 
         if self.topology not in TOPOLOGIES:

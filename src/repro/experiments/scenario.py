@@ -23,27 +23,55 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.core.contracts import Contract, draw_contract
+from repro.core.contracts import PAYLOAD_SIZE, Contract, draw_contract
 from repro.core.costs import CostModel
 from repro.core.history import HistoryProfile
 from repro.core.metrics import ConnectionSeriesStats
 from repro.core.path import SeriesLog
-from repro.core.protocol import ConnectionSeries, HopEvent, PathBuilder, TerminationPolicy
+from repro.core.protocol import (
+    HOP_TTL,
+    MAX_PATH_LENGTH,
+    ConnectionSeries,
+    HopEvent,
+    PathBuilder,
+    TerminationPolicy,
+)
 from repro.core.routing import RandomRouting, strategy_by_name
 from repro.experiments.config import ExperimentConfig
 from repro.network.bandwidth import BandwidthModel
 from repro.network.churn import ChurnModel, node_lifecycle
 from repro.network.node import NodeState
 from repro.network.overlay import Overlay
-from repro.network.probing import ActiveProber
+from repro.network.probing import PROBE_PERIOD, ActiveProber
 from repro.obs import MetricsRegistry, Observability, RunTrace
 from repro.obs.tracing import NULL_TRACER
-from repro.payment.bank import Bank
+from repro.payment.bank import DEFAULT_KEY_BITS, Bank
 from repro.payment.escrow import SeriesEscrow
 from repro.sim.distributions import Exponential, Pareto
 from repro.sim.engine import Environment
 from repro.sim.faults import BankUnavailable, FaultInjector, RetryPolicy
 from repro.sim.rng import RandomStreams
+
+#: Minutes between a pair's recurring rounds.  The paper does not state
+#: its inter-round timing; 5 minutes (HTTP-style recurring traffic)
+#: against 60-minute median sessions reproduces the paper's clear
+#: figure-5 separation between utility and random routing.
+INTER_ROUND_GAP = 5.0
+
+#: Endpoints churn like every other node: with 100 pairs over 40 nodes
+#: nearly every node is an endpoint.  A round whose initiator is offline
+#: waits for it to rejoin, for at most this many probe periods; then the
+#: round fails.
+INITIATOR_WAIT_ROUNDS = 12
+
+#: Working capital the bank mints across the initiators; each one gets
+#: at least its worst-case series outlay on top.
+ENDOWMENT = 1_000_000.0
+
+#: Cap on ``own earnings / mean earnings`` in the incentive->availability
+#: feedback (``ChurnConfig.incentive_coupling``), so one big earner's
+#: sessions stay bounded.
+INCENTIVE_COUPLING_CAP = 4.0
 
 
 @dataclass
@@ -409,6 +437,8 @@ def run_scenario(config: ExperimentConfig) -> ScenarioResult:
     capacity_profile = None
     if config.capacity is not None:
         from repro.network.capacity import (
+            AVAILABILITY_COUPLING,
+            COST_COUPLING,
             CapacityProfile,
             apply_participation_costs,
             draw_capacities,
@@ -420,26 +450,18 @@ def run_scenario(config: ExperimentConfig) -> ScenarioResult:
                 streams["capacity"],
                 distribution=config.capacity.distribution,
                 spread=config.capacity.spread,
-                pareto_alpha=config.capacity.pareto_alpha,
-                classes=config.capacity.classes,
             ),
-            availability_coupling=config.capacity.availability_coupling,
-            cost_coupling=config.capacity.cost_coupling,
+            availability_coupling=AVAILABILITY_COUPLING,
+            cost_coupling=COST_COUPLING,
         )
-        if config.capacity.cost_coupling > 0:
-            apply_participation_costs(
-                overlay.nodes, capacity_profile, config.participation_cost
-            )
+        apply_participation_costs(
+            overlay.nodes, capacity_profile, config.participation_cost
+        )
 
     bandwidth = BandwidthModel(
         rng=streams["bandwidth"],
-        min_bandwidth=config.min_bandwidth,
-        max_bandwidth=config.max_bandwidth,
-        unit_cost=config.unit_cost,
         node_capacity=(
-            capacity_profile.capacities
-            if capacity_profile is not None and config.capacity.bandwidth_coupling
-            else None
+            capacity_profile.capacities if capacity_profile is not None else None
         ),
     )
     cost_model = CostModel(bandwidth=bandwidth)
@@ -534,17 +556,14 @@ def run_scenario(config: ExperimentConfig) -> ScenarioResult:
         ]
         positive = [v for v in totals if v > 0]
         mean = sum(positive) / len(positive)
-        ratio = min(own / mean, config.churn.incentive_coupling_cap)
+        ratio = min(own / mean, INCENTIVE_COUPLING_CAP)
         return 1.0 + config.churn.incentive_coupling * ratio
 
     if config.churn.enabled:
         churn_model = ChurnModel(
-            session=Pareto.with_median(
-                config.churn.session_median, shape=config.churn.session_shape
-            ),
+            session=Pareto.with_median(config.churn.session_median),
             offtime=Exponential(mean=config.churn.offtime_mean),
             depart_prob=config.churn.depart_prob,
-            arrival_rate=config.churn.arrival_rate,
         )
         churn_rng = streams["churn"]
         scale = (
@@ -552,7 +571,7 @@ def run_scenario(config: ExperimentConfig) -> ScenarioResult:
             if config.churn.incentive_coupling > 0
             else None
         )
-        if capacity_profile is not None and config.capacity.availability_coupling > 0:
+        if capacity_profile is not None:
             # Capable nodes sustain longer sessions; composes with the
             # incentive feedback when both are active.
             if scale is None:
@@ -588,7 +607,7 @@ def run_scenario(config: ExperimentConfig) -> ScenarioResult:
         on_period = gossip.run_round
     prober = ActiveProber(
         overlay=overlay,
-        period=config.probe_period,
+        period=PROBE_PERIOD,
         rng=streams["probe"],
         discovery=discovery,
         on_period=on_period,
@@ -607,7 +626,7 @@ def run_scenario(config: ExperimentConfig) -> ScenarioResult:
 
     def on_hop(event: HopEvent) -> None:
         c = cost_model.transmission_cost(
-            event.sender, event.receiver, config.payload_size
+            event.sender, event.receiver, PAYLOAD_SIZE
         )
         transmission_costs[event.sender] = (
             transmission_costs.get(event.sender, 0.0) + c
@@ -634,7 +653,7 @@ def run_scenario(config: ExperimentConfig) -> ScenarioResult:
     if config.termination == "crowds":
         termination = TerminationPolicy.crowds(config.forward_probability)
     else:
-        termination = TerminationPolicy.hop_ttl(config.ttl)
+        termination = TerminationPolicy.hop_ttl(HOP_TTL)
     strategy_kwargs = {"lookahead": config.lookahead} if config.strategy == "utility-II" else {}
     guard_registry = None
     if config.use_guards:
@@ -654,7 +673,6 @@ def run_scenario(config: ExperimentConfig) -> ScenarioResult:
         adversary_strategy=adversary_strategy,
         termination=termination,
         weights=config.weights,
-        max_path_length=config.max_path_length,
         max_attempts=config.max_attempts,
         loss_probability=config.loss_probability,
         fault_injector=injector,
@@ -672,7 +690,6 @@ def run_scenario(config: ExperimentConfig) -> ScenarioResult:
         bank = Bank(
             rng=streams["bank"],
             denominations=tuple(2**k for k in range(17)),
-            key_bits=config.bank_key_bits,
             bus=bus,
         )
         if injector is not None:
@@ -693,15 +710,17 @@ def run_scenario(config: ExperimentConfig) -> ScenarioResult:
         # pricing can clear above pf_range, so cap at the price ceiling.
         pf_cap = config.pf_range[1]
         if config.pricing is not None:
-            pf_cap = max(pf_cap, config.pricing.price_ceiling)
+            from repro.gametheory.stackelberg import PRICE_CEILING
+
+            pf_cap = max(pf_cap, PRICE_CEILING)
         worst_case_series = (
             config.rounds_per_pair
-            * config.max_path_length
+            * MAX_PATH_LENGTH
             * pf_cap
             * 1.1
             + config.tau * pf_cap
         )
-        per_pair = max(config.endowment / max(1, len(pairs)), worst_case_series)
+        per_pair = max(ENDOWMENT / max(1, len(pairs)), worst_case_series)
         for i, _r in pairs:
             bank.ledger.mint(i, per_pair)
 
@@ -747,13 +766,17 @@ def run_scenario(config: ExperimentConfig) -> ScenarioResult:
     round_latencies: List[Tuple[float, float]] = []
     transport = None
     if config.temporal_forwarding:
-        from repro.network.transport import TransportNetwork
+        from repro.network.transport import (
+            TEMPORAL_PROCESSING_DELAY,
+            TEMPORAL_PROPAGATION_DELAY,
+            TransportNetwork,
+        )
 
         transport = TransportNetwork(
             env=env,
             bandwidth=bandwidth,
-            propagation_delay=config.propagation_delay,
-            processing_delay=config.processing_delay,
+            propagation_delay=TEMPORAL_PROPAGATION_DELAY,
+            processing_delay=TEMPORAL_PROCESSING_DELAY,
             fault_injector=injector,
         )
     validation_counts = {"ok": 0, "bad": 0}
@@ -765,7 +788,7 @@ def run_scenario(config: ExperimentConfig) -> ScenarioResult:
         # confirmation unlinkable to the initiator's identity).
         for cid in range(1, len(pairs) + 1):
             ephemeral_keys[cid] = RSAKeyPair.generate(
-                streams["ephemeral"], bits=config.bank_key_bits
+                streams["ephemeral"], bits=DEFAULT_KEY_BITS
             )
 
     def _validate_route(path) -> None:
@@ -793,25 +816,19 @@ def run_scenario(config: ExperimentConfig) -> ScenarioResult:
     pricing_pf: Optional[float] = None
     if config.pricing is not None:
         from repro.gametheory.stackelberg import (
+            PRICE_CEILING,
+            PRICE_FLOOR,
             FollowerProfile,
             MarketPriceProcess,
             StackelbergPricingGame,
-            uniform_bandwidth_transmission_cost,
         )
+        from repro.network.bandwidth import expected_transmission_cost
 
         if config.pricing.mode == "stackelberg":
             # Followers are the good nodes; reserve price = Prop 3
             # threshold with the (capacity-adjusted) participation cost
             # and the analytic expected transmission cost.
-            expected_ct = (
-                uniform_bandwidth_transmission_cost(
-                    config.unit_cost,
-                    bandwidth.reference_bandwidth,
-                    config.min_bandwidth,
-                    config.max_bandwidth,
-                )
-                * config.payload_size
-            )
+            expected_ct = expected_transmission_cost(PAYLOAD_SIZE)
             followers = tuple(
                 FollowerProfile(
                     node_id=nid,
@@ -821,37 +838,24 @@ def run_scenario(config: ExperimentConfig) -> ScenarioResult:
                 for nid in sorted(overlay.nodes)
                 if not overlay.nodes[nid].malicious
             )
-            avg_len = (
-                1.0 / (1.0 - config.forward_probability)
-                if config.termination == "crowds"
-                else float(config.ttl)
-            )
             stackelberg_eq = StackelbergPricingGame(
                 followers=followers,
                 value_of_anonymity=config.pricing.value_of_anonymity,
                 rounds=rounds,
-                avg_path_length=avg_len,
+                avg_path_length=termination.expected_length(),
                 tau=config.tau,
-                price_floor=config.pricing.price_floor,
-                price_ceiling=config.pricing.price_ceiling,
+                price_floor=PRICE_FLOOR,
+                price_ceiling=PRICE_CEILING,
             ).solve()
             pricing_pf = stackelberg_eq.pf
         else:
-            market = MarketPriceProcess(
-                initial_price=config.pricing.initial_price,
-                adjust_rate=config.pricing.adjust_rate,
-                window=config.pricing.window,
-                floor=config.pricing.price_floor,
-                ceiling=config.pricing.price_ceiling,
-            )
+            market = MarketPriceProcess()
 
     def pair_process(cid: int, initiator: int, responder: int, contract: Contract):
         if contract is None:
             # Market mode: price the series at the tatonnement's current
             # quote when the series starts.
-            contract = Contract.from_tau(
-                market.price, config.tau, payload_size=config.payload_size
-            )
+            contract = Contract.from_tau(market.price, config.tau)
             contracts_by_cid[cid] = contract
         rotator = None
         if config.cid_rotation_epoch > 0:
@@ -868,16 +872,16 @@ def run_scenario(config: ExperimentConfig) -> ScenarioResult:
         )
         all_series.append(series)
         # Stagger starts so pairs interleave with churn.
-        yield env.timeout(float(round_rng.uniform(0.0, config.inter_round_gap)))
+        yield env.timeout(float(round_rng.uniform(0.0, INTER_ROUND_GAP)))
         for _ in range(rounds):
             # The initiator only issues its recurring request while online:
             # wait (bounded) for it to rejoin if churn took it away.
             waited = 0
             while (
                 not overlay.is_online(initiator)
-                and waited < config.initiator_wait_rounds
+                and waited < INITIATOR_WAIT_ROUNDS
             ):
-                yield env.timeout(config.probe_period)
+                yield env.timeout(PROBE_PERIOD)
                 waited += 1
             round_times.setdefault(cid, []).append(env.now)
             path = series.run_round()
@@ -899,11 +903,7 @@ def run_scenario(config: ExperimentConfig) -> ScenarioResult:
             if path is not None and config.validate_routes:
                 _validate_route(path)
             if path is not None and transport is not None:
-                latencies = yield env.process(
-                    transport.send_along_path(
-                        path, payload_size=config.payload_size
-                    )
-                )
+                latencies = yield env.process(transport.send_along_path(path))
                 if latencies is None:
                     # Injected transport drop: the round's messages died
                     # in flight (the path itself still settles — forwarders
@@ -911,7 +911,7 @@ def run_scenario(config: ExperimentConfig) -> ScenarioResult:
                     injector.stats.rounds_dropped += 1
                 else:
                     round_latencies.append(latencies)
-            gap = config.inter_round_gap * float(0.5 + round_rng.random())
+            gap = INTER_ROUND_GAP * float(0.5 + round_rng.random())
             yield env.timeout(gap)
         yield from _settle_with_retry(series, initiator)
         pairs_done.append(cid)
@@ -994,15 +994,10 @@ def run_scenario(config: ExperimentConfig) -> ScenarioResult:
     for cid, (i, r) in enumerate(pairs, start=1):
         if config.pricing is None:
             contract = draw_contract(
-                contract_rng,
-                tau=config.tau,
-                pf_range=config.pf_range,
-                payload_size=config.payload_size,
+                contract_rng, tau=config.tau, pf_range=config.pf_range
             )
         elif pricing_pf is not None:
-            contract = Contract.from_tau(
-                pricing_pf, config.tau, payload_size=config.payload_size
-            )
+            contract = Contract.from_tau(pricing_pf, config.tau)
         else:
             contract = None  # market mode: priced lazily in pair_process
         if contract is not None:
@@ -1016,7 +1011,7 @@ def run_scenario(config: ExperimentConfig) -> ScenarioResult:
     # infinite; stop when every series has attempted all rounds).
     t_sim0 = time.perf_counter()  # repro: noqa-DET005 (informational wall timing; never feeds results)
     _sim_span = tracer.span("scenario.simulate").__enter__()
-    horizon = config.inter_round_gap * (rounds + 2) * 2.0
+    horizon = INTER_ROUND_GAP * (rounds + 2) * 2.0
     try:
         while True:
             env.run(until=env.now + horizon)

@@ -9,8 +9,8 @@ product in a fixed order and resolves every point into a full
 
 Job identity is *content-addressed*: :func:`job_id_for` hashes the
 canonical JSON of the fully resolved config (every field, including the
-defaults the spec never mentioned) plus the code-relevant environment.
-Two consequences the fleet runner relies on:
+defaults the spec never mentioned).  Two consequences the fleet runner
+relies on:
 
 - the id is independent of axis declaration order, axis value order,
   and ``PYTHONHASHSEED`` (canonical JSON sorts keys; nothing iterates a
@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from itertools import product
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.experiments.config import (
     CapacityConfig,
@@ -44,7 +44,7 @@ from repro.obs import ObsConfig
 
 #: Stamp hashed into every job id; bump to invalidate all stored jobs
 #: after a semantics-changing schema revision.
-JOB_SCHEMA = "repro-fleet/job-v1"
+JOB_SCHEMA = "repro-fleet/job-v2"
 
 #: Scenario families: named config-override bundles for the adversarial
 #: & economic suite, usable as a sweep dimension (``families = [...]``).
@@ -69,7 +69,6 @@ _NESTED_CONFIGS = {
 _TUPLE_FIELDS = {
     ExperimentConfig: ("pf_range",),
     FaultConfig: ("bank_outages",),
-    CapacityConfig: ("classes",),
 }
 
 
@@ -83,52 +82,46 @@ def config_to_dict(config: ExperimentConfig) -> Dict[str, object]:
     return json.loads(json.dumps(asdict(config)))
 
 
+def _check_fields(cls, values: Mapping[str, object]) -> None:
+    """Reject keys that are not fields of ``cls``, naming them: specs are
+    outside input, and a misspelled or retired knob must not surface as
+    a constructor ``TypeError``."""
+    unknown = sorted(set(values) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} fields {unknown}")
+
+
 def _nested_from_dict(cls, value: Mapping[str, object]):
-    fields = dict(value)
+    _check_fields(cls, value)
+    kwargs = dict(value)
     for name in _TUPLE_FIELDS.get(cls, ()):
-        if name in fields and fields[name] is not None:
-            fields[name] = tuple(
+        if name in kwargs and kwargs[name] is not None:
+            kwargs[name] = tuple(
                 tuple(item) if isinstance(item, list) else item
-                for item in fields[name]
+                for item in kwargs[name]
             )
-    return cls(**fields)
+    return cls(**kwargs)
 
 
 def config_from_dict(data: Mapping[str, object]) -> ExperimentConfig:
     """Rebuild an :class:`ExperimentConfig` from :func:`config_to_dict`
-    output (or any partial override dict in the same shape)."""
-    fields = dict(data)
+    output (or any partial override dict in the same shape).  Raises
+    ``ValueError`` naming any key that is not a config field."""
+    _check_fields(ExperimentConfig, data)
+    kwargs = dict(data)
     for name, cls in _NESTED_CONFIGS.items():
-        value = fields.get(name)
+        value = kwargs.get(name)
         if isinstance(value, Mapping):
-            fields[name] = _nested_from_dict(cls, value)
+            kwargs[name] = _nested_from_dict(cls, value)
     for name in _TUPLE_FIELDS[ExperimentConfig]:
-        if name in fields and isinstance(fields[name], list):
-            fields[name] = tuple(fields[name])
-    return ExperimentConfig(**fields)
+        if name in kwargs and isinstance(kwargs[name], list):
+            kwargs[name] = tuple(kwargs[name])
+    return ExperimentConfig(**kwargs)
 
 
-def code_relevant_env() -> Dict[str, str]:
-    """Environment facts that change results and are not already fields
-    of the resolved config.
-
-    Currently empty by construction: the one result-relevant variable,
-    ``REPRO_BACKEND``, is resolved into ``config.backend`` at expansion
-    time, precisely so the job id does not depend on ambient state at
-    *run* time.  The hook stays so future knobs have one obvious home.
-    """
-    return {}
-
-
-def job_id_for(
-    config: ExperimentConfig, env: Optional[Mapping[str, str]] = None
-) -> str:
-    """Content-addressed job id: hash of resolved config + environment."""
-    payload = {
-        "schema": JOB_SCHEMA,
-        "config": config_to_dict(config),
-        "env": dict(env if env is not None else code_relevant_env()),
-    }
+def job_id_for(config: ExperimentConfig) -> str:
+    """Content-addressed job id: hash of the resolved config."""
+    payload = {"schema": JOB_SCHEMA, "config": config_to_dict(config)}
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 

@@ -33,6 +33,11 @@ from typing import List, Optional, Sequence, Tuple
 #: Tie-break / strict-inequality margin above a follower's reserve price.
 RESERVE_EPSILON = 1e-9
 
+#: The band a scenario's dynamic pricing keeps ``P_f`` in, in both modes
+#: (the Stackelberg solve and the market tatonnement).
+PRICE_FLOOR = 1.0
+PRICE_CEILING = 500.0
+
 
 # ------------------------------------------------------------ followers
 @dataclass(frozen=True)
@@ -196,8 +201,8 @@ class MarketPriceProcess:
     initial_price: float = 75.0
     adjust_rate: float = 0.25
     window: int = 8
-    floor: float = 1.0
-    ceiling: float = 500.0
+    floor: float = PRICE_FLOOR
+    ceiling: float = PRICE_CEILING
     price: float = field(init=False)
     adjustments: int = field(init=False, default=0)
     _outcomes: List[bool] = field(init=False, default_factory=list, repr=False)
@@ -236,6 +241,8 @@ class MarketPriceProcess:
 
 __all__ = [
     "RESERVE_EPSILON",
+    "PRICE_FLOOR",
+    "PRICE_CEILING",
     "FollowerProfile",
     "follower_best_response",
     "StackelbergEquilibrium",

@@ -23,8 +23,31 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 
+#: The scenario's link law: bandwidth ``U[MIN_BANDWIDTH, MAX_BANDWIDTH]``,
+#: per-unit cost ``UNIT_COST`` on a ``REFERENCE_BANDWIDTH`` link (so the
+#: fastest links cost ``UNIT_COST`` and the slowest ten times more).
+MIN_BANDWIDTH = 1.0
+MAX_BANDWIDTH = 10.0
+REFERENCE_BANDWIDTH = 10.0
+UNIT_COST = 1.0
+
+
 def _pair(a: int, b: int) -> Tuple[int, int]:
     return (a, b) if a <= b else (b, a)
+
+
+def expected_transmission_cost(payload_size: float) -> float:
+    """Expected ``C^t`` of sending ``payload_size`` units over one link of
+    the default law: Proposition 3's transmission-cost term for a
+    follower that does not yet know its next hop."""
+    from repro.gametheory.stackelberg import uniform_bandwidth_transmission_cost
+
+    return (
+        uniform_bandwidth_transmission_cost(
+            UNIT_COST, REFERENCE_BANDWIDTH, MIN_BANDWIDTH, MAX_BANDWIDTH
+        )
+        * payload_size
+    )
 
 
 @dataclass
@@ -53,10 +76,10 @@ class BandwidthModel:
     """
 
     rng: np.random.Generator
-    min_bandwidth: float = 1.0
-    max_bandwidth: float = 10.0
-    reference_bandwidth: float = 10.0
-    unit_cost: float = 1.0
+    min_bandwidth: float = MIN_BANDWIDTH
+    max_bandwidth: float = MAX_BANDWIDTH
+    reference_bandwidth: float = REFERENCE_BANDWIDTH
+    unit_cost: float = UNIT_COST
     node_capacity: Optional[Dict[int, float]] = None
     _links: Dict[Tuple[int, int], float] = field(default_factory=dict, repr=False)
 

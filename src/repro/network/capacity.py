@@ -30,6 +30,13 @@ import numpy as np
 #: Supported capacity distributions.
 CAPACITY_DISTRIBUTIONS = ("uniform", "pareto", "classes")
 
+#: Coupling strengths a scenario applies (``ExperimentConfig.capacity``):
+#: session times scale linearly with capacity and participation cost
+#: inversely, so a node twice as capable stays twice as long and
+#: forwards at half the cost.
+AVAILABILITY_COUPLING = 1.0
+COST_COUPLING = 1.0
+
 #: Default capacity classes: (relative capacity, weight) — a stylised
 #: dialup / broadband / server mix.
 DEFAULT_CLASSES: Tuple[Tuple[float, float], ...] = (

@@ -23,6 +23,10 @@ from repro.obs.tracing import NULL_TRACER
 from repro.sim.engine import Environment
 from repro.sim.faults import FaultInjector, RetryPolicy
 
+#: Probing period ``T`` in minutes (§3: peers probe their neighbours
+#: every 5 minutes).
+PROBE_PERIOD = 5.0
+
 
 def _probe_alive(
     injector: "Optional[FaultInjector]",

@@ -28,6 +28,11 @@ from repro.sim.engine import Environment
 from repro.sim.faults import FaultInjector
 from repro.sim.resources import Resource, Store
 
+#: Per-hop propagation and per-node processing delays (minutes) of a
+#: scenario's temporal mode (``ExperimentConfig.temporal_forwarding``).
+TEMPORAL_PROPAGATION_DELAY = 0.005
+TEMPORAL_PROCESSING_DELAY = 0.002
+
 
 class MessageKind(enum.Enum):
     CONTRACT_OFFER = "contract-offer"

@@ -30,6 +30,10 @@ from repro.sim.faults import BankUnavailable
 #: paper's experiments (P_f <= 100, ~20 rounds, path length ~4).
 DEFAULT_DENOMINATIONS: Tuple[int, ...] = tuple(2**k for k in range(15))
 
+#: RSA modulus size of the bank's denomination keys (and, in a scenario,
+#: of each series' ephemeral confirmation key).
+DEFAULT_KEY_BITS = 128
+
 
 class DepositError(Exception):
     """A token deposit was rejected (forged, double-spent, unknown value)."""
@@ -88,7 +92,7 @@ class Bank:
 
     rng: np.random.Generator
     denominations: Sequence[int] = DEFAULT_DENOMINATIONS
-    key_bits: int = 128
+    key_bits: int = DEFAULT_KEY_BITS
     #: Optional availability oracle (fault injection): when it returns
     #: False, every value-moving operation raises
     #: :class:`~repro.sim.faults.BankUnavailable` *before* touching any

@@ -50,10 +50,10 @@ def test_validation_errors():
         ExperimentConfig(termination="never")
     with pytest.raises(ValueError):
         ExperimentConfig(n_pairs=10, total_transmissions=5)
-    with pytest.raises(ValueError):
-        ExperimentConfig(inter_round_gap=0.0)
     with pytest.raises(ValueError, match="max_attempts"):
         ExperimentConfig(max_attempts=0)
+    with pytest.raises(ValueError, match="cid_rotation_epoch"):
+        ExperimentConfig(cid_rotation_epoch=-1)
 
 
 def test_churn_config_validation():

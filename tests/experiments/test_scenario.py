@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.protocol import HOP_TTL
 from repro.experiments.config import SMALL_CONFIG
 from repro.experiments.scenario import run_scenario
 
@@ -78,12 +79,10 @@ def test_no_churn_mode():
 
 
 def test_ttl_termination_mode():
-    r = run_scenario(
-        SMALL_CONFIG.with_overrides(seed=5, termination="ttl", ttl=3)
-    )
+    r = run_scenario(SMALL_CONFIG.with_overrides(seed=5, termination="ttl"))
     for log in r.series_logs:
         for p in log.paths:
-            assert p.length == 3
+            assert p.length == HOP_TTL
 
 
 def test_good_series_payoffs_match_formula():

@@ -70,8 +70,6 @@ def test_incentive_coupling_raises_availability():
 def test_coupling_config_validation():
     with pytest.raises(ValueError):
         ChurnConfig(incentive_coupling=-1.0)
-    with pytest.raises(ValueError):
-        ChurnConfig(incentive_coupling_cap=0.0)
 
 
 def test_topology_scenario_runs():
