@@ -10,17 +10,11 @@ Scale is controlled by the ``REPRO_PRESET`` environment variable:
 ``quick`` (default; ~10x smaller workload, same shapes) or ``paper``
 (N=40, 100 pairs, 2000 transmissions as in §3).
 
-Two more knobs:
-
-- ``REPRO_JOBS`` — process-pool width for the multi-seed sweeps.  It is
-  read by :func:`repro.experiments.runner.default_n_jobs`, so every
-  ``run_replicates`` / ``sweep`` call in the suite fans out over a
-  process pool without per-benchmark plumbing (replicate results are
-  bit-identical to the serial ones).
-- ``REPRO_BENCH_JSON`` — when set (e.g. to ``BENCH_routing.json``), the
-  pytest-benchmark machine-readable report is written there, for
-  ``benchmarks/compare_bench.py`` to gate regressions against a stored
-  baseline.
+``REPRO_JOBS`` sets the process-pool width for the multi-seed sweeps.
+It is read by :func:`repro.experiments.runner.default_n_jobs`, so every
+``run_replicates`` / ``sweep`` call in the suite fans out over a process
+pool without per-benchmark plumbing (replicate results are bit-identical
+to the serial ones).
 """
 
 import os
@@ -43,15 +37,6 @@ def n_jobs() -> int:
     from repro.experiments.runner import default_n_jobs
 
     return default_n_jobs()
-
-
-def pytest_configure(config):
-    # Route the pytest-benchmark JSON report to REPRO_BENCH_JSON unless
-    # --benchmark-json was given explicitly on the command line.  The
-    # plugin expects an open binary file (argparse FileType), not a path.
-    path = os.environ.get("REPRO_BENCH_JSON")
-    if path and not getattr(config.option, "benchmark_json", None):
-        config.option.benchmark_json = open(path, "wb")
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,7 @@
 """Microbenchmarks for the edge-scoring hot path, on both backends.
 
-These isolate the fast-path layers the scenario throughput benchmark
-exercises end-to-end: indexed selectivity on history-heavy profiles,
+These isolate the fast-path layers the end-to-end benchmark
+(``benchmarks/e2e``) exercises whole: indexed selectivity on history-heavy profiles,
 Model I edge scoring, and Model II backward induction (lookahead 2 and
 3).  Each timed call builds a *fresh* ``ForwardingContext``, so the
 numbers reflect a round's first decision rather than a warmed planner.
@@ -14,10 +14,8 @@ variants share one module-scoped :class:`WorldArrays` across contexts —
 exactly how ``PathBuilder`` amortises it across rounds — so they measure
 the steady state, not a CSR rebuild per decision.
 
-Run with ``REPRO_BENCH_JSON=BENCH_routing.json`` to emit the
-machine-readable report that ``benchmarks/compare_bench.py`` gates
-against ``benchmarks/BENCH_routing.baseline.json`` (and can compact /
-append to the repo-root trajectory file).
+They are diagnostics: CI runs them without gating, and what gates is
+the end-to-end benchmark's same-runner parent/change comparison.
 """
 
 import numpy as np

@@ -14,7 +14,7 @@ Subcommands:
 - ``obs summarize <trace.jsonl>`` — render a run report from an exported
   trace (top spans, per-subsystem event tables, round timelines); also
   accepts gzip traces and directories of traces;
-- ``fleet run|show|query|export|ingest|dash|serve`` — the resumable
+- ``fleet run|show|query|export|dash|serve`` — the resumable
   sweep orchestrator with its persistent results store, live terminal
   dashboard and Prometheus endpoint (:mod:`repro.fleet`);
 - ``lint`` — the determinism & layering static analyser

@@ -8,13 +8,12 @@ observability data:
 - :mod:`repro.fleet.spec` — :class:`SweepSpec` expands parameter grids
   (config knobs × seeds × backends × fault severities × scenario
   families) into a deterministic, content-addressed job list.  A job's
-  id is the hash of its fully resolved :class:`ExperimentConfig` plus
-  code-relevant environment, so re-running a spec after an interrupt —
-  or after a code-irrelevant edit — skips completed jobs.
+  id is the hash of its fully resolved :class:`ExperimentConfig`, so
+  re-running a spec after an interrupt — or after an edit that leaves
+  the resolved configs alone — skips completed jobs.
 - :mod:`repro.fleet.store` — :class:`FleetStore`, an append-only JSONL
   event log + results log with a compact rebuilt index
-  (``repro-fleet/store-v1``), a filter/group/aggregate query API, and
-  ingestion of ``BENCH_routing.json`` benchmark trajectories.
+  (``repro-fleet/store-v1``) and a filter/group/aggregate query API.
 - :mod:`repro.fleet.executor` — ``REPRO_JOBS``-aware process-pool
   scheduling with per-job heartbeats, capped retry on worker crash, and
   graceful SIGINT draining that marks in-flight jobs resumable.

@@ -4,13 +4,13 @@
 - ``show STORE`` — job-state summary and per-spec progress;
 - ``query STORE`` — filter/group/aggregate the results store;
 - ``export STORE`` — dump result records as JSONL or CSV;
-- ``ingest STORE BENCH.json`` — fold a benchmark trajectory/compact
-  report into the store as ``bench`` records;
 - ``dash STORE`` — live ANSI dashboard (``--once`` for one frame);
 - ``serve STORE --prometheus`` — single-threaded ``/metrics`` endpoint.
 
-Exit codes: 0 success, 1 any job failed, 3 interrupted/incomplete
-(resumable — run again with the same spec and store to continue).
+Exit codes (``EXIT_*``): 0 success, 1 any job failed, 2 the spec is
+unreadable or invalid (one ``error:`` line on stderr, no store
+written), 3 interrupted/incomplete (resumable — run again with the same
+spec and store to continue).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from typing import List, Mapping, Optional
 
 EXIT_OK = 0
 EXIT_FAILED_JOBS = 1
+EXIT_BAD_SPEC = 2
 EXIT_INTERRUPTED = 3
 
 
@@ -62,9 +63,6 @@ def add_fleet_arguments(parser: argparse.ArgumentParser) -> None:
     query_p.add_argument("--agg",
                          choices=("mean", "sum", "min", "max", "count"),
                          default="mean")
-    query_p.add_argument("--kind", default="scenario",
-                         help="record kind to query: scenario, bench, or "
-                              "'any' (default: scenario)")
     query_p.add_argument("--format", choices=("table", "json"),
                          default="table")
 
@@ -74,12 +72,6 @@ def add_fleet_arguments(parser: argparse.ArgumentParser) -> None:
                           help="output path (default: stdout)")
     export_p.add_argument("--format", choices=("jsonl", "csv"),
                           default="jsonl")
-
-    ingest_p = sub.add_parser(
-        "ingest", help="ingest a benchmark trajectory/compact report"
-    )
-    ingest_p.add_argument("store")
-    ingest_p.add_argument("bench", help="BENCH_routing.json or a compact report")
 
     dash_p = sub.add_parser("dash", help="live terminal dashboard")
     dash_p.add_argument("store")
@@ -114,10 +106,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.fleet.spec import load_spec
     from repro.fleet.store import FleetStore
 
-    spec = load_spec(args.spec)
+    try:
+        jobs = load_spec(args.spec).expand()
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_SPEC
     store = FleetStore(args.store)
     outcome = run_fleet(
-        spec,
+        jobs,
         store,
         n_jobs=args.jobs,
         max_jobs=args.max_jobs,
@@ -150,7 +146,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         group_by=args.group_by,
         select=args.select,
         agg=args.agg,
-        kind=None if args.kind == "any" else args.kind,
     )
     if args.format == "json":
         print(json.dumps(rows, indent=2, sort_keys=True))
@@ -217,16 +212,6 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_ingest(args: argparse.Namespace) -> int:
-    from repro.fleet.store import FleetStore
-
-    store = FleetStore(args.store)
-    appended = store.ingest_bench(args.bench)
-    store.write_index()
-    print(f"ingested {appended} bench records from {args.bench}")
-    return EXIT_OK
-
-
 def _cmd_dash(args: argparse.Namespace) -> int:
     from repro.fleet.dash import run_dashboard
 
@@ -244,7 +229,6 @@ _HANDLERS = {
     "show": _cmd_show,
     "query": _cmd_query,
     "export": _cmd_export,
-    "ingest": _cmd_ingest,
     "dash": _cmd_dash,
     "serve": _cmd_serve,
 }

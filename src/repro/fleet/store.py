@@ -29,11 +29,6 @@ groups and aggregates over them; aggregation sorts each group by
 ``job_id`` first, so results are bit-identical regardless of the order
 jobs happened to complete in (interrupted-and-resumed runs aggregate
 exactly like uninterrupted ones).
-
-``ingest_bench`` folds ``BENCH_routing.json`` (the per-commit benchmark
-trajectory, ``repro-bench/trajectory-v1``) or a compact bench report
-into the same store as ``kind: "bench"`` records, making the perf
-history queryable through the same API.
 """
 
 from __future__ import annotations
@@ -217,9 +212,8 @@ class FleetStore:
         group_by: Optional[Sequence[str]] = None,
         select: str = "metrics.pi_mean",
         agg: str = "mean",
-        kind: Optional[str] = "scenario",
     ) -> List[Dict[str, object]]:
-        """Filter, group and aggregate result records.
+        """Filter, group and aggregate ``scenario`` result records.
 
         ``where`` maps dotted record paths to required values (or
         predicates).  ``group_by`` lists dotted paths whose distinct
@@ -235,9 +229,7 @@ class FleetStore:
                 f"{sorted(_AGGREGATES)}"
             )
         records = [
-            r
-            for r in self.results.values()
-            if kind is None or r.get("kind") == kind
+            r for r in self.results.values() if r.get("kind") == "scenario"
         ]
         if where:
             for path, want in where.items():
@@ -265,70 +257,6 @@ class FleetStore:
             )
             rows.append(row)
         return rows
-
-    # -- bench ingestion --------------------------------------------------
-    def ingest_bench(self, path) -> int:
-        """Fold a benchmark report into the store as ``bench`` records.
-
-        Accepts the repo-root trajectory file
-        (``repro-bench/trajectory-v1``: per-commit mean seconds per
-        benchmark) or a compact report (``repro-bench/compact-v1``).
-        Returns the number of records appended.  Job ids are
-        content-addressed on (commit, benchmark name), so re-ingesting
-        the same file is idempotent.
-        """
-        import hashlib
-
-        data = json.loads(Path(path).read_text())
-        schema = data.get("schema")
-        entries: List[Dict[str, object]] = []
-        if schema == "repro-bench/trajectory-v1":
-            for commit, run in data.get("runs", {}).items():
-                for name, mean in run.get("benchmarks", {}).items():
-                    entries.append(
-                        {
-                            "commit": commit,
-                            "benchmark": name,
-                            "mean": float(mean),
-                            "datetime": run.get("datetime"),
-                        }
-                    )
-        elif schema == "repro-bench/compact-v1":
-            commit = data.get("commit") or "worktree"
-            for name, stats in data.get("benchmarks", {}).items():
-                entries.append(
-                    {
-                        "commit": commit,
-                        "benchmark": name,
-                        "mean": float(stats["mean"]),
-                        "datetime": data.get("datetime"),
-                    }
-                )
-        else:
-            raise ValueError(
-                f"unrecognised bench schema {schema!r} in {path}; expected "
-                "repro-bench/trajectory-v1 or repro-bench/compact-v1"
-            )
-        appended = 0
-        for entry in entries:
-            key = f"bench:{entry['commit']}:{entry['benchmark']}"
-            job_id = hashlib.sha256(key.encode()).hexdigest()[:16]
-            if job_id in self.results:
-                continue
-            self.append_result(
-                {
-                    "job_id": job_id,
-                    "kind": "bench",
-                    "config": {
-                        "commit": entry["commit"],
-                        "benchmark": entry["benchmark"],
-                    },
-                    "metrics": {"mean_seconds": entry["mean"]},
-                    "datetime": entry["datetime"],
-                }
-            )
-            appended += 1
-        return appended
 
     # -- compact index ----------------------------------------------------
     def write_index(self) -> Path:

@@ -100,3 +100,14 @@ def test_environment_beats_default(monkeypatch):
 
 def test_unset_everything_defaults_to_numpy(monkeypatch):
     assert _kernel_calls(None, monkeypatch) > 0
+
+
+def test_model1_on_numpy_stays_scalar(monkeypatch):
+    # Model I at the paper's degree 5 sits below the Model I kernel
+    # crossover, so on numpy its decisions take the scalar path: the
+    # scalar selectivity queries tick, the kernels never do.
+    monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    cfg = ExperimentConfig(**dict(_CFG, backend="numpy", strategy="utility-I"))
+    counters = run_scenario(cfg).perf_counters
+    assert counters["kernel_calls"] == 0
+    assert counters["selectivity_queries"] > 0

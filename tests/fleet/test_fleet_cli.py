@@ -1,4 +1,4 @@
-"""CLI surface: repro fleet run/show/query/export/ingest/dash/serve.
+"""CLI surface: repro fleet run/show/query/export/dash/serve.
 
 Most tests drive the in-process handlers via the real argparse tree;
 the SIGINT drain is exercised end-to-end through a subprocess.
@@ -92,15 +92,22 @@ class TestRunAndQuery:
         header = csv_path.read_text().splitlines()[0]
         assert header == "job_id,kind,spec,axes,metric,value"
 
-    def test_ingest(self, tmp_path, capsys):
-        bench = tmp_path / "BENCH_routing.json"
-        bench.write_text(json.dumps({
-            "schema": "repro-bench/trajectory-v1",
-            "runs": {"abc": {"datetime": "d", "benchmarks": {"r": 1.0}}},
-        }))
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"base": {"churn": {"sesion_median": 5}}},
+            {"bogus": 1},
+        ],
+        ids=["misspelled-nested-field", "unknown-top-level-key"],
+    )
+    def test_bad_spec_exits_2_without_a_store(self, tmp_path, spec, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(spec, seeds=[0])))
         store_dir = tmp_path / "store"
-        assert _run(["fleet", "ingest", store_dir, bench]) == 0
-        assert "ingested 1 bench records" in capsys.readouterr().out
+        assert _run(["fleet", "run", path, "--store", store_dir]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not store_dir.exists()
 
 
 class TestDash:

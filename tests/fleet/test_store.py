@@ -1,4 +1,4 @@
-"""FleetStore: durable replay, query semantics, bench ingestion."""
+"""FleetStore: durable replay, query semantics, compact index."""
 
 import json
 
@@ -98,6 +98,14 @@ class TestQuery:
         assert store.query(agg="max")[0]["max(metrics.pi_mean)"] == 6.0
         assert store.query(agg="count")[0]["count(metrics.pi_mean)"] == 3.0
 
+    def test_only_scenario_records_are_queried(self, tmp_path):
+        # Stores written by older versions may still hold ``bench``
+        # records; they never enter an aggregate.
+        store = self._store(tmp_path)
+        before = store.query(group_by=["axes.strategy"])
+        store.append_result(_result("z", "random", 0, 100.0, kind="bench"))
+        assert store.query(group_by=["axes.strategy"]) == before
+
     def test_unknown_aggregate_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown aggregate"):
             self._store(tmp_path).query(agg="median")
@@ -111,50 +119,6 @@ class TestQuery:
         for job_id, pi in reversed(values):
             backward.append_result(_result(job_id, pi=pi))
         assert json.dumps(forward.query()) == json.dumps(backward.query())
-
-
-class TestBenchIngest:
-    def _trajectory(self, tmp_path):
-        path = tmp_path / "BENCH_routing.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "schema": "repro-bench/trajectory-v1",
-                    "runs": {
-                        "abc1234": {
-                            "datetime": "2026-08-01T00:00:00",
-                            "benchmarks": {"routing_small": 0.5, "routing_big": 2.0},
-                        }
-                    },
-                }
-            )
-        )
-        return path
-
-    def test_ingest_and_query(self, tmp_path):
-        store = FleetStore(tmp_path / "s")
-        assert store.ingest_bench(self._trajectory(tmp_path)) == 2
-        rows = store.query(
-            kind="bench",
-            group_by=["config.benchmark"],
-            select="metrics.mean_seconds",
-        )
-        assert [r["config.benchmark"] for r in rows] == [
-            "routing_big",
-            "routing_small",
-        ]
-
-    def test_ingest_is_idempotent(self, tmp_path):
-        store = FleetStore(tmp_path / "s")
-        path = self._trajectory(tmp_path)
-        assert store.ingest_bench(path) == 2
-        assert store.ingest_bench(path) == 0
-
-    def test_unknown_bench_schema_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"schema": "repro-bench/v99"}))
-        with pytest.raises(ValueError, match="unrecognised bench schema"):
-            FleetStore(tmp_path / "s").ingest_bench(path)
 
 
 class TestIndex:
