@@ -5,6 +5,8 @@ These isolate the fast-path layers the end-to-end benchmark
 Model I edge scoring, and Model II backward induction (lookahead 2 and
 3).  Each timed call builds a *fresh* ``ForwardingContext``, so the
 numbers reflect a round's first decision rather than a warmed planner.
+Two more track the large world's hot spots on a 5,000-node overlay: the
+steady-state probe sweep and a Model II lookahead-ball decision.
 
 The decision benchmarks run once per scoring backend: ``python`` (the
 scalar reference with its indexed selectivity, cached availability
@@ -18,6 +20,8 @@ They are diagnostics: CI runs them without gating, and what gates is
 the end-to-end benchmark's same-runner parent/change comparison.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -28,11 +32,15 @@ from repro.core.history import HistoryProfile
 from repro.core.kernels import BACKENDS, WorldArrays
 from repro.core.routing import ForwardingContext, UtilityModelI, UtilityModelII
 from repro.network.overlay import Overlay
+from repro.network.probing import fast_full_sweep
 
 N_NODES = 60
 DEGREE = 6
 HISTORY_ROUNDS = 400  # history-heavy late-round regime
 LATE_ROUND = HISTORY_ROUNDS + 1
+#: The large world: ``overlay-5k-l3``'s population and degree.
+LARGE_NODES = 5000
+LARGE_DEGREE = 5
 
 
 @pytest.fixture(scope="module")
@@ -200,3 +208,46 @@ def test_perf_model2_decision_warm_round(benchmark, world, arrays, backend):
         return last
 
     assert benchmark(route_three_hops) is not None
+
+
+def test_perf_fast_sweep_5k(benchmark):
+    """One steady-state probe period on 5,000 nodes with an array world
+    listening: the eligibility check, the sweep-log entry and the
+    world's mirrored session-matrix add."""
+    ov = Overlay(rng=np.random.default_rng(5), degree=LARGE_DEGREE)
+    ov.bootstrap(LARGE_NODES)
+    world = WorldArrays(ov)
+    world.ensure_fresh()
+    clock = iter(range(1, 10**9))
+
+    def sweep():
+        return fast_full_sweep(ov, 5.0, float(next(clock)))
+
+    assert benchmark(sweep)["alive"] == LARGE_NODES * LARGE_DEGREE
+
+
+def test_perf_model2_ball_decision_5k(benchmark):
+    """The first Model II L3 decision of a round on 5,000 nodes, which
+    sweeps (and scores) only its own lookahead ball.  Each call is the
+    next round of one connection, over one planner, as in a scenario."""
+    rng = np.random.default_rng(9)
+    ov = Overlay(rng=rng, degree=LARGE_DEGREE)
+    ov.bootstrap(LARGE_NODES)
+    histories = {nid: HistoryProfile(nid) for nid in ov.nodes}
+    for nid, h in histories.items():
+        nbrs = ov.nodes[nid].neighbor_ids()
+        for rnd in range(1, 9):
+            h.record(1, rnd, predecessor=int(rng.integers(LARGE_NODES)),
+                     successor=int(rng.choice(nbrs)))
+    assert fast_full_sweep(ov, 5.0, 1.0) is not None
+    base = fresh_context(ov, histories, "numpy", WorldArrays(ov), round_index=9)
+    base.batch_planner()
+    rounds = iter(range(9, 10**9))
+    strat = UtilityModelII(lookahead=3)
+    node = ov.nodes[0]
+
+    def decide():
+        ctx = dataclasses.replace(base, round_index=next(rounds))
+        return strat.select_next_hop(node, None, ctx)
+
+    assert benchmark(decide) in node.neighbors

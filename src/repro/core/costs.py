@@ -40,12 +40,22 @@ class CostModel:
             raise ValueError(f"negative flat_unit_cost {self.flat_unit_cost}")
 
     def transmission_cost(self, sender: int, receiver: int, payload_size: float) -> float:
-        """``C^t`` of one forwarding instance from ``sender`` to ``receiver``."""
-        if self.bandwidth is not None:
-            return self.bandwidth.transmission_cost(sender, receiver, payload_size)
+        """``C^t`` of one forwarding instance from ``sender`` to ``receiver``.
+
+        Called once per candidate of every decision, so a link drawn
+        before costs one dict lookup: its per-unit cost is cached with
+        the draw (:attr:`BandwidthModel.unit_costs`).
+        """
         if payload_size < 0:
             raise ValueError(f"negative payload size {payload_size}")
-        return payload_size * self.flat_unit_cost
+        bandwidth = self.bandwidth
+        if bandwidth is None:
+            return payload_size * self.flat_unit_cost
+        key = (sender, receiver) if sender <= receiver else (receiver, sender)
+        unit = bandwidth.unit_costs.get(key)
+        if unit is None:
+            unit = bandwidth.per_unit_cost(sender, receiver)
+        return payload_size * unit
 
     def decision_cost(
         self,

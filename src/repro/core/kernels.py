@@ -87,7 +87,11 @@ decision; it is the array form of the scalar memo.  ``decide_model2``
 takes the ball iff its size bound times :data:`SPNE_BALL_MIN_RATIO`
 fits in the whole axis (real children, never padded slots), a rule on
 world size alone: paper-size worlds keep the cached full sweep, large
-overlays take the ball.
+overlays take the ball.  A ball decision also scores only the edges it
+gathers (``BatchPlanner._ball_quality``: the candidates and each level's
+child slots) with the full row's element-wise expression, so without
+position-aware scoring it never builds the connection's whole quality
+row.
 
 **Position-aware selectivity.**  ``position_aware_selectivity=True``
 conditions ``sigma`` on the upstream hop.  In state space that is
@@ -112,7 +116,8 @@ only after a round's path succeeds, so a round's selectivity is fixed),
 candidate validity on ``Overlay.liveness_version``, everything on
 ``WorldArrays.generation``.  A speculatively pre-built row is therefore
 dropped, never misused, when probing moved availability before the
-round actually ran.
+round actually ran.  Ball-local qualities are computed per decision and
+kept nowhere, so they need no key.
 
 **Small-world crossover.**  The kernels win on batch size; on tiny
 candidate sets the array bookkeeping costs more than the scalar loop
@@ -127,7 +132,17 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left
-from typing import TYPE_CHECKING, Dict, List, Mapping, NamedTuple, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -229,6 +244,8 @@ class WorldArrays:
     world's token (which each mirrored sweep advances by one per node);
     only then, or when some node is not wired to the overlay, a
     per-node ``availability_version`` scan resyncs the rows that moved.
+    Reading a node's version applies its pending sweep credits
+    (:mod:`repro.network.node`), so the scan sees eager counters.
     Recomputing alpha bumps ``alpha_generation``, the token frontier
     quality rows key on.  Liveness is *not* stored here — it changes
     mid-round under fault injection and is masked per :class:`Frontier`.
@@ -758,7 +775,10 @@ class Frontier:
 
     - quality (``q_flat``/``q_child``/``pos_q_cache``): keyed
       ``(round_index, WorldArrays.alpha_generation)`` — history commits
-      advance the round, probe sweeps advance ``alpha_generation``;
+      advance the round, probe sweeps advance ``alpha_generation``.
+      ``q_flat`` is filled only by the full sweep's decisions (and by
+      Model I per node); a lookahead-ball decision scores its own edges
+      and leaves it, and ``row_complete``, untouched;
     - liveness (``valid0`` and the per-block ``st_valid``/``st_dead``):
       keyed ``Overlay.liveness_version``;
     - SPNE value tables (``levels_*``): keyed on both plus the
@@ -1072,6 +1092,42 @@ class BatchPlanner:
         perf.kernel_batch_elements += int(q.size)
         perf.edges_scored += int(q.size)
 
+    def _ball_quality(
+        self, fr: Frontier, context: "ForwardingContext"
+    ) -> "Callable[[np.ndarray], np.ndarray]":
+        """Edge quality for a lookahead-ball decision: a function from
+        edge ids (any shape) to ``q_flat``'s values at those edges, which
+        scores only the edges it is given.
+
+        It reads the cid's :class:`HitRows` row and ``alpha_flat`` with
+        :meth:`_ensure_full_rows`' element-wise expression, so the bits
+        equal the full row's.  A frontier whose full row is already built
+        reads it; when the hit row would over-count (``HitRows.row``
+        returns ``None``), the full row is built and read instead.
+        """
+        if not fr.row_complete:
+            row = self.hits.row(fr.cid, fr.round_index, context.histories)
+            if row is None:
+                self._ensure_full_rows(fr, context)
+        if fr.row_complete:
+            return fr.q_flat.__getitem__
+        max_entries = float(fr.round_index - 1)
+        safe = max_entries if max_entries > 0.0 else 1.0
+        weights = context.weights
+        w_sel, w_avail = weights.selectivity, weights.availability
+        alpha = self.world.alpha_flat
+        perf = self._perf
+
+        def quality(edges: np.ndarray) -> np.ndarray:
+            sigma = np.minimum(1.0, row[edges].astype(np.float64) / safe)
+            q = w_sel * sigma + w_avail * alpha[edges]
+            perf.kernel_calls += 1
+            perf.kernel_batch_elements += edges.size
+            perf.edges_scored += edges.size
+            return np.minimum(1.0, np.maximum(0.0, q))
+
+        return quality
+
     def _ensure_q_child(self, fr: Frontier, context: "ForwardingContext") -> None:
         """Position-aware base quality per (state, child) slot, one table
         per degree block: the edge ``head(e) -> child`` scored against
@@ -1248,11 +1304,16 @@ class BatchPlanner:
         cand_idx: np.ndarray,
         depth: int,
         position_aware: bool,
+        quality: "Optional[Callable[[np.ndarray], np.ndarray]]" = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Demand-driven backward induction: ``(tail_sum, tail_n)`` for the
         states ``cand_idx`` with ``depth`` edges of lookahead left, equal
         bit for bit to ``levels_sum[depth][cand_idx]`` /
         ``levels_n[depth][cand_idx]`` of the full sweep.
+
+        The base quality of a slot is ``fr.q_child``'s under
+        position-aware scoring; otherwise ``quality`` maps the slots' edge
+        ids to it (:meth:`_ball_quality`), or ``fr.q_flat`` holds it.
 
         Top-down, level ``depth`` holds the candidate states and level
         ``d - 1`` the distinct *valid* children of level ``d``; each level
@@ -1265,7 +1326,8 @@ class BatchPlanner:
         ``(0.0, 0)``.
         """
         world = self.world
-        base_q = fr.q_child if position_aware else fr.q_flat
+        if quality is None:
+            quality = fr.q_flat.__getitem__
         levels = []
         states = cand_idx
         for d in range(depth, 0, -1):
@@ -1278,7 +1340,7 @@ class BatchPlanner:
                 st_valid, st_dead = spne_state_validity(
                     fr.valid0, child, real, block.not_pred[rows]
                 )
-                base = base_q[b][rows] if position_aware else base_q[child]
+                base = fr.q_child[b][rows] if position_aware else quality(child)
                 groups.append(_BallRows(at, child, base, st_valid, st_dead))
                 n_children += int(np.count_nonzero(real))
             levels.append((states.size, n_children, groups))
@@ -1432,24 +1494,32 @@ class BatchPlanner:
         if cand_ids.size == 0:
             return None
         position_aware = context.position_aware_selectivity
-        if position_aware:
-            self._ensure_q_child(fr, context)
-        else:
-            self._ensure_full_rows(fr, context)
         depth = strategy.lookahead
         world = self.world
         # The ball's child entries per level are bounded by this; the full
         # sweep's per-level cost (the real children, never the padded
         # slots) is shared by the few decisions of a round.
         ball_bound = cand_idx.size * world.max_out_degree ** depth
+        quality = None
+        if position_aware:
+            self._ensure_q_child(fr, context)
         if ball_bound * SPNE_BALL_MIN_RATIO <= world.n_children:
-            tail_sum, tail_n = self._spne_ball(fr, cand_idx, depth, position_aware)
+            if not position_aware:
+                quality = self._ball_quality(fr, context)
+            tail_sum, tail_n = self._spne_ball(
+                fr, cand_idx, depth, position_aware, quality
+            )
         else:
+            if not position_aware:
+                self._ensure_full_rows(fr, context)
             self._ensure_levels(fr, context, depth, position_aware)
             assert fr.levels_sum is not None and fr.levels_n is not None
             tail_sum = fr.levels_sum[depth][cand_idx]
             tail_n = fr.levels_n[depth][cand_idx]
-        q_root = self._root_quality(fr, context, node_id, predecessor, cand_idx)
+        if quality is None:
+            q_root = self._root_quality(fr, context, node_id, predecessor, cand_idx)
+        else:
+            q_root = quality(cand_idx)
         # Terminal delivery edge (quality 1) appended, then normalised —
         # the scalar path_quality_through expression.
         path_q = [

@@ -82,6 +82,11 @@ class BandwidthModel:
     unit_cost: float = UNIT_COST
     node_capacity: Optional[Dict[int, float]] = None
     _links: Dict[Tuple[int, int], float] = field(default_factory=dict, repr=False)
+    #: ``unit_cost * reference_bandwidth / bandwidth`` per drawn link,
+    #: stored with the draw: the per-unit cost every decision reads.
+    unit_costs: Dict[Tuple[int, int], float] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     def __post_init__(self):
         if not 0 < self.min_bandwidth <= self.max_bandwidth:
@@ -104,11 +109,18 @@ class BandwidthModel:
                     self.node_capacity.get(a, 1.0), self.node_capacity.get(b, 1.0)
                 )
             self._links[key] = bw
+            self.unit_costs[key] = self.unit_cost * self.reference_bandwidth / bw
         return bw
 
     def per_unit_cost(self, a: int, b: int) -> float:
-        """Per-unit transmission cost ``l`` of the link {a, b}."""
-        return self.unit_cost * self.reference_bandwidth / self.bandwidth(a, b)
+        """Per-unit transmission cost ``l`` of the link {a, b}
+        (``unit_cost * reference_bandwidth / bandwidth(a, b)``)."""
+        key = _pair(a, b)
+        cost = self.unit_costs.get(key)
+        if cost is None:
+            self.bandwidth(a, b)
+            cost = self.unit_costs[key]
+        return cost
 
     def transmission_cost(self, a: int, b: int, payload_size: float = 1.0) -> float:
         """``C^t = b·l`` for sending ``payload_size`` units over {a, b}."""

@@ -15,15 +15,28 @@ implementation re-sums the whole neighbour set each time (O(d) per
 lookup, O(d^2) per decision).  :class:`PeerNode` therefore caches the
 normalised vector and invalidates it with a dirty flag whenever a
 counter or the neighbour set changes; every mutation path — probe
-credits, direct ``session_time`` assignment, neighbour add/remove/reset
-— funnels through the invalidation, so the cache can never go stale.
+credits, direct ``session_time`` assignment, neighbour add/remove/reset,
+and the overlay's fast-sweep log — funnels through the invalidation, so
+the cache can never go stale.
+
+**Lazy sweep credits.**  A whole-population fast sweep
+(:func:`repro.network.probing.fast_full_sweep`) does not touch the
+views: it appends ``(period, now)`` to the overlay's sweep log, which
+every member node follows.  A node applies the entries it has not yet
+applied — ``session_time += period`` and ``last_seen = now`` per view,
+in log order, one ``availability_version`` step and a dirty flag per
+entry — before any read or write of its views: its own methods,
+:attr:`PeerNode.neighbors`, :attr:`PeerNode.availability_version` and
+the :class:`NeighborView` properties.  So every observer sees exactly
+the values an eager per-view credit would have left, and a sweep costs
+O(1) per node it never reads.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.sim.monitoring import PERF
 
@@ -39,13 +52,15 @@ class NodeState(enum.Enum):
 class NeighborView:
     """What a node knows about one neighbour.
 
-    ``session_time`` is a property so that *any* write — including direct
-    assignment from tests or external estimators — notifies the owning
-    :class:`PeerNode` to invalidate its cached availability
+    ``session_time`` and ``last_seen`` are properties so that *any*
+    access goes through the owning :class:`PeerNode`: a read or write
+    first applies the node's pending sweep credits, and a
+    ``session_time`` write — including direct assignment from tests or
+    external estimators — invalidates the node's cached availability
     normalisation.
     """
 
-    __slots__ = ("node_id", "last_seen", "_session_time", "_on_change")
+    __slots__ = ("node_id", "_last_seen", "_session_time", "_owner")
 
     def __init__(
         self,
@@ -54,30 +69,47 @@ class NeighborView:
         last_seen: Optional[float] = None,
     ):
         self.node_id = node_id
-        #: Simulation time of the last successful probe (None = never probed).
-        self.last_seen = last_seen
-        self._on_change: Optional[Callable[[], None]] = None
+        self._last_seen = last_seen
+        self._owner: Optional[PeerNode] = None
         if session_time < 0:
             raise ValueError(f"negative session_time {session_time}")
         self._session_time = session_time
 
+    def _sync(self) -> None:
+        owner = self._owner
+        if owner is not None and owner._sweeps_applied != len(owner._sweep_log):
+            owner._apply_sweeps()
+
     @property
     def session_time(self) -> float:
         """Observed cumulative session time (probing counter), minutes."""
+        self._sync()
         return self._session_time
 
     @session_time.setter
     def session_time(self, value: float) -> None:
         if value < 0:
             raise ValueError(f"negative session_time {value}")
+        self._sync()
         self._session_time = value
-        if self._on_change is not None:
-            self._on_change()
+        if self._owner is not None:
+            self._owner._invalidate_availability()
+
+    @property
+    def last_seen(self) -> Optional[float]:
+        """Simulation time of the last successful probe (None = never probed)."""
+        self._sync()
+        return self._last_seen
+
+    @last_seen.setter
+    def last_seen(self, value: Optional[float]) -> None:
+        self._sync()
+        self._last_seen = value
 
     def __repr__(self) -> str:
         return (
             f"NeighborView(node_id={self.node_id}, "
-            f"session_time={self._session_time}, last_seen={self.last_seen})"
+            f"session_time={self.session_time}, last_seen={self.last_seen})"
         )
 
     def __eq__(self, other) -> bool:
@@ -85,18 +117,19 @@ class NeighborView:
             return NotImplemented
         return (
             self.node_id == other.node_id
-            and self._session_time == other._session_time
+            and self.session_time == other.session_time
             and self.last_seen == other.last_seen
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class PeerNode:
     """A peer in the anonymity overlay.
 
     The node is deliberately *passive*: routing strategies, probers and the
     churn process act on it.  It owns only local knowledge — its neighbour
-    set and the observed availability counters.
+    set and the observed availability counters.  Nodes compare by identity:
+    a field-wise ``==`` would read views with sweep credits not yet applied.
     """
 
     node_id: int
@@ -107,24 +140,34 @@ class PeerNode:
     malicious: bool = False
     #: Per-session participation cost ``C^p``.
     participation_cost: float = 1.0
-    neighbors: Dict[int, NeighborView] = field(default_factory=dict)
     #: --- true availability bookkeeping (ground truth, not node knowledge)
     first_join_time: Optional[float] = None
     final_departure_time: Optional[float] = None
     total_session_time: float = 0.0
     _session_start: Optional[float] = None
+    #: Neighbour id -> view, read through :attr:`neighbors`.
+    _neighbors: Dict[int, NeighborView] = field(
+        default_factory=dict, init=False, repr=False
+    )
     #: --- availability cache (see module docstring) ---------------------
     _avail_dirty: bool = field(default=True, repr=False)
     _avail_vector: Dict[int, float] = field(default_factory=dict, repr=False)
     #: Monotonic change counters consumed by array-backed views
     #: (:class:`repro.core.kernels.WorldArrays`): ``availability_version``
-    #: advances on *any* invalidation (probe credits, direct counter
-    #: writes, neighbour-set changes); ``neighbors_version`` advances only
-    #: when the neighbour *set* itself changes.  Observers compare a
-    #: remembered version against the current one to decide whether their
-    #: derived arrays are stale — the versions never wrap or reset.
-    availability_version: int = field(default=0, repr=False)
+    #: advances on *any* invalidation (probe credits, sweep-log entries,
+    #: direct counter writes, neighbour-set changes); ``neighbors_version``
+    #: advances only when the neighbour *set* itself changes.  Observers
+    #: compare a remembered version against the current one to decide
+    #: whether their derived arrays are stale — the versions never wrap or
+    #: reset.
+    _availability_version: int = field(default=0, init=False, repr=False)
     neighbors_version: int = field(default=0, repr=False)
+    #: The overlay's fast-sweep log this node follows (``(period, now)``
+    #: per sweep) and how many of its entries the views already hold.
+    _sweep_log: Sequence[Tuple[float, float]] = field(
+        default=(), init=False, repr=False
+    )
+    _sweeps_applied: int = field(default=0, init=False, repr=False)
     #: Optional push notification for neighbour-*set* changes, fired on
     #: every ``neighbors_version`` bump.  :class:`repro.network.overlay.
     #: Overlay` wires this to its aggregate ``topology_version`` so
@@ -133,7 +176,8 @@ class PeerNode:
     _topology_listener: Optional[Callable[[], None]] = field(
         default=None, repr=False, compare=False
     )
-    #: The same push for every ``availability_version`` bump.
+    #: The same push for every ``availability_version`` bump except the
+    #: sweep-log ones, which the overlay counts once per sweep.
     _availability_listener: Optional[Callable[[], None]] = field(
         default=None, repr=False, compare=False
     )
@@ -144,11 +188,49 @@ class PeerNode:
         default_factory=lambda: PERF.counters, repr=False, compare=False
     )
 
-    def __post_init__(self):
-        # Views supplied at construction time must notify this node's
-        # availability cache like internally created ones.
-        for view in self.neighbors.values():
-            self._adopt_view(view)
+    # -- lazy sweep credits (see module docstring) ---------------------------
+    @property
+    def neighbors(self) -> Dict[int, NeighborView]:
+        """Neighbour id -> :class:`NeighborView`, sweep credits applied.
+
+        Treat the mapping as read-only: change the set through
+        :meth:`set_neighbors`, :meth:`add_neighbor` and
+        :meth:`remove_neighbor`."""
+        if self._sweeps_applied != len(self._sweep_log):
+            self._apply_sweeps()
+        return self._neighbors
+
+    @property
+    def availability_version(self) -> int:
+        """The availability change counter, sweep credits applied."""
+        if self._sweeps_applied != len(self._sweep_log):
+            self._apply_sweeps()
+        return self._availability_version
+
+    def follow_sweep_log(self, log: Sequence[Tuple[float, float]]) -> None:
+        """Follow ``log`` from its current end: entries already in it
+        belong to sweeps this node was not part of."""
+        if log is not self._sweep_log:
+            self._apply_sweeps()
+            self._sweep_log = log
+            self._sweeps_applied = len(log)
+
+    def _apply_sweeps(self) -> None:
+        """Apply the sweep-log entries not yet applied, as the eager
+        per-view credit would have, one entry after the other."""
+        log = self._sweep_log
+        done = self._sweeps_applied
+        if done == len(log):
+            return
+        pending = log[done:]
+        self._sweeps_applied = len(log)
+        views = self._neighbors.values()
+        for period, now in pending:
+            for view in views:
+                view._session_time += period
+                view._last_seen = now
+        self._avail_dirty = True
+        self._availability_version += len(pending)
 
     # -- lifecycle -------------------------------------------------------
     @property
@@ -205,7 +287,7 @@ class PeerNode:
     # -- neighbour management ---------------------------------------------
     def _invalidate_availability(self) -> None:
         self._avail_dirty = True
-        self.availability_version += 1
+        self._availability_version += 1
         if self._availability_listener is not None:
             self._availability_listener()
 
@@ -215,7 +297,7 @@ class PeerNode:
             self._topology_listener()
 
     def _adopt_view(self, view: NeighborView) -> NeighborView:
-        view._on_change = self._invalidate_availability
+        view._owner = self
         return view
 
     def set_neighbors(self, node_ids: Iterable[int]) -> None:
@@ -225,7 +307,8 @@ class PeerNode:
             raise ValueError("a node cannot neighbour itself")
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate neighbour ids")
-        self.neighbors = {i: self._adopt_view(NeighborView(node_id=i)) for i in ids}
+        self._apply_sweeps()
+        self._neighbors = {i: self._adopt_view(NeighborView(node_id=i)) for i in ids}
         self._bump_neighbors_version()
         self._invalidate_availability()
 
@@ -235,7 +318,7 @@ class PeerNode:
             raise ValueError("a node cannot neighbour itself")
         if node_id in self.neighbors:
             raise ValueError(f"{node_id} already a neighbour of {self.node_id}")
-        self.neighbors[node_id] = self._adopt_view(
+        self._neighbors[node_id] = self._adopt_view(
             NeighborView(node_id=node_id, session_time=initial_session_time)
         )
         self._bump_neighbors_version()
@@ -244,12 +327,12 @@ class PeerNode:
     def remove_neighbor(self, node_id: int) -> None:
         if node_id not in self.neighbors:
             raise KeyError(f"{node_id} is not a neighbour of {self.node_id}")
-        del self.neighbors[node_id]
+        del self._neighbors[node_id]
         self._bump_neighbors_version()
         self._invalidate_availability()
 
     def neighbor_ids(self) -> List[int]:
-        return list(self.neighbors)
+        return list(self._neighbors)
 
     def credit_session_time(
         self, neighbor_id: int, delta: float, now: Optional[float] = None
@@ -257,18 +340,19 @@ class PeerNode:
         """Probe bookkeeping: grow a live neighbour's counter by ``delta``
         (the probing period ``T``) and stamp ``last_seen``.
 
-        The prober's per-period update path; funnels through the
-        ``session_time`` property so the cached availability normalisation
-        is invalidated exactly once per credit.
+        The prober's per-period update path (the slow sweep's, once per
+        live neighbour); the cached availability normalisation is
+        invalidated exactly once per credit.
         """
         if delta < 0:
             raise ValueError(f"negative probe credit {delta}")
         view = self.neighbors.get(neighbor_id)
         if view is None:
             raise KeyError(f"{neighbor_id} is not a neighbour of {self.node_id}")
-        view.session_time += delta
+        view._session_time += delta
         if now is not None:
-            view.last_seen = now
+            view._last_seen = now
+        self._invalidate_availability()
 
     def credit_session_times(
         self, neighbor_ids: Iterable[int], delta: float, now: Optional[float] = None
@@ -295,21 +379,22 @@ class PeerNode:
         for view in views:
             view._session_time += delta
             if now is not None:
-                view.last_seen = now
+                view._last_seen = now
         if views:
             self._invalidate_availability()
 
     # -- availability estimate (§2.3) --------------------------------------
     def _refresh_availability(self) -> Dict[int, float]:
         """Rebuild the cached ``id -> alpha`` normalisation (O(d))."""
+        neighbors = self.neighbors
         total = 0.0
-        for v in self.neighbors.values():
+        for v in neighbors.values():
             total += v._session_time
         if total <= 0.0:
-            self._avail_vector = {i: 0.0 for i in self.neighbors}
+            self._avail_vector = {i: 0.0 for i in neighbors}
         else:
             self._avail_vector = {
-                i: v._session_time / total for i, v in self.neighbors.items()
+                i: v._session_time / total for i, v in neighbors.items()
             }
         self._avail_dirty = False
         return self._avail_vector
@@ -334,6 +419,8 @@ class PeerNode:
         **read-only** — it is shared until the next invalidation (the
         routing layer only ever does ``.get`` lookups on it).
         """
+        if self._sweeps_applied != len(self._sweep_log):
+            self._apply_sweeps()
         if self._avail_dirty:
             self._perf.availability_cache_misses += 1
             return self._refresh_availability()
@@ -344,5 +431,5 @@ class PeerNode:
         flag = "M" if self.malicious else "g"
         return (
             f"PeerNode({self.node_id}, {self.state.value}, {flag}, "
-            f"d={len(self.neighbors)})"
+            f"d={len(self._neighbors)})"
         )

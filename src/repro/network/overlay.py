@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Set
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -53,8 +53,15 @@ class Overlay:
     #: the per-node version scan unless every snapshot node was wired).
     topology_version: int = field(default=0, repr=False)
     #: The same for availability invalidations (probe credits, counter
-    #: writes, neighbour-set changes), pushed by ``_availability_listener``.
+    #: writes, neighbour-set changes), pushed by ``_availability_listener``,
+    #: plus one per member node for each fast sweep (:meth:`log_fast_sweep`).
     availability_version: int = field(default=0, repr=False)
+    #: One ``(period, now)`` per fast sweep.  Every node brought online here
+    #: follows it and applies the credits it has not yet applied before any
+    #: access to its views (:class:`repro.network.node.PeerNode`).
+    _sweep_log: List[Tuple[float, float]] = field(
+        default_factory=list, repr=False, compare=False
+    )
     _sweep_listeners: List["weakref.WeakMethod"] = field(
         default_factory=list, repr=False, compare=False
     )
@@ -80,6 +87,14 @@ class Overlay:
 
     def _on_availability_change(self) -> None:
         self.availability_version += 1
+
+    def log_fast_sweep(self, period: float, now: float) -> None:
+        """Credit every neighbour view of every member node by ``period``
+        and stamp it seen at ``now``, lazily: the entry is applied by each
+        node on its next access, and the aggregate ``availability_version``
+        takes the one bump per node that those applications stand for."""
+        self._sweep_log.append((period, now))
+        self.availability_version += len(self.nodes)
 
     def add_sweep_listener(self, listener: Callable[[float], None]) -> None:
         """Call the bound method ``listener`` (held weakly) with
@@ -176,6 +191,7 @@ class Overlay:
         """Session-start bookkeeping shared by :meth:`join` and
         :meth:`bootstrap`; wires no neighbours."""
         node.go_online(now)
+        node.follow_sweep_log(self._sweep_log)
         self._online.add(node.node_id)
         self.liveness_version += 1
         self.trace.join(now, node.node_id)

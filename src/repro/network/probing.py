@@ -174,31 +174,32 @@ def fast_full_sweep(overlay: Overlay, period: float, now: float) -> "Optional[di
 
     Under those preconditions every probe of every node succeeds, no
     neighbour is replaced, no top-up runs and **no RNG is drawn** — the
-    sweep reduces to "credit every neighbour view by ``period`` and
-    invalidate each node's availability cache once", which is exactly
-    what :func:`run_probe_round`'s fast path does per node, minus the
-    per-node staging.  Returns the sweep totals, or ``None`` when the
-    preconditions do not hold (caller falls back to the per-node loop).
-    Eligibility is checked over the whole population *before* any
-    counter moves, so a ``None`` return leaves the overlay untouched.
-    A sweep that ran is announced through
+    sweep reduces to "credit every neighbour view by ``period``, stamp it
+    seen at ``now`` and invalidate each node's availability cache once",
+    which is what :func:`run_probe_round`'s fast path does per node.
+    The credit is lazy: the sweep appends one entry to the overlay's
+    sweep log (:meth:`Overlay.log_fast_sweep`), which each node applies
+    before its views are next read or written, so the sweep itself costs
+    the eligibility check and O(1) more.  Returns the sweep totals, or
+    ``None`` when the preconditions do not hold (caller falls back to the
+    per-node loop).  Eligibility is checked over the whole population
+    *before* anything is logged, so a ``None`` return leaves the overlay
+    untouched.  A sweep that ran is announced through
     :meth:`Overlay.notify_fast_sweep`, so array views of the session
     counters (:class:`repro.core.kernels.WorldArrays`) mirror it.
     """
     nodes = overlay.nodes
     if not nodes or overlay.online_count() != len(nodes):
         return None
-    for node in nodes.values():
-        if len(node.neighbors) < node.degree:
-            return None
     alive = 0
     for node in nodes.values():
-        views = node.neighbors.values()
-        for view in views:
-            view._session_time += period
-            view.last_seen = now
-        alive += len(views)
-        node._invalidate_availability()
+        # The raw dict: its size is all the check reads, and the
+        # ``neighbors`` property would apply the pending credits.
+        degree = len(node._neighbors)
+        if degree < node.degree:
+            return None
+        alive += degree
+    overlay.log_fast_sweep(period, now)
     overlay.notify_fast_sweep(period)
     return {
         "alive": alive,
