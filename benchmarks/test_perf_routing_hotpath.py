@@ -5,8 +5,10 @@ These isolate the fast-path layers the end-to-end benchmark
 Model I edge scoring, and Model II backward induction (lookahead 2 and
 3).  Each timed call builds a *fresh* ``ForwardingContext``, so the
 numbers reflect a round's first decision rather than a warmed planner.
-Two more track the large world's hot spots on a 5,000-node overlay: the
-steady-state probe sweep and a Model II lookahead-ball decision.
+Three more track the large world's hot spots on a 5,000-node overlay:
+the steady-state probe sweep, the same sweep after a topology change
+(which scans every node's degree again), and a Model II lookahead-ball
+decision.
 
 The decision benchmarks run once per scoring backend: ``python`` (the
 scalar reference with its indexed selectivity, cached availability
@@ -212,8 +214,8 @@ def test_perf_model2_decision_warm_round(benchmark, world, arrays, backend):
 
 def test_perf_fast_sweep_5k(benchmark):
     """One steady-state probe period on 5,000 nodes with an array world
-    listening: the eligibility check, the sweep-log entry and the
-    world's mirrored session-matrix add."""
+    listening: after the first call, the cached eligibility check, the
+    sweep-log entry and the world's mirrored session-matrix add."""
     ov = Overlay(rng=np.random.default_rng(5), degree=LARGE_DEGREE)
     ov.bootstrap(LARGE_NODES)
     world = WorldArrays(ov)
@@ -224,6 +226,29 @@ def test_perf_fast_sweep_5k(benchmark):
         return fast_full_sweep(ov, 5.0, float(next(clock)))
 
     assert benchmark(sweep)["alive"] == LARGE_NODES * LARGE_DEGREE
+
+
+def test_perf_fast_sweep_5k_after_topology_change(benchmark):
+    """The same probe period when a neighbour set changed since the last
+    one (untimed: one neighbour dropped and re-added), so the sweep pays
+    for its O(N) eligibility scan."""
+    ov = Overlay(rng=np.random.default_rng(5), degree=LARGE_DEGREE)
+    ov.bootstrap(LARGE_NODES)
+    world = WorldArrays(ov)
+    world.ensure_fresh()
+    clock = iter(range(1, 10**9))
+    node = ov.nodes[0]
+    nbr = node.neighbor_ids()[0]
+
+    def rewire():
+        node.remove_neighbor(nbr)
+        node.add_neighbor(nbr)
+
+    def sweep():
+        return fast_full_sweep(ov, 5.0, float(next(clock)))
+
+    swept = benchmark.pedantic(sweep, setup=rewire, rounds=200)
+    assert swept["alive"] == LARGE_NODES * LARGE_DEGREE
 
 
 def test_perf_model2_ball_decision_5k(benchmark):

@@ -76,22 +76,27 @@ state without children is in no block and reads ``(0.0, 0)``, the
 scalar loop's initial best.
 
 One decision reads only the states of its own *lookahead ball*: the
-candidate edges, their valid children, and so on ``lookahead`` levels
-down — at most ``candidates * max_out_degree ** lookahead`` child
-entries per level, against ``WorldArrays.n_children`` for the whole
-axis.  Two sweeps share the same kernels.  The full sweep runs over
-every state, and its levels are cached per ``(cid, round)`` for the few
+candidate edges, their children, and so on ``lookahead`` levels down —
+at most ``candidates * max_out_degree ** lookahead`` child slots in the
+deepest level, against ``WorldArrays.n_children`` for the whole axis.
+Two sweeps share the same kernels.  The full sweep runs over every
+state, and its levels are cached per ``(cid, round)`` for the few
 decisions of one round.  The ball sweep (``BatchPlanner._spne_ball``)
-gathers the ball's block rows top-down and steps them bottom-up for one
-decision; it is the array form of the scalar memo.  ``decide_model2``
-takes the ball iff its size bound times :data:`SPNE_BALL_MIN_RATIO`
-fits in the whole axis (real children, never padded slots), a rule on
-world size alone: paper-size worlds keep the cached full sweep, large
-overlays take the ball.  A ball decision also scores only the edges it
-gathers (``BatchPlanner._ball_quality``: the candidates and each level's
-child slots) with the full row's element-wise expression, so without
-position-aware scoring it never builds the connection's whole quality
-row.
+is the array form of the scalar memo for one decision, laid out as a
+positional tree: each level holds every child slot of the level above,
+in row order, so a slot reads its child's value at its own position and
+no level is sorted or deduplicated (only a level larger than the edge
+axis, on dense or hub-heavy worlds, is).  It gathers every level's
+block rows top-down, runs :func:`spne_state_validity` once per degree
+block and the base quality once over all slots, then steps the levels
+bottom-up.  ``decide_model2`` takes the ball iff its size bound times
+:data:`SPNE_BALL_MIN_RATIO` fits in the whole axis (real children, never
+padded slots), a rule on world size alone: paper-size worlds keep the
+cached full sweep, large overlays take the ball.  A ball decision also
+scores only the edges it gathers (``BatchPlanner._ball_quality``: the
+candidates and every level's child slots) with the full row's
+element-wise expression, so without position-aware scoring it never
+builds the connection's whole quality row.
 
 **Position-aware selectivity.**  ``position_aware_selectivity=True``
 conditions ``sigma`` on the upstream hop.  In state space that is
@@ -576,9 +581,9 @@ def spne_state_validity(
     ``child``/``real``/``not_pred`` are block rows (global child edge
     ids); ``valid0`` is the full edge-axis liveness row the children
     gather from.  Returns the per-slot ``st_valid`` mask and the per-row
-    ``st_dead`` mask.  Rows are independent, so any subset of a block's
-    rows — a shard's range, a lookahead ball level — gets the masks the
-    whole block gets.
+    ``st_dead`` mask.  Rows are independent, so any rows of a block, in
+    any order and repeated — a shard's range, a lookahead ball's rows
+    over all its levels — get the masks the whole block gets.
     """
     v0c = valid0[child] & real
     not_pred = v0c & not_pred
@@ -638,11 +643,10 @@ _ALL_ROUNDS = 1 << 62
 class _BallRows(NamedTuple):
     """One degree block's rows within a lookahead-ball level."""
 
+    block: int
     at: Optional[np.ndarray]  # positions in the level; None: all of it
-    child: np.ndarray  # child slots, re-pointed into the level below
-    base: np.ndarray
-    valid: np.ndarray
-    dead: np.ndarray
+    lo: int  # first row among the block's rows over all ball levels
+    child: np.ndarray  # the rows' child tables (global edge ids)
 
 
 class HitRows:
@@ -1315,70 +1319,108 @@ class BatchPlanner:
         position-aware scoring; otherwise ``quality`` maps the slots' edge
         ids to it (:meth:`_ball_quality`), or ``fr.q_flat`` holds it.
 
-        Top-down, level ``depth`` holds the candidate states and level
-        ``d - 1`` the distinct *valid* children of level ``d``; each level
-        gathers its states' block rows (:meth:`WorldArrays.block_groups`).
-        Bottom-up, :func:`spne_level_step` runs over each group of rows
-        with the child table indexing the level below locally.  Invalid
-        and padded slots point at slot 0: they are masked out of the
-        maximum, and a state with no valid child is zeroed through
-        ``st_dead``.  A state without children is in no group and reads
-        ``(0.0, 0)``.
+        The ball is a positional tree.  Top-down, level ``depth`` holds
+        the candidate states, and level ``d - 1`` holds *every* child slot
+        of level ``d`` (padded and invalid ones too), group by group in
+        row order (:meth:`WorldArrays.block_groups`), so a slot's child
+        sits at the slot's own position.  A state reached twice is kept
+        twice; both copies compute the same bits.  Only a level with more
+        slots than the world has edges (dense or hub-heavy worlds) is
+        deduplicated: each distinct state is kept once and the slots point
+        at it.  Once every level's block rows are gathered,
+        :func:`spne_state_validity` runs once per degree block and the
+        base quality once over all slots.  Bottom-up,
+        :func:`spne_level_step` runs over each group of rows.  Invalid
+        and padded slots are masked out of the maximum, and a state with
+        no valid child is zeroed through ``st_dead``.  A state without
+        children is in no group and reads ``(0.0, 0)``, as level 0 does.
         """
         world = self.world
+        blocks = world.blocks
         if quality is None:
             quality = fr.q_flat.__getitem__
-        levels = []
+        # Top-down: each level's state count, its block groups and the
+        # place of each slot's child in the level below (``None``: the
+        # slot's own position).
+        tree = []
+        block_rows: Dict[int, List[np.ndarray]] = {}
         states = cand_idx
         for d in range(depth, 0, -1):
             groups = []
-            n_children = 0
             for b, at, rows in world.block_groups(states):
-                block = world.blocks[b]
-                child = block.child[rows]
-                real = block.real[rows]
-                st_valid, st_dead = spne_state_validity(
-                    fr.valid0, child, real, block.not_pred[rows]
-                )
-                base = fr.q_child[b][rows] if position_aware else quality(child)
-                groups.append(_BallRows(at, child, base, st_valid, st_dead))
-                n_children += int(np.count_nonzero(real))
-            levels.append((states.size, n_children, groups))
+                parts = block_rows.setdefault(b, [])
+                lo = sum(part.size for part in parts)
+                parts.append(rows)
+                groups.append(_BallRows(b, at, lo, blocks[b].child[rows]))
+            n_states = states.size
             if d == 1 or not groups:
-                for g in groups:
-                    g.child[:] = 0  # level 0 is one zero slot
+                # Level 0 is one zero state that every slot reads.
+                n_slots = sum(g.child.size for g in groups)
+                tree.append((n_states, groups, np.zeros(n_slots, dtype=np.int64)))
                 break
-            kids = [g.child[g.valid] for g in groups]
-            states, inverse = np.unique(np.concatenate(kids), return_inverse=True)
-            # Re-point every valid slot at its child's place in the level
-            # below; the rest read slot 0.
-            start = 0
-            for g, g_kids in zip(groups, kids):
-                g.child[:] = 0
-                g.child[g.valid] = inverse[start : start + g_kids.size]
-                start += g_kids.size
-            if states.size == 0:
-                break
-        # Level 0 (and any level below an all-dead one) reads as zeros.
+            if len(groups) == 1:
+                states = groups[0].child.ravel()
+            else:
+                states = np.concatenate([g.child.ravel() for g in groups])
+            below = None
+            if states.size > world.n_edges:
+                states, below = np.unique(states, return_inverse=True)
+            tree.append((n_states, groups, below))
+        # Every level at once: one validity pass per degree block, and one
+        # quality call over all slots.
+        masks = {}
+        bases = []
+        for b, parts in block_rows.items():
+            block = blocks[b]
+            rows = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            child = block.child[rows]
+            real = block.real[rows]
+            masks[b] = (real,) + spne_state_validity(
+                fr.valid0, child, real, block.not_pred[rows]
+            )
+            bases.append(fr.q_child[b][rows] if position_aware else child)
+        if not position_aware and len(bases) == 1:
+            bases = [quality(bases[0])]
+        elif not position_aware and bases:
+            flat = quality(np.concatenate([child.ravel() for child in bases]))
+            ends = np.cumsum([child.size for child in bases]).tolist()
+            bases = [
+                flat[end - child.size : end].reshape(child.shape)
+                for child, end in zip(bases, ends)
+            ]
+        base_of = dict(zip(block_rows, bases))
+        # Bottom-up.
         prev_sum = np.zeros(1, dtype=np.float64)
         prev_n = np.zeros(1, dtype=np.int64)
         perf = self._perf
-        for n_states, n_children, groups in reversed(levels):
+        for n_states, groups, below in reversed(tree):
             out_sum = np.zeros(n_states, dtype=np.float64)
             out_n = np.zeros(n_states, dtype=np.int64)
+            slot = n_children = 0
             for g in groups:
+                base = base_of[g.block]
+                real, valid, dead = masks[g.block]
+                n_rows = g.child.shape[0]
+                rows = slice(g.lo, g.lo + n_rows)
+                end = slot + g.child.size
+                if below is None:
+                    child = np.arange(slot, end, dtype=np.int64)
+                else:
+                    child = below[slot:end]
+                slot = end
                 if g.at is None:
                     part_sum, part_n = out_sum, out_n
                 else:
-                    part_sum = np.empty(g.at.size, dtype=np.float64)
-                    part_n = np.empty(g.at.size, dtype=np.int64)
+                    part_sum = np.empty(n_rows, dtype=np.float64)
+                    part_n = np.empty(n_rows, dtype=np.int64)
                 spne_level_step(
-                    g.base, prev_sum, prev_n, g.child,
-                    g.valid, g.dead, part_sum, part_n,
+                    base[rows], prev_sum, prev_n, child.reshape(g.child.shape),
+                    valid[rows], dead[rows], part_sum, part_n,
                 )
                 if g.at is not None:
                     out_sum[g.at] = part_sum
                     out_n[g.at] = part_n
+                n_children += int(np.count_nonzero(real[rows]))
             prev_sum, prev_n = out_sum, out_n
             perf.kernel_calls += 1
             perf.kernel_batch_elements += n_children
@@ -1521,13 +1563,10 @@ class BatchPlanner:
         else:
             q_root = quality(cand_idx)
         # Terminal delivery edge (quality 1) appended, then normalised —
-        # the scalar path_quality_through expression.
-        path_q = [
-            (q + t_sum + 1.0) / (1 + t_n + 1)
-            for q, t_sum, t_n in zip(
-                q_root.tolist(), tail_sum.tolist(), tail_n.tolist()
-            )
-        ]
+        # the scalar path_quality_through expression, op for op (the
+        # integer count converts to float64 exactly).
+        path_q = (q_root + tail_sum + 1.0) / (tail_n + 2)
         return self._pick(
-            strategy, node, context, cand_ids, path_q, forwarder_utility_model2
+            strategy, node, context, cand_ids, path_q.tolist(),
+            forwarder_utility_model2,
         )

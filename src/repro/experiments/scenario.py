@@ -903,7 +903,7 @@ def run_scenario(config: ExperimentConfig) -> ScenarioResult:
             if path is not None and config.validate_routes:
                 _validate_route(path)
             if path is not None and transport is not None:
-                latencies = yield env.process(transport.send_along_path(path))
+                latencies = yield from transport.send_along_path(path)
                 if latencies is None:
                     # Injected transport drop: the round's messages died
                     # in flight (the path itself still settles — forwarders

@@ -65,6 +65,12 @@ class Overlay:
     _sweep_listeners: List["weakref.WeakMethod"] = field(
         default_factory=list, repr=False, compare=False
     )
+    #: :func:`repro.network.probing.fast_full_sweep`'s last eligible scan:
+    #: ``((topology_version, len(nodes), _next_id), alive)``, kept only
+    #: when every node was wired to :meth:`_on_topology_change`.
+    _sweep_check: Optional[Tuple[Tuple[int, int, int], int]] = field(
+        default=None, repr=False, compare=False
+    )
     #: Sorted online-id array cache backing :meth:`sample_peers`
     #: (rebuilt when ``liveness_version`` moves).
     _online_array: Optional[np.ndarray] = field(

@@ -179,26 +179,44 @@ def fast_full_sweep(overlay: Overlay, period: float, now: float) -> "Optional[di
     which is what :func:`run_probe_round`'s fast path does per node.
     The credit is lazy: the sweep appends one entry to the overlay's
     sweep log (:meth:`Overlay.log_fast_sweep`), which each node applies
-    before its views are next read or written, so the sweep itself costs
-    the eligibility check and O(1) more.  Returns the sweep totals, or
-    ``None`` when the preconditions do not hold (caller falls back to the
-    per-node loop).  Eligibility is checked over the whole population
-    *before* anything is logged, so a ``None`` return leaves the overlay
-    untouched.  A sweep that ran is announced through
+    before its views are next read or written.  Returns the sweep
+    totals, or ``None`` when the preconditions do not hold (caller falls
+    back to the per-node loop).  Eligibility is checked over the whole
+    population *before* anything is logged, so a ``None`` return leaves
+    the overlay untouched.  A sweep that ran is announced through
     :meth:`Overlay.notify_fast_sweep`, so array views of the session
     counters (:class:`repro.core.kernels.WorldArrays`) mirror it.
+
+    The degree check is an O(N) scan; its eligible result is cached on
+    the overlay under ``(topology_version, len(nodes), _next_id)``, and
+    only when the scan saw every node wired to the overlay's topology
+    listener (the rule of ``WorldArrays._wired_snapshot``): such nodes
+    bump ``topology_version`` on every neighbour-set change, so while the
+    token holds no degree has moved and a steady-state sweep is O(1).
     """
     nodes = overlay.nodes
     if not nodes or overlay.online_count() != len(nodes):
         return None
-    alive = 0
-    for node in nodes.values():
-        # The raw dict: its size is all the check reads, and the
-        # ``neighbors`` property would apply the pending credits.
-        degree = len(node._neighbors)
-        if degree < node.degree:
-            return None
-        alive += degree
+    token = (overlay.topology_version, len(nodes), overlay._next_id)
+    cached = overlay._sweep_check
+    if cached is not None and cached[0] == token:
+        alive = cached[1]
+    else:
+        # The one bound method :meth:`Overlay.spawn_node` wires every
+        # node to (an identity test: cheaper than ``==`` per node).
+        topology_listener = overlay._listeners[0]
+        wired = True
+        alive = 0
+        for node in nodes.values():
+            # The raw dict: its size is all the check reads, and the
+            # ``neighbors`` property would apply the pending credits.
+            degree = len(node._neighbors)
+            if degree < node.degree:
+                return None
+            alive += degree
+            if node._topology_listener is not topology_listener:
+                wired = False
+        overlay._sweep_check = (token, alive) if wired else None
     overlay.log_fast_sweep(period, now)
     overlay.notify_fast_sweep(period)
     return {

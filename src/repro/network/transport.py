@@ -150,6 +150,12 @@ class TransportNetwork:
         (payload_latency, round_trip_latency) pair, or None when the
         fault injector dropped the payload or confirmation in transit
         (the round's transfer is lost; callers count a dropped round).
+
+        Each hop's :meth:`transfer` runs inline (``yield from``), and a
+        caller may run this generator inline too instead of starting it
+        as a child process: the round then waits on the same link
+        requests and timeouts, without a child's start and completion
+        events.
         """
         start = self.env.now
         hops = list(zip(path.nodes[:-1], path.nodes[1:]))
@@ -163,7 +169,7 @@ class TransportNetwork:
                 size=payload_size,
                 sent_at=self.env.now,
             )
-            delivered = yield self.env.process(self.transfer(msg))
+            delivered = yield from self.transfer(msg)
             if delivered is False:
                 return None
             yield self.env.timeout(self.processing_delay)
@@ -178,7 +184,7 @@ class TransportNetwork:
                 size=confirmation_size,
                 sent_at=self.env.now,
             )
-            delivered = yield self.env.process(self.transfer(msg))
+            delivered = yield from self.transfer(msg)
             if delivered is False:
                 return None
         round_trip = self.env.now - start

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.network.node import PeerNode
 from repro.network.overlay import Overlay
-from repro.network.probing import ActiveProber, run_probe_round
+from repro.network.probing import ActiveProber, fast_full_sweep, run_probe_round
 from repro.sim.engine import Environment
 
 
@@ -106,3 +107,49 @@ def test_prober_process_runs_rounds():
         v.session_time == pytest.approx(25.0)
         for v in ov.nodes[0].neighbors.values()
     )
+
+
+# ---- fast_full_sweep's cached eligibility check ---------------------------
+def _degree_total(ov):
+    return sum(len(node.neighbors) for node in ov.nodes.values())
+
+
+def test_cached_sweep_check_returns_the_scans_total():
+    ov = make_overlay(n=12)
+    first = fast_full_sweep(ov, 5.0, 5.0)
+    assert ov._sweep_check is not None
+    cached = fast_full_sweep(ov, 5.0, 10.0)
+    assert cached == first
+    assert cached["alive"] == _degree_total(ov) == 12 * 3
+    # A neighbour set above its target degree keeps the sweep eligible;
+    # the next sweep scans again and sees the new total.
+    node = ov.nodes[0]
+    node.add_neighbor(next(i for i in ov.nodes if i not in node.neighbors and i != 0))
+    assert fast_full_sweep(ov, 5.0, 15.0)["alive"] == _degree_total(ov) == 12 * 3 + 1
+    assert len(ov._sweep_log) == 3
+
+
+def test_removed_neighbor_after_eligible_sweep_blocks_the_next_sweep():
+    ov = make_overlay(n=12)
+    assert fast_full_sweep(ov, 5.0, 5.0) is not None
+    node = ov.nodes[4]
+    node.remove_neighbor(node.neighbor_ids()[0])
+    log, version = list(ov._sweep_log), ov.availability_version
+    assert fast_full_sweep(ov, 5.0, 10.0) is None
+    assert ov._sweep_log == log
+    assert ov.availability_version == version
+
+
+def test_unwired_node_forces_the_scan():
+    ov = make_overlay(n=12)
+    assert fast_full_sweep(ov, 5.0, 5.0) is not None
+    # Put into ``nodes`` by hand: its neighbour-set changes bump no
+    # overlay counter, so no result may be trusted past the next scan.
+    stray = PeerNode(node_id=100, degree=3)
+    ov.nodes[100] = stray
+    ov._bring_online(stray, 6.0)
+    stray.set_neighbors([0, 1, 2])
+    assert fast_full_sweep(ov, 5.0, 10.0)["alive"] == 13 * 3
+    assert ov._sweep_check is None
+    stray.remove_neighbor(0)
+    assert fast_full_sweep(ov, 5.0, 15.0) is None

@@ -12,6 +12,7 @@ from repro.network.transport import (
     measure_path_latency,
 )
 from repro.sim.engine import Environment
+from repro.sim.faults import FaultInjector, FaultPlan
 
 
 def make_net(seed=0, min_bw=2.0, max_bw=2.0, **kwargs):
@@ -128,3 +129,55 @@ class TestPathLatency:
         a = measure_path_latency(self.path([3, 5]), bw)
         b = measure_path_latency(self.path([3, 5]), bw)
         assert a == b
+
+
+class TestInlineRound:
+    """``send_along_path`` run inline by a caller (``yield from``) and as
+    a child process give the same round."""
+
+    PATH = Path(cid=1, round_index=1, initiator=0, responder=9,
+                forwarders=(3, 5, 4))
+
+    def run_round(self, inline, drop=None, delay=None):
+        injector = None
+        if drop is not None or delay is not None:
+            injector = FaultInjector(
+                plan=FaultPlan(drop=drop or {}, delay=delay or {}),
+                rng=np.random.default_rng(7),
+            )
+        env = Environment()
+        net = TransportNetwork(
+            env=env,
+            bandwidth=BandwidthModel(rng=np.random.default_rng(11)),
+            fault_injector=injector,
+        )
+        out = []
+
+        def caller():
+            yield env.timeout(1.0)
+            if inline:
+                result = yield from net.send_along_path(self.PATH)
+            else:
+                result = yield env.process(net.send_along_path(self.PATH))
+            out.append((result, env.now))
+
+        env.process(caller())
+        env.run()
+        return out[0], len(net.delivered), len(net.dropped)
+
+    def test_same_latencies(self):
+        inline = self.run_round(True, delay={"payload": 0.3})
+        child = self.run_round(False, delay={"payload": 0.3})
+        assert inline == child
+        (latencies, _), delivered, _ = inline
+        assert latencies[1] > latencies[0] > 0
+        assert delivered == 8
+
+    @pytest.mark.parametrize("kind", ["payload", "confirmation"])
+    def test_same_none_on_injected_drop(self, kind):
+        inline = self.run_round(True, drop={kind: 0.999})
+        child = self.run_round(False, drop={kind: 0.999})
+        assert inline == child
+        (result, _), _, dropped = inline
+        assert result is None
+        assert dropped == 1
