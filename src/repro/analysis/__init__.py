@@ -3,9 +3,10 @@
 A stdlib-only static-analysis framework purpose-built for this repo's
 reproducibility invariants: a rule registry (:mod:`registry`), a
 per-file visitor pipeline (:mod:`pipeline`), inline ``# repro: noqa-XXX``
-suppressions (:mod:`context`), text/JSON reporters (:mod:`reporters`)
-and a grandfathering baseline (:mod:`baseline`), exposed as
-``repro lint`` / ``python -m repro lint`` / ``python -m repro.analysis``.
+suppressions (:mod:`context`) and text/JSON reporters (:mod:`reporters`),
+exposed as ``repro lint`` / ``python -m repro lint`` /
+``python -m repro.analysis``.  Every finding fails the gate unless a
+``noqa`` marker on its line silences it.
 
 Being stdlib-only is load-bearing twice over: the linter runs before the
 scientific stack imports (so it can gate environments where numpy is
@@ -13,7 +14,6 @@ missing or broken), and it sits at the bottom of the layering it
 enforces — ARCH001 holds this package to the same standard.
 """
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.context import FileContext, module_name_for, parse_noqa
 from repro.analysis.findings import Finding
 from repro.analysis.pipeline import discover_files, lint_file, lint_paths
@@ -21,7 +21,6 @@ from repro.analysis.registry import Rule, all_rules, get_rule, register, rule_co
 from repro.analysis.reporters import LintReport, render, render_json, render_text
 
 __all__ = [
-    "Baseline",
     "FileContext",
     "Finding",
     "LintReport",

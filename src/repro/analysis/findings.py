@@ -1,17 +1,14 @@
 """Finding model for the ``repro.analysis`` linter.
 
 A :class:`Finding` is one rule violation at one source location.  Findings
-are value objects: the pipeline produces them, the suppression and
-baseline layers filter them, and the reporters render them.  The
-``fingerprint`` (path, code, message) intentionally excludes the line
-number so baseline entries survive unrelated edits that shift code up or
-down a file.
+are value objects: the pipeline produces them, the inline-suppression
+layer filters them, and the reporters render them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Tuple
+from typing import Any, Dict
 
 
 @dataclass(frozen=True, order=True)
@@ -27,13 +24,8 @@ class Finding:
     code: str
     message: str = field(compare=False)
 
-    @property
-    def fingerprint(self) -> Tuple[str, str, str]:
-        """Baseline identity: stable across line-number churn."""
-        return (self.path, self.code, self.message)
-
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready representation (used by the reporter and baseline)."""
+        """JSON-ready representation (used by the JSON reporter)."""
         return {
             "path": self.path,
             "line": self.line,
@@ -41,17 +33,6 @@ class Finding:
             "code": self.code,
             "message": self.message,
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Finding":
-        """Inverse of :meth:`to_dict` (used by the result cache)."""
-        return cls(
-            path=str(data["path"]),
-            line=int(data["line"]),
-            col=int(data["col"]),
-            code=str(data["code"]),
-            message=str(data["message"]),
-        )
 
     def render(self) -> str:
         """``path:line:col: CODE message`` — the text-report line."""

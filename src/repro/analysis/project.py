@@ -211,7 +211,6 @@ class FunctionInfo:
         "node",
         "lineno",
         "class_name",
-        "is_async",
         "is_nested",
         "calls",
         "submissions",
@@ -233,7 +232,6 @@ class FunctionInfo:
         self.node = node
         self.lineno = getattr(node, "lineno", 1)
         self.class_name = class_name
-        self.is_async = isinstance(node, ast.AsyncFunctionDef)
         self.is_nested = is_nested
         #: Resolved callee qualnames (pass 2), sorted and de-duplicated.
         self.calls: Tuple[str, ...] = ()

@@ -21,11 +21,11 @@ class Rule(abc.ABC):
     """One lint rule: a code, a human rationale, and a per-file check.
 
     ``check`` yields findings for a single :class:`FileContext`; the
-    pipeline handles suppression, baselines, and reporting.  Rules are
+    pipeline handles suppression and reporting.  Rules are
     stateless — one shared instance serves every file.
     """
 
-    #: Stable identifier, e.g. ``DET001`` (used in noqa and baselines).
+    #: Stable identifier, e.g. ``DET001`` (used in noqa markers).
     code: str = ""
     #: Short name, e.g. ``unseeded-random``.
     name: str = ""
@@ -33,8 +33,8 @@ class Rule(abc.ABC):
     #: ``repro lint --list-rules`` and quoted in docs).
     rationale: str = ""
     #: Project-aware rules consult ``ctx.project`` (the whole-program
-    #: graph) and run in the serial phase B of the pipeline; per-file
-    #: rules run (and cache, and parallelise) in phase A.  A
+    #: graph) and run after every file is parsed; per-file rules run as
+    #: each file is parsed, before the project exists.  A
     #: project-aware rule must degrade gracefully when ``ctx.project``
     #: is ``None`` (fixture tests lint single files).
     requires_project: bool = False

@@ -1,11 +1,9 @@
-"""Concurrency / fork-safety rules CONC001-CONC003.
+"""Concurrency / fork-safety rules CONC001-CONC002.
 
-Every open ROADMAP item moves work across a process or task boundary:
-the sharded scenario engine fans world shards over a pool, the fleet
-runner already ships jobs to ``ProcessPoolExecutor`` workers, and the
-live service mode will run the protocol under asyncio.  The failure
-modes that matter there are interprocedural and invisible to per-file
-rules:
+The sharded scenario engine fans world shards over a pool, the fleet
+runner ships jobs to ``ProcessPoolExecutor`` workers, and
+``run_replicates`` fans seeds over one.  The failure modes that matter
+there are interprocedural and invisible to per-file rules:
 
 - CONC001 — a callable submitted to a pool that does not survive the
   trip: lambdas and nested defs do not pickle, and a picklable function
@@ -14,20 +12,17 @@ rules:
   or, worse under fork, silently aliases live parent handles;
 - CONC002 — a write to module-level mutable state reachable from a
   worker entry point: each worker mutates its own copy, the parent never
-  sees it, and results silently depend on which process ran what;
-- CONC003 — a blocking call inside an ``async def``: one ``time.sleep``
-  or sync ``subprocess.run`` stalls the whole event loop, which at
-  thousands of concurrent connection series is an outage, not a slowdown.
+  sees it, and results silently depend on which process ran what.
 
-CONC001/CONC002 are project-aware (they consult ``ctx.project``'s call
-graph and symbol table, and degrade to a lexical check / no-op when a
-file is linted alone); CONC003 is purely lexical.
+Both rules are project-aware: they consult ``ctx.project``'s call graph
+and symbol table, and degrade to a lexical check / no-op when a file is
+linted alone.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional, Set, Tuple
+from typing import Iterator, Optional, Set, Tuple
 
 from repro.analysis.astutils import dotted_name, resolve_call_target
 from repro.analysis.context import FileContext
@@ -39,28 +34,6 @@ from repro.analysis.registry import Rule, register
 _SUBMIT_METHODS = frozenset(
     {"submit", "map", "imap", "imap_unordered", "apply_async", "starmap"}
 )
-
-#: Blocking call -> suggested asyncio-native replacement (CONC003).
-_BLOCKING_CALLS: Dict[str, str] = {
-    "time.sleep": "await asyncio.sleep(...)",
-    "subprocess.run": "asyncio.create_subprocess_exec",
-    "subprocess.call": "asyncio.create_subprocess_exec",
-    "subprocess.check_call": "asyncio.create_subprocess_exec",
-    "subprocess.check_output": "asyncio.create_subprocess_exec",
-    "subprocess.getoutput": "asyncio.create_subprocess_shell",
-    "subprocess.getstatusoutput": "asyncio.create_subprocess_shell",
-    "socket.create_connection": "asyncio.open_connection",
-    "urllib.request.urlopen": "loop.run_in_executor(None, ...)",
-    "http.client.HTTPConnection": "asyncio.open_connection",
-    "http.client.HTTPSConnection": "asyncio.open_connection",
-    "open": "loop.run_in_executor(None, ...) (or do the I/O before "
-    "entering the async path)",
-}
-
-#: Socket/file methods that block when called on a sync object inside an
-#: async body.  Matched on receivers whose name suggests a socket/conn.
-_BLOCKING_METHODS = frozenset({"recv", "recv_into", "accept", "connect", "sendall"})
-_SOCKETISH = ("sock", "socket", "conn", "connection")
 
 
 def _project_for(ctx: FileContext):
@@ -342,72 +315,6 @@ class WorkerSharedStateRule(Rule):
                 lineno, _ctor = other.mutable_globals[attr]
                 return (mod, attr, lineno)
         return None
-
-
-@register
-class BlockingInAsyncRule(Rule):
-    """CONC003: blocking call inside an ``async def`` body."""
-
-    code = "CONC003"
-    name = "blocking-call-in-async"
-    rationale = (
-        "The live service mode runs thousands of concurrent connection "
-        "series on one event loop; a single synchronous time.sleep, "
-        "subprocess.run, blocking socket call or file open inside an "
-        "async def stalls every coroutine on the loop for its full "
-        "duration.  Use the asyncio-native equivalent, or push the "
-        "blocking work through loop.run_in_executor."
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        imports = ctx.imports
-        for qual, func in _iter_async_functions(ctx.tree):
-            # Walk func's own scope: nested (async) defs are themselves
-            # yielded by _iter_async_functions and checked separately.
-            for node in _walk_own_scope_stmts(func):
-                if not isinstance(node, ast.Call):
-                    continue
-                yield from self._check_call(ctx, qual, node, imports)
-
-    def _check_call(
-        self, ctx: FileContext, qual: str, node: ast.Call, imports: Dict[str, str]
-    ) -> Iterator[Finding]:
-        target = resolve_call_target(node, imports)
-        if target in _BLOCKING_CALLS:
-            yield self.finding(
-                ctx,
-                node,
-                f"blocking call {target}() inside async def {qual} stalls "
-                f"the event loop; use {_BLOCKING_CALLS[target]}",
-            )
-            return
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr in _BLOCKING_METHODS:
-            base = dotted_name(func.value) or ""
-            last = base.split(".")[-1].lower()
-            if any(tag in last for tag in _SOCKETISH):
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"blocking socket call .{func.attr}() on {base!r} inside "
-                    f"async def {qual} stalls the event loop; use the "
-                    "asyncio stream API (asyncio.open_connection / "
-                    "StreamReader/Writer)",
-                )
-
-
-def _iter_async_functions(tree: ast.Module) -> Iterator[Tuple[str, ast.AsyncFunctionDef]]:
-    def walk(node: ast.AST, prefix: str) -> Iterator[Tuple[str, ast.AsyncFunctionDef]]:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.AsyncFunctionDef):
-                yield f"{prefix}{child.name}", child
-                yield from walk(child, f"{prefix}{child.name}.")
-            elif isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                yield from walk(child, f"{prefix}{child.name}.")
-            else:
-                yield from walk(child, prefix)
-
-    return walk(tree, "")
 
 
 def _walk_own_scope_stmts(node: ast.AST) -> Iterator[ast.AST]:

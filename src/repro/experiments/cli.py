@@ -14,9 +14,8 @@ Subcommands:
 - ``obs summarize <trace.jsonl>`` — render a run report from an exported
   trace (top spans, per-subsystem event tables, round timelines); also
   accepts gzip traces and directories of traces;
-- ``fleet run|show|query|export|dash|serve`` — the resumable
-  sweep orchestrator with its persistent results store, live terminal
-  dashboard and Prometheus endpoint (:mod:`repro.fleet`);
+- ``fleet run|show|query|export`` — the resumable sweep orchestrator
+  with its persistent results store (:mod:`repro.fleet`);
 - ``lint`` — the determinism & layering static analyser
   (:mod:`repro.analysis`); also available dependency-free as
   ``python -m repro.analysis``.
@@ -374,14 +373,17 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 def _cmd_obs(args: argparse.Namespace) -> int:
     from repro.obs.summarize import summarize_file
 
-    print(
-        summarize_file(
+    try:
+        report = summarize_file(
             args.trace,
             top_spans=args.top_spans,
             max_series=args.max_series,
             top_kinds=args.top,
         )
-    )
+    except (OSError, ValueError) as exc:  # missing, empty or corrupt trace
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(report)
     return 0
 
 

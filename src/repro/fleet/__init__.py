@@ -17,11 +17,8 @@ observability data:
 - :mod:`repro.fleet.executor` — ``REPRO_JOBS``-aware process-pool
   scheduling with per-job heartbeats, capped retry on worker crash, and
   graceful SIGINT draining that marks in-flight jobs resumable.
-- :mod:`repro.fleet.dash` — a stdlib-only ANSI dashboard tailing the
-  store (``repro fleet dash``).
-- :mod:`repro.fleet.serve` — a single-threaded ``http.server`` endpoint
-  exposing the aggregated metrics registry in Prometheus text format
-  (``repro fleet serve``).
+- :mod:`repro.fleet.dash` — the plain-text store summary that
+  ``repro fleet show`` prints.
 
 Layering: ``repro.fleet`` sits *above* the experiment harness — it may
 import ``repro.experiments`` and ``repro.obs``, and nothing below it

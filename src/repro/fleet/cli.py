@@ -3,14 +3,13 @@
 - ``run SPEC --store DIR`` — execute (or resume) a sweep spec;
 - ``show STORE`` — job-state summary and per-spec progress;
 - ``query STORE`` — filter/group/aggregate the results store;
-- ``export STORE`` — dump result records as JSONL or CSV;
-- ``dash STORE`` — live ANSI dashboard (``--once`` for one frame);
-- ``serve STORE --prometheus`` — single-threaded ``/metrics`` endpoint.
+- ``export STORE`` — dump result records as JSONL or CSV.
 
-Exit codes (``EXIT_*``): 0 success, 1 any job failed, 2 the spec is
-unreadable or invalid (one ``error:`` line on stderr, no store
-written), 3 interrupted/incomplete (resumable — run again with the same
-spec and store to continue).
+Exit codes (``EXIT_*``): 0 success, 1 any job failed, 2 bad input — an
+unreadable or invalid spec, or no store at the given path (one
+``error:`` line on stderr, no store written), 3
+interrupted/incomplete (resumable — run again with the same spec and
+store to continue).
 """
 
 from __future__ import annotations
@@ -21,9 +20,11 @@ import json
 import sys
 from typing import List, Mapping, Optional
 
+from repro.fleet.store import FleetStore
+
 EXIT_OK = 0
 EXIT_FAILED_JOBS = 1
-EXIT_BAD_SPEC = 2
+EXIT_BAD_INPUT = 2
 EXIT_INTERRUPTED = 3
 
 
@@ -73,20 +74,6 @@ def add_fleet_arguments(parser: argparse.ArgumentParser) -> None:
     export_p.add_argument("--format", choices=("jsonl", "csv"),
                           default="jsonl")
 
-    dash_p = sub.add_parser("dash", help="live terminal dashboard")
-    dash_p.add_argument("store")
-    dash_p.add_argument("--interval", type=float, default=1.0, metavar="S")
-    dash_p.add_argument("--once", action="store_true",
-                        help="render one frame to stdout and exit")
-
-    serve_p = sub.add_parser("serve", help="serve aggregated metrics over HTTP")
-    serve_p.add_argument("store")
-    serve_p.add_argument("--prometheus", action="store_true",
-                         help="text exposition format at /metrics (the only "
-                              "format; the flag documents intent)")
-    serve_p.add_argument("--host", default="127.0.0.1")
-    serve_p.add_argument("--port", type=int, default=9464)
-
 
 def _parse_where(clauses: List[str]) -> Mapping[str, object]:
     where = {}
@@ -104,13 +91,12 @@ def _parse_where(clauses: List[str]) -> Mapping[str, object]:
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.fleet.executor import run_fleet
     from repro.fleet.spec import load_spec
-    from repro.fleet.store import FleetStore
 
     try:
         jobs = load_spec(args.spec).expand()
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_SPEC
+        return EXIT_BAD_INPUT
     store = FleetStore(args.store)
     outcome = run_fleet(
         jobs,
@@ -127,20 +113,30 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _open_store(path: str) -> Optional[FleetStore]:
+    """The store at ``path``, or None after one ``error:`` line if there is none."""
+    try:
+        return FleetStore(path, create=False)
+    except FileNotFoundError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
 def _cmd_show(args: argparse.Namespace) -> int:
     from repro.fleet.dash import render_dashboard
-    from repro.fleet.store import FleetStore
 
-    store = FleetStore(args.store, create=False)
+    store = _open_store(args.store)
+    if store is None:
+        return EXIT_BAD_INPUT
     print(render_dashboard(store))
     store.write_index()
     return EXIT_OK
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    from repro.fleet.store import FleetStore
-
-    store = FleetStore(args.store, create=False)
+    store = _open_store(args.store)
+    if store is None:
+        return EXIT_BAD_INPUT
     rows = store.query(
         where=_parse_where(args.where),
         group_by=args.group_by,
@@ -174,9 +170,9 @@ def _cell(value: object) -> str:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    from repro.fleet.store import FleetStore
-
-    store = FleetStore(args.store, create=False)
+    store = _open_store(args.store)
+    if store is None:
+        return EXIT_BAD_INPUT
     records = [
         store.results[job_id] for job_id in sorted(store.results)
     ]
@@ -212,25 +208,11 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_dash(args: argparse.Namespace) -> int:
-    from repro.fleet.dash import run_dashboard
-
-    return run_dashboard(args.store, interval=args.interval, once=args.once)
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.fleet.serve import serve_store
-
-    return serve_store(args.store, host=args.host, port=args.port)
-
-
 _HANDLERS = {
     "run": _cmd_run,
     "show": _cmd_show,
     "query": _cmd_query,
     "export": _cmd_export,
-    "dash": _cmd_dash,
-    "serve": _cmd_serve,
 }
 
 

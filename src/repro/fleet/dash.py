@@ -1,29 +1,19 @@
-"""Live terminal dashboard: tail a fleet store, render job state.
+"""Fleet store summary: the frame ``repro fleet show`` prints.
 
-Stdlib-only ANSI rendering (no curses dependency): each refresh clears
-the screen and reprints one frame built from the store's replayed event
-log and results.  The frame shows per-state job counts, completion
-progress, wall-clock throughput and ETA (from ``completed`` event
-timestamps), rolling degradation counters across finished jobs, the
-busiest event kinds, and the most recent per-job activity — including
-heartbeats, so a stalled worker is visible as a job whose last
-heartbeat stops advancing.
-
-Keys: ``q`` quits (when stdin is a TTY); Ctrl-C always works.
-``--once`` renders a single frame to stdout and exits — that is what
-the CI smoke lane uploads as the dashboard snapshot artifact.
+One plain-text frame built from the store's replayed event log and
+results: per-state job counts, completion progress, wall-clock
+throughput and ETA (from ``completed`` event timestamps), summed
+degradation counters across finished jobs, the busiest event kinds, and
+the most recent per-job activity — including heartbeats, so a stalled
+worker is visible as a job whose last heartbeat stops advancing.
 """
 
 from __future__ import annotations
 
-import sys
-import time
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.fleet.store import JOB_STATES, FleetStore
 from repro.sim.monitoring import ascii_bars
-
-_CLEAR = "\x1b[2J\x1b[H"
 
 
 def _bar(done: int, total: int, width: int = 40) -> str:
@@ -44,7 +34,7 @@ def _fmt_eta(seconds: float) -> str:
 
 
 def render_dashboard(store: FleetStore, max_recent: int = 10) -> str:
-    """One dashboard frame as a printable string."""
+    """The store's summary frame as a printable string."""
     out: List[str] = []
     states = store.job_states()
     by_state: Dict[str, int] = {name: 0 for name in JOB_STATES}
@@ -139,44 +129,3 @@ def render_dashboard(store: FleetStore, max_recent: int = 10) -> str:
                 f"  attempt={event.get('attempt', 1)}{extra}"
             )
     return "\n".join(out)
-
-
-def _poll_quit(timeout: float) -> bool:
-    """True if the user pressed ``q`` within ``timeout`` seconds."""
-    if not sys.stdin.isatty():
-        time.sleep(timeout)
-        return False
-    import select
-
-    ready, _, _ = select.select([sys.stdin], [], [], timeout)
-    if not ready:
-        return False
-    return sys.stdin.readline().strip().lower() == "q"
-
-
-def run_dashboard(
-    store_path,
-    interval: float = 1.0,
-    once: bool = False,
-    max_frames: Optional[int] = None,
-    out=None,
-) -> int:
-    """Dashboard loop; returns the process exit code."""
-    stream = out if out is not None else sys.stdout
-    store = FleetStore(store_path, create=False)
-    frames = 0
-    while True:
-        frame = render_dashboard(store)
-        if once:
-            print(frame, file=stream)
-            return 0
-        print(_CLEAR + frame, file=stream, flush=True)
-        frames += 1
-        if max_frames is not None and frames >= max_frames:
-            return 0
-        try:
-            if _poll_quit(interval):
-                return 0
-        except KeyboardInterrupt:
-            return 0
-        store.reload()

@@ -8,8 +8,8 @@ Scheduling reuses the harness's pool idiom (``REPRO_JOBS`` resolved via
 - jobs whose id is already ``completed`` in the store are *skipped*
   (the content-addressed resume contract — see ``repro.fleet.spec``);
 - every submission appends ``started``; while a job runs the parent
-  appends ``heartbeat`` events on a wall-clock cadence, so a dashboard
-  tailing the log can distinguish "slow" from "dead";
+  appends ``heartbeat`` events on a wall-clock cadence, so
+  ``repro fleet show`` can distinguish "slow" from "dead";
 - a worker crash (the future raises, or the pool itself breaks) costs
   one attempt; jobs retry up to ``retry.max_retries`` times with the
   capped-backoff schedule of :class:`repro.sim.faults.RetryPolicy`

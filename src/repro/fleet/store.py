@@ -11,7 +11,7 @@ The two JSONL files are the durable artifact: every line is appended
 and flushed independently, so a killed run loses at most a partial
 trailing line (tolerated and skipped with a warning on replay — the
 same forward-compat posture as the obs readers).  ``index.json`` is a
-derived convenience for dashboards and external tools; it is rebuilt
+derived convenience for external tools; it is rebuilt
 from the logs on every open and rewritten atomically, never read back
 as authority.
 
@@ -170,11 +170,6 @@ class FleetStore:
                 self.results_path,
                 {"type": "meta", "schema": STORE_SCHEMA},
             )
-
-    def reload(self) -> "FleetStore":
-        """Re-replay the logs (dashboard tailing a live run)."""
-        self._replay()
-        return self
 
     # -- derived state ----------------------------------------------------
     def job_states(self) -> Dict[str, str]:

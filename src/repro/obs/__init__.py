@@ -44,7 +44,6 @@ from repro.obs.metrics import (
     HistogramMetric,
     MetricsRegistry,
 )
-from repro.obs.promtext import parse_prometheus
 from repro.obs.tracing import NULL_TRACER, NullTracer, SpanRecord, SpanTracer
 
 __all__ = [
@@ -63,7 +62,6 @@ __all__ = [
     "SpanRecord",
     "SpanTracer",
     "TRACE_SCHEMA",
-    "parse_prometheus",
 ]
 
 

@@ -71,7 +71,7 @@ def test_project_fixture_matches_golden():
             for f in sorted(findings)
         ]
 
-    assert slim(report.new) == golden["findings"]
+    assert slim(report.findings) == golden["findings"]
     assert slim(report.suppressed) == golden["suppressed"]
 
 

@@ -23,7 +23,6 @@ class TestRegistry:
             "ARCH001",
             "CONC001",
             "CONC002",
-            "CONC003",
             "DET001",
             "DET002",
             "DET003",

@@ -1,4 +1,4 @@
-"""CLI surface: repro fleet run/show/query/export/dash/serve.
+"""CLI surface: repro fleet run/show/query/export.
 
 Most tests drive the in-process handlers via the real argparse tree;
 the SIGINT drain is exercised end-to-end through a subprocess.
@@ -9,18 +9,14 @@ import os
 import signal
 import subprocess
 import sys
-import threading
 import time
-import urllib.request
 from pathlib import Path
 
 import pytest
 
 from repro.experiments.cli import main
-from repro.fleet.dash import render_dashboard, run_dashboard
-from repro.fleet.serve import make_server
+from repro.fleet.dash import render_dashboard
 from repro.fleet.store import FleetStore
-from repro.obs import parse_prometheus
 
 SPEC = {
     "name": "cli",
@@ -111,12 +107,12 @@ class TestRunAndQuery:
 
 
 class TestDash:
-    def test_dash_once(self, tmp_path, spec_path, capsys):
+    def test_show_frame(self, tmp_path, spec_path, capsys):
         store_dir = tmp_path / "store"
         _run(["fleet", "run", spec_path, "--store", store_dir,
               "--max-jobs", "3"])
         capsys.readouterr()
-        assert _run(["fleet", "dash", store_dir, "--once"]) == 0
+        assert _run(["fleet", "show", store_dir]) == 0
         frame = capsys.readouterr().out
         assert "== repro fleet ==" in frame
         assert "3/4" in frame
@@ -126,45 +122,21 @@ class TestDash:
         frame = render_dashboard(FleetStore(tmp_path / "s"))
         assert "no jobs scheduled yet" in frame
 
-    def test_run_dashboard_max_frames(self, tmp_path):
-        FleetStore(tmp_path / "s")
-        out = open(os.devnull, "w")
-        try:
-            assert run_dashboard(
-                tmp_path / "s", interval=0.01, max_frames=2, out=out
-            ) == 0
-        finally:
-            out.close()
 
-
-class TestServe:
-    def test_scrape_round_trips_through_parser(self, tmp_path, spec_path):
-        store_dir = tmp_path / "store"
-        _run(["fleet", "run", spec_path, "--store", store_dir])
-        server, url = make_server(store_dir)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            body = urllib.request.urlopen(url).read().decode()
-        finally:
-            server.shutdown()
-            server.server_close()
-        registry = parse_prometheus(body)
-        assert registry.gauge("repro_fleet_jobs").value(state="completed") == 4
-        assert registry.to_prometheus() == body
-
-    def test_unknown_path_is_404(self, tmp_path):
-        FleetStore(tmp_path / "s")
-        server, url = make_server(tmp_path / "s")
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            with pytest.raises(urllib.error.HTTPError) as err:
-                urllib.request.urlopen(url.replace("/metrics", "/nope"))
-            assert err.value.code == 404
-        finally:
-            server.shutdown()
-            server.server_close()
+@pytest.mark.parametrize(
+    "command",
+    [["fleet", "show"], ["fleet", "query"], ["fleet", "export"],
+     ["obs", "summarize"]],
+    ids=["fleet-show", "fleet-query", "fleet-export", "obs-summarize"],
+)
+def test_missing_path_exits_2_with_one_error_line(tmp_path, command, capsys):
+    missing = tmp_path / "nope"
+    assert _run(command + [missing]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(missing) in captured.err
+    assert captured.out == ""
+    assert not missing.exists()
 
 
 class TestSigint:
