@@ -1,14 +1,5 @@
-"""Performance rules: PERF001 (thread-local in loop), PERF002 (Python
-loop over a numpy array), PERF003 (array world rebuilt in a loop).
-
-PERF001 — ``repro.sim.monitoring.PERF`` is a ``threading.local``-backed
-facade: an attribute access costs ~5x a plain increment because it
-routes through the per-thread lookup every time.  The hot-path
-convention (established when the routing hot path was profiled) is to
-prebind the per-thread instance once — ``perf = PERF.counters`` — before
-the loop and increment through the plain object inside it.  This rule
-flags the regression the prebinding fixed: facade attribute access (read
-or write) lexically inside a loop body.
+"""Performance rules: PERF002 (Python loop over a numpy array) and
+PERF003 (array world rebuilt in a loop).
 
 PERF002 — iterating a numpy array element by element from Python
 (``for x in arr`` or ``arr[i]`` with a loop index) pays a boxed
@@ -41,88 +32,6 @@ from repro.analysis.astutils import dotted_name
 from repro.analysis.context import FileContext
 from repro.analysis.findings import Finding
 from repro.analysis.registry import Rule, register
-
-_PERF_QUALNAME = "repro.sim.monitoring.PERF"
-
-
-@register
-class ThreadLocalInLoopRule(Rule):
-    """PERF001: ``PERF.x`` (or any thread-local alias) inside a loop."""
-
-    code = "PERF001"
-    name = "thread-local-in-loop"
-    rationale = (
-        "threading.local attribute access pays a per-thread dict lookup "
-        "on every operation; in the routing hot loop that measured ~5x a "
-        "plain increment.  Prebind the per-thread object once outside the "
-        "loop (perf = PERF.counters) and use plain attribute access "
-        "inside."
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not ctx.module.startswith("repro."):
-            return
-        tracked = _thread_local_names(ctx)
-        if not tracked and _PERF_QUALNAME not in ctx.imports.values():
-            # Cheap bail-out: nothing resolvable to a thread-local here.
-            modules = {v.split(".")[0] for v in ctx.imports.values()}
-            if "threading" not in modules and "repro" not in modules:
-                return
-        findings: List[Finding] = []
-        self._visit(ctx, ctx.tree, tracked, in_loop=False, out=findings)
-        yield from findings
-
-    def _visit(
-        self,
-        ctx: FileContext,
-        node: ast.AST,
-        tracked: Set[str],
-        in_loop: bool,
-        out: List[Finding],
-    ) -> None:
-        if in_loop and isinstance(node, ast.Attribute):
-            if self._is_thread_local_base(ctx, node.value, tracked):
-                out.append(
-                    self.finding(
-                        ctx,
-                        node,
-                        f"thread-local attribute access "
-                        f"{dotted_name(node) or node.attr} inside a loop; "
-                        "prebind the per-thread object before the loop "
-                        "(e.g. perf = PERF.counters)",
-                    )
-                )
-                return  # don't re-flag the inner chain of a.b.c
-        if isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
-            header = node.iter if isinstance(node, (ast.For, ast.AsyncFor)) else node.test
-            self._visit(ctx, header, tracked, in_loop, out)
-            for stmt in list(node.body) + list(node.orelse):
-                self._visit(ctx, stmt, tracked, in_loop=True, out=out)
-            return
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            # A def inside a loop binds, it does not access per-iteration;
-            # loops *inside* the nested function are found on recursion.
-            body = node.body if not isinstance(node, ast.Lambda) else [node.body]
-            for stmt in body:
-                self._visit(ctx, stmt, tracked, in_loop=False, out=out)
-            return
-        for child in ast.iter_child_nodes(node):
-            self._visit(ctx, child, tracked, in_loop, out)
-
-    def _is_thread_local_base(
-        self, ctx: FileContext, value: ast.expr, tracked: Set[str]
-    ) -> bool:
-        name = dotted_name(value)
-        if name is None:
-            return False
-        if name in tracked:
-            return True
-        head, _, rest = name.partition(".")
-        resolved = ctx.imports.get(head)
-        if resolved is None:
-            return False
-        full = f"{resolved}.{rest}" if rest else resolved
-        return full == _PERF_QUALNAME
 
 
 @register
@@ -368,37 +277,3 @@ class ArrayWorldRebuildInLoopRule(Rule):
         full = f"{resolved}.{rest}" if rest else resolved
         return full in _WORLD_QUALNAMES
 
-
-def _thread_local_names(ctx: FileContext) -> Set[str]:
-    """Names bound (anywhere in the file) to a thread-local instance.
-
-    Tracks ``x = threading.local()``, instantiations of classes defined
-    in-file that inherit ``threading.local``, and aliases imported as
-    ``from repro.sim.monitoring import PERF``.  The ``ThreadLocalPerf``
-    facade itself is matched through the import-resolution path.
-    """
-    local_classes: Set[str] = set()
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.ClassDef):
-            for base in node.bases:
-                base_name = dotted_name(base)
-                if base_name and base_name.split(".")[-1] == "local":
-                    local_classes.add(node.name)
-    names: Set[str] = set()
-    for node in ast.walk(ctx.tree):
-        if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
-            continue
-        target = node.targets[0]
-        if not isinstance(target, ast.Name):
-            continue
-        if not isinstance(node.value, ast.Call):
-            continue
-        callee = dotted_name(node.value.func)
-        if callee is None:
-            continue
-        if callee.split(".")[-1] == "local" or callee in local_classes:
-            names.add(target.id)
-    for local, resolved in ctx.imports.items():
-        if resolved == _PERF_QUALNAME:
-            names.add(local)
-    return names

@@ -74,12 +74,6 @@ class HistoryProfile:
     _pos_rounds: Dict[int, Dict[Tuple[int, int], List[int]]] = field(
         default_factory=dict, repr=False
     )
-    #: This thread's plain counter instance, bound once at construction —
-    #: selectivity is the innermost hot-path call, so it must not pay the
-    #: thread-local indirection on every query.
-    _perf: object = field(
-        default_factory=lambda: PERF.counters, repr=False, compare=False
-    )
     #: Monotonic change counter: advances on every :meth:`record` (which
     #: covers eviction) and :meth:`forget_series`.  Array-backed views
     #: (:class:`repro.core.kernels.WorldArrays`) compare a remembered
@@ -195,7 +189,7 @@ class HistoryProfile:
         """
         if round_index < 1:
             raise ValueError(f"round_index must be >= 1, got {round_index}")
-        self._perf.selectivity_queries += 1
+        PERF.selectivity_queries += 1
         max_entries = round_index - 1
         if max_entries == 0:
             return 0.0

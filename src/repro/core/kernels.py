@@ -297,7 +297,6 @@ class WorldArrays:
         self._sess_idx = np.zeros(0, dtype=np.int64)
         self._avail_token: Optional[int] = None
         self._alpha_dirty = False
-        self._perf = PERF.counters
         add_listener = getattr(overlay, "add_sweep_listener", None)
         if add_listener is not None:
             add_listener(self.on_fast_sweep)
@@ -393,7 +392,7 @@ class WorldArrays:
         self.alpha_flat = np.zeros(n_edges, dtype=np.float64)
         self._build_session_state()
         self.generation += 1
-        self._perf.array_rebuilds += 1
+        PERF.array_rebuilds += 1
 
     def _build_session_state(self) -> None:
         """Lay out a fresh session-time matrix; the next refresh reads
@@ -478,7 +477,7 @@ class WorldArrays:
                 self._sess_ver[nid] = node.availability_version
             self._avail_token = token
             if stale:
-                self._perf.alpha_row_resyncs += len(stale)
+                PERF.alpha_row_resyncs += len(stale)
                 self._alpha_dirty = True
         if not self._alpha_dirty:
             return
@@ -496,7 +495,7 @@ class WorldArrays:
             positive, num / np.where(positive, den, 1.0), 0.0
         )
         self.alpha_generation += 1
-        self._perf.alpha_refreshes += 1
+        PERF.alpha_refreshes += 1
 
 
 class DegreeBlock(NamedTuple):
@@ -866,7 +865,6 @@ class BatchPlanner:
         self.max_batched_frontiers = 0
         self._mask: Optional[np.ndarray] = None
         self._mask_key: Optional[Tuple[int, int]] = None
-        self._perf = PERF.counters
 
     # -- announcements -----------------------------------------------------
     def prepare(self, cid: int, round_index: int, responder: int) -> None:
@@ -975,9 +973,8 @@ class BatchPlanner:
         fr.st_valid = None
         fr.st_dead = None
         fr.liveness_token = stamp
-        perf = self._perf
-        perf.kernel_calls += 1
-        perf.kernel_batch_elements += int(nbr.size)
+        PERF.kernel_calls += 1
+        PERF.kernel_batch_elements += int(nbr.size)
 
     def _ensure_state_valid(self, fr: Frontier) -> None:
         if fr.st_valid is not None:
@@ -1020,10 +1017,9 @@ class BatchPlanner:
         )
         fr.q_flat[start:end] = np.minimum(1.0, np.maximum(0.0, q))
         fr.q_built[node_id] = True
-        perf = self._perf
-        perf.kernel_calls += 1
-        perf.kernel_batch_elements += end - start
-        perf.edges_scored += end - start
+        PERF.kernel_calls += 1
+        PERF.kernel_batch_elements += end - start
+        PERF.edges_scored += end - start
 
     def _ensure_full_rows(self, fr: Frontier, context: "ForwardingContext") -> None:
         """The cross-connection quality kernel: stack every stale
@@ -1061,7 +1057,7 @@ class BatchPlanner:
             if row is not None:
                 hits_mat[i, :] = row
                 continue
-            self._perf.hit_row_fallbacks += 1
+            PERF.hit_row_fallbacks += 1
             counts: List[int] = []
             extend = counts.extend
             for nid, lst in world.nbr_lists.items():
@@ -1091,10 +1087,9 @@ class BatchPlanner:
             member.q_token = (member.round_index, alpha_gen)
         if len(members) > self.max_batched_frontiers:
             self.max_batched_frontiers = len(members)
-        perf = self._perf
-        perf.kernel_calls += 1
-        perf.kernel_batch_elements += int(q.size)
-        perf.edges_scored += int(q.size)
+        PERF.kernel_calls += 1
+        PERF.kernel_batch_elements += int(q.size)
+        PERF.edges_scored += int(q.size)
 
     def _ball_quality(
         self, fr: Frontier, context: "ForwardingContext"
@@ -1120,7 +1115,7 @@ class BatchPlanner:
         weights = context.weights
         w_sel, w_avail = weights.selectivity, weights.availability
         alpha = self.world.alpha_flat
-        perf = self._perf
+        perf = PERF
 
         def quality(edges: np.ndarray) -> np.ndarray:
             sigma = np.minimum(1.0, row[edges].astype(np.float64) / safe)
@@ -1176,10 +1171,9 @@ class BatchPlanner:
             q_child.append(np.minimum(1.0, np.maximum(0.0, q)))
         fr.q_child = q_child
         fr.q_child_token = tok
-        perf = self._perf
-        perf.kernel_calls += 1
-        perf.kernel_batch_elements += world.n_children
-        perf.edges_scored += world.n_children
+        PERF.kernel_calls += 1
+        PERF.kernel_batch_elements += world.n_children
+        PERF.edges_scored += world.n_children
 
     def _pos_q(
         self, fr: Frontier, context: "ForwardingContext", node_id: int, predecessor: int
@@ -1214,10 +1208,9 @@ class BatchPlanner:
         )
         q = np.minimum(1.0, np.maximum(0.0, q))
         fr.pos_q_cache[key] = q
-        perf = self._perf
-        perf.kernel_calls += 1
-        perf.kernel_batch_elements += end - start
-        perf.edges_scored += end - start
+        PERF.kernel_calls += 1
+        PERF.kernel_batch_elements += end - start
+        PERF.edges_scored += end - start
         return q
 
     # -- SPNE value tables ---------------------------------------------------
@@ -1254,7 +1247,7 @@ class BatchPlanner:
             bases = fr.q_child
         else:
             bases = [fr.q_flat[block.child] for block in world.blocks]
-        perf = self._perf
+        perf = PERF
         while len(fr.levels_sum) <= depth:
             new_sum, new_n = self._level_step(fr, bases)
             fr.levels_sum.append(new_sum)
@@ -1392,7 +1385,7 @@ class BatchPlanner:
         # Bottom-up.
         prev_sum = np.zeros(1, dtype=np.float64)
         prev_n = np.zeros(1, dtype=np.int64)
-        perf = self._perf
+        perf = PERF
         for n_states, groups, below in reversed(tree):
             out_sum = np.zeros(n_states, dtype=np.float64)
             out_n = np.zeros(n_states, dtype=np.int64)
@@ -1496,10 +1489,9 @@ class BatchPlanner:
             )
             for nbr, q in zip(cand_ids.tolist(), qualities)
         ]
-        perf = self._perf
-        perf.utility_evaluations += len(scored)
-        perf.kernel_calls += 1
-        perf.kernel_batch_elements += len(scored)
+        PERF.utility_evaluations += len(scored)
+        PERF.kernel_calls += 1
+        PERF.kernel_batch_elements += len(scored)
         best = argmax_with_quality_tiebreak(scored)
         if best is None or best[0] < strategy.participation_threshold:
             return None

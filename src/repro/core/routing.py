@@ -90,12 +90,6 @@ class ForwardingContext:
     #: to the shared no-op tracer, so uninstrumented constructors and the
     #: routing hot path pay only a no-op ``with`` block.
     tracer: object = field(default_factory=_null_tracer, repr=False)
-    #: This thread's plain counter instance, bound once at construction.
-    #: Hot methods increment through this (or a local alias) rather than
-    #: the ``PERF`` facade, which pays thread-local indirection per access.
-    perf: object = field(
-        default_factory=lambda: PERF.counters, repr=False, compare=False
-    )
     #: Scoring backend: ``"python"`` (scalar reference) or ``"numpy"``
     #: (batched kernels, :mod:`repro.core.kernels`).  Both produce
     #: bit-identical decisions; the utility strategies dispatch on this.
@@ -158,7 +152,7 @@ class ForwardingContext:
         — :func:`repro.core.edge_quality.edge_quality` with this context's
         connection, round, weights and selectivity predecessor."""
         sel_pred = self.selectivity_predecessor(predecessor)
-        self.perf.edges_scored += 1
+        PERF.edges_scored += 1
         return edge_quality(
             node,
             neighbor,
@@ -256,7 +250,7 @@ def _score_edges_model1(
 ) -> List[Tuple[float, float, int]]:
     """(utility, quality, neighbor) triples for every candidate, eq. 1."""
     out = []
-    perf = context.perf
+    perf = PERF
     for nbr, q in context.scored_candidates(node, predecessor):
         cost = context.cost_model.decision_cost(
             node.participation_cost, node.node_id, nbr, context.contract.payload_size
@@ -351,9 +345,9 @@ class UtilityModelII(RoutingStrategy):
         key = (node_id, predecessor, depth)
         hit = memo.get(key)
         if hit is not None:
-            context.perf.spne_memo_hits += 1
+            PERF.spne_memo_hits += 1
             return hit
-        context.perf.spne_memo_misses += 1
+        PERF.spne_memo_misses += 1
         node = context.overlay.nodes[node_id]
         best_sum, best_n = 0.0, 0
         best_mean = -1.0
@@ -408,7 +402,7 @@ class UtilityModelII(RoutingStrategy):
                 )
             memo: Dict[Tuple[int, Optional[int], int], Tuple[float, int]] = {}
             scored: List[Tuple[float, float, int]] = []
-            perf = context.perf
+            perf = PERF
             for nbr, _q in context.scored_candidates(node, predecessor):
                 pq = self.path_quality_through(node, nbr, predecessor, context, memo=memo)
                 cost = context.cost_model.decision_cost(

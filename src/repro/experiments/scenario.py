@@ -17,7 +17,6 @@ The flow (matching §3's setup):
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -44,7 +43,7 @@ from repro.network.node import NodeState
 from repro.network.overlay import Overlay
 from repro.network.probing import PROBE_PERIOD, ActiveProber
 from repro.obs import MetricsRegistry, Observability, RunTrace
-from repro.obs.tracing import NULL_TRACER
+from repro.obs.tracing import NULL_TRACER, SpanRecord, SpanTracer
 from repro.payment.bank import DEFAULT_KEY_BITS, Bank
 from repro.payment.escrow import SeriesEscrow
 from repro.sim.distributions import Exponential, Pareto
@@ -117,11 +116,12 @@ class ScenarioResult:
     #: retries, dropped rounds, deferred settlements).  All-zero when no
     #: fault plan was active.
     degradation: Dict[str, int] = field(default_factory=dict)
-    #: Per-phase wall-clock seconds: ``setup`` (construction up to the
-    #: first ``env.run``), ``simulate`` (the event loop), ``settle``
-    #: (cumulative settlement work — it runs *inside* the event loop, so
-    #: it is a subset of ``simulate``, broken out for attribution), and
-    #: ``collect`` (aggregation after the loop).  Always populated.
+    #: Per-phase wall-clock seconds, read from the run's spans:
+    #: ``setup`` (construction up to the first ``env.run``), ``simulate``
+    #: (the event loop), ``settle`` (the summed ``settle.series`` spans —
+    #: settlement runs *inside* the event loop, so it is a subset of
+    #: ``simulate``, broken out for attribution), and ``collect``
+    #: (aggregation after the loop).  Always populated.
     phase_timings: Dict[str, float] = field(default_factory=dict)
     #: Structured run trace (events + spans), populated only when
     #: ``config.obs`` enabled tracing; None otherwise.
@@ -396,7 +396,6 @@ def run_scenario(config: ExperimentConfig) -> ScenarioResult:
     from repro.sim.monitoring import PERF
 
     perf_before = PERF.snapshot()
-    t_setup0 = time.perf_counter()  # repro: noqa-DET005 (informational wall timing; never feeds results)
     streams = RandomStreams(config.seed)
     env = Environment()
 
@@ -410,9 +409,13 @@ def run_scenario(config: ExperimentConfig) -> ScenarioResult:
     bus = obs.bus if obs is not None else None
     tracer = obs.tracer if obs is not None else NULL_TRACER
     emit_hops = bus is not None and config.obs.hop_events
+    # The phase and settlement spans are the run's only wall clock:
+    # ``phase_timings`` is read from them.  Without obs spans they go to
+    # a tracer of their own, which no component and no trace sees.
+    phase_tracer = tracer if tracer.enabled else SpanTracer()
     # Phase spans bracket regions of this (synchronous) frame, so they
     # are entered/exited manually rather than re-indenting the harness.
-    _setup_span = tracer.span("scenario.setup").__enter__()
+    _setup_span = phase_tracer.span("scenario.setup").__enter__()
 
     overlay = Overlay(rng=streams["overlay"], degree=config.degree)
     overlay.bootstrap(
@@ -916,10 +919,6 @@ def run_scenario(config: ExperimentConfig) -> ScenarioResult:
         yield from _settle_with_retry(series, initiator)
         pairs_done.append(cid)
 
-    #: Cumulative wall-clock seconds spent inside _settle (the "settle"
-    #: phase runs within the event loop, so it is broken out by summing).
-    settle_wall = [0.0]
-
     def _settle_with_retry(series: ConnectionSeries, initiator: int):
         """Settle, deferring through bank-outage windows with backoff."""
         if injector is None or retry_policy is None:
@@ -948,48 +947,42 @@ def run_scenario(config: ExperimentConfig) -> ScenarioResult:
                 attempt += 1
 
     def _settle(series: ConnectionSeries, initiator: int) -> None:
-        t0 = time.perf_counter()  # repro: noqa-DET005 (informational wall timing; never feeds results)
-        try:
-            with tracer.span("settle.series"):
-                _settle_inner(series, initiator)
-        finally:
-            settle_wall[0] += time.perf_counter() - t0  # repro: noqa-DET005 (informational wall timing; never feeds results)
-
-    def _settle_inner(series: ConnectionSeries, initiator: int) -> None:
-        payments = series.settlement()
-        series_settlements[series.cid] = dict(payments)
-        if not payments:
+        # One span per attempt; the "settle" phase timing sums them.
+        with phase_tracer.span("settle.series"):
+            payments = series.settlement()
+            series_settlements[series.cid] = dict(payments)
+            if not payments:
+                if bus is not None:
+                    bus.emit("settle.series", cid=series.cid, paid=0.0, n_forwarders=0)
+                return
+            if bank is not None:
+                total = sum(payments.values())
+                escrow = SeriesEscrow(
+                    bank=bank,
+                    escrow_id=series.cid,
+                    initiator_account=initiator,
+                    budget=total,
+                )
+                escrow.open()
+                validated = series.log.total_instances()
+                escrow.settle(payments, validated_instances=validated, rng=streams["bank"])
+            for node, amount in payments.items():
+                earnings[node] = earnings.get(node, 0.0) + amount
+            # Settled claims stop being "accrued": the per-instance part of
+            # the payment converts to cash (floor at zero for safety).
+            instances = series.log.total_instances()
+            pf = series.contract.forwarding_benefit
+            for node, m in instances.items():
+                if node in accrued:
+                    accrued[node] = max(0.0, accrued[node] - m * pf)
             if bus is not None:
-                bus.emit("settle.series", cid=series.cid, paid=0.0, n_forwarders=0)
-            return
-        if bank is not None:
-            total = sum(payments.values())
-            escrow = SeriesEscrow(
-                bank=bank,
-                escrow_id=series.cid,
-                initiator_account=initiator,
-                budget=total,
-            )
-            escrow.open()
-            validated = series.log.total_instances()
-            escrow.settle(payments, validated_instances=validated, rng=streams["bank"])
-        for node, amount in payments.items():
-            earnings[node] = earnings.get(node, 0.0) + amount
-        # Settled claims stop being "accrued": the per-instance part of
-        # the payment converts to cash (floor at zero for safety).
-        instances = series.log.total_instances()
-        pf = series.contract.forwarding_benefit
-        for node, m in instances.items():
-            if node in accrued:
-                accrued[node] = max(0.0, accrued[node] - m * pf)
-        if bus is not None:
-            bus.emit(
-                "settle.series",
-                cid=series.cid,
-                paid=sum(payments.values()),
-                n_forwarders=len(payments),
-                banked=bank is not None,
-            )
+                bus.emit(
+                    "settle.series",
+                    cid=series.cid,
+                    paid=sum(payments.values()),
+                    n_forwarders=len(payments),
+                    banked=bank is not None,
+                )
 
     for cid, (i, r) in enumerate(pairs, start=1):
         if config.pricing is None:
@@ -1005,12 +998,10 @@ def run_scenario(config: ExperimentConfig) -> ScenarioResult:
         env.process(pair_process(cid, i, r, contract))
 
     _setup_span.__exit__(None, None, None)
-    phase_timings: Dict[str, float] = {"setup": time.perf_counter() - t_setup0}  # repro: noqa-DET005 (informational wall timing; never feeds results)
 
     # Run until all workload processes finish (plus prober/churn, which are
     # infinite; stop when every series has attempted all rounds).
-    t_sim0 = time.perf_counter()  # repro: noqa-DET005 (informational wall timing; never feeds results)
-    _sim_span = tracer.span("scenario.simulate").__enter__()
+    _sim_span = phase_tracer.span("scenario.simulate").__enter__()
     horizon = INTER_ROUND_GAP * (rounds + 2) * 2.0
     try:
         while True:
@@ -1031,12 +1022,9 @@ def run_scenario(config: ExperimentConfig) -> ScenarioResult:
             if injector is not None:
                 injector.stats.absorb(shard_engine.worker_degradation)
     _sim_span.__exit__(None, None, None)
-    phase_timings["simulate"] = time.perf_counter() - t_sim0  # repro: noqa-DET005 (informational wall timing; never feeds results)
-    phase_timings["settle"] = settle_wall[0]
 
     # ---- aggregate -------------------------------------------------------
-    t_collect0 = time.perf_counter()  # repro: noqa-DET005 (informational wall timing; never feeds results)
-    _collect_span = tracer.span("scenario.collect").__enter__()
+    _collect_span = phase_tracer.span("scenario.collect").__enter__()
     costs: Dict[int, float] = dict(transmission_costs)
     for nid in participated:
         costs[nid] = costs.get(nid, 0.0) + overlay.nodes[nid].participation_cost
@@ -1060,7 +1048,7 @@ def run_scenario(config: ExperimentConfig) -> ScenarioResult:
             ),
         }
     _collect_span.__exit__(None, None, None)
-    phase_timings["collect"] = time.perf_counter() - t_collect0  # repro: noqa-DET005 (informational wall timing; never feeds results)
+    phase_timings = _phase_timings(phase_tracer.spans)
 
     perf_delta = PERF.delta_since(perf_before)
     degradation = injector.stats.snapshot() if injector is not None else {}
@@ -1129,6 +1117,19 @@ def run_scenario(config: ExperimentConfig) -> ScenarioResult:
         sybil_ids=set(colony.all_ids) if colony is not None else set(),
         sybil_stats=sybil_stats,
     )
+
+
+def _phase_timings(spans: List[SpanRecord]) -> Dict[str, float]:
+    """Wall seconds per phase, read from the run's spans: each
+    ``scenario.<phase>`` span's wall, and for ``settle`` the sum of the
+    ``settle.series`` walls (settlement runs inside ``simulate``)."""
+    timings = {"setup": 0.0, "simulate": 0.0, "settle": 0.0, "collect": 0.0}
+    for span in spans:
+        if span.name == "settle.series":
+            timings["settle"] += span.wall
+        elif span.name.startswith("scenario."):
+            timings[span.name[len("scenario."):]] = span.wall
+    return timings
 
 
 def _build_run_metrics(

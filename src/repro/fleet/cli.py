@@ -6,8 +6,9 @@
 - ``export STORE`` — dump result records as JSONL or CSV.
 
 Exit codes (``EXIT_*``): 0 success, 1 any job failed, 2 bad input — an
-unreadable or invalid spec, or no store at the given path (one
-``error:`` line on stderr, no store written), 3
+unreadable or invalid spec, no store at the given path, a malformed
+``--where`` clause or an ``--out`` file that cannot be created (one
+``error:`` line on stderr, nothing written), 3
 interrupted/incomplete (resumable — run again with the same spec and
 store to continue).
 """
@@ -79,7 +80,7 @@ def _parse_where(clauses: List[str]) -> Mapping[str, object]:
     where = {}
     for clause in clauses:
         if "=" not in clause:
-            raise SystemExit(f"--where expects PATH=VALUE, got {clause!r}")
+            raise ValueError(f"--where expects PATH=VALUE, got {clause!r}")
         path, raw = clause.split("=", 1)
         try:
             where[path] = json.loads(raw)
@@ -137,8 +138,13 @@ def _cmd_query(args: argparse.Namespace) -> int:
     store = _open_store(args.store)
     if store is None:
         return EXIT_BAD_INPUT
+    try:
+        where = _parse_where(args.where)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     rows = store.query(
-        where=_parse_where(args.where),
+        where=where,
         group_by=args.group_by,
         select=args.select,
         agg=args.agg,
@@ -176,7 +182,13 @@ def _cmd_export(args: argparse.Namespace) -> int:
     records = [
         store.results[job_id] for job_id in sorted(store.results)
     ]
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    out = sys.stdout
+    if args.out:
+        try:
+            out = open(args.out, "w", encoding="utf-8")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_BAD_INPUT
     try:
         if args.format == "jsonl":
             for record in records:

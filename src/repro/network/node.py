@@ -181,12 +181,6 @@ class PeerNode:
     _availability_listener: Optional[Callable[[], None]] = field(
         default=None, repr=False, compare=False
     )
-    #: This thread's plain counter instance, bound once at construction —
-    #: ``availability_vector`` sits on the edge-scoring hot path and must
-    #: not pay the ``PERF`` facade's thread-local indirection per call.
-    _perf: object = field(
-        default_factory=lambda: PERF.counters, repr=False, compare=False
-    )
 
     # -- lazy sweep credits (see module docstring) ---------------------------
     @property
@@ -422,9 +416,9 @@ class PeerNode:
         if self._sweeps_applied != len(self._sweep_log):
             self._apply_sweeps()
         if self._avail_dirty:
-            self._perf.availability_cache_misses += 1
+            PERF.availability_cache_misses += 1
             return self._refresh_availability()
-        self._perf.availability_cache_hits += 1
+        PERF.availability_cache_hits += 1
         return self._avail_vector
 
     def __repr__(self) -> str:

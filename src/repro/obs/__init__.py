@@ -17,8 +17,8 @@ Three cooperating primitives, each usable on its own:
   manager, so instrumented call sites cost a method call and nothing
   else when observability is off.
 - :mod:`repro.obs.metrics` — a **metrics registry**
-  (:class:`MetricsRegistry`): named counters/gauges/histograms with
-  label support and Prometheus text-format / JSON exporters.  The
+  (:class:`MetricsRegistry`): named counters and gauges with keyword
+  labels and Prometheus text-format / JSON exporters.  The
   process-wide :data:`repro.sim.monitoring.PERF` counters and the
   per-run ``DegradationCounters`` keep their plain attribute-increment
   APIs and are absorbed into the registry as registered instruments via
@@ -37,20 +37,13 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
 from repro.obs.events import TRACE_SCHEMA, EventBus, ObsEvent, RunTrace
-from repro.obs.metrics import (
-    METRICS_SCHEMA,
-    Counter,
-    Gauge,
-    HistogramMetric,
-    MetricsRegistry,
-)
+from repro.obs.metrics import METRICS_SCHEMA, Counter, Gauge, MetricsRegistry
 from repro.obs.tracing import NULL_TRACER, NullTracer, SpanRecord, SpanTracer
 
 __all__ = [
     "Counter",
     "EventBus",
     "Gauge",
-    "HistogramMetric",
     "METRICS_SCHEMA",
     "MetricsRegistry",
     "NULL_TRACER",

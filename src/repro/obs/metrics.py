@@ -1,17 +1,17 @@
-"""Metrics registry: named counters, gauges and histograms with labels.
+"""Metrics registry: named counters and gauges with keyword labels.
 
 Naming follows the Prometheus conventions: instrument names match
 ``[a-zA-Z_:][a-zA-Z0-9_:]*`` and are prefixed ``repro_``; counters end
-in ``_total``; label names match ``[a-zA-Z_][a-zA-Z0-9_]*``.  One
-instrument owns all of its label children: ``registry.counter("x_total",
-help).labels(phase="setup").inc()``; the label-less child is the
-instrument itself.
+in ``_total``; label names match ``[a-zA-Z_][a-zA-Z0-9_]*``.  Labels are
+keyword arguments of the update and read calls:
+``registry.counter("x_total", help).inc(kind="path.form")``; the call
+without labels addresses the label-less series.
 
-The registry holds plain data only — values, help strings, bucket
-bounds — never callables, so a populated :class:`MetricsRegistry`
-pickles cleanly across the ``REPRO_JOBS`` process-pool replicate path.
-The process-wide ``PERF`` counters and the per-run
-``DegradationCounters`` keep their attribute-increment hot-path APIs;
+The registry holds plain data only — values and help strings, never
+callables — so a populated :class:`MetricsRegistry` pickles cleanly
+across the ``REPRO_JOBS`` process-pool replicate path.  The process-wide
+``PERF`` counters and the per-run ``DegradationCounters`` keep their
+attribute-increment hot-path APIs;
 :meth:`MetricsRegistry.register_counters` materialises a snapshot of
 either into registered instruments at collection time.
 
@@ -23,20 +23,15 @@ from __future__ import annotations
 
 import json
 import re
-import warnings
-from bisect import bisect_left
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
-#: Schema stamp on the JSON export.  :meth:`MetricsRegistry.from_json`
-#: accepts stamped and legacy (bare-dict) documents, and warns — never
-#: crashes — on unknown stamps, instrument types, or extra fields, so
-#: the fleet store can ingest artifacts from newer/older writers.
+#: Schema stamp on the JSON export.
 METRICS_SCHEMA = "repro-obs/metrics-v1"
 
-#: Sorted-tuple form of a label set; () is the label-less child.
+#: Sorted-tuple form of a label set; () is the label-less series.
 LabelKey = Tuple[Tuple[str, str], ...]
 
 
@@ -57,11 +52,10 @@ def _escape_label_value(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
-def _format_labels(key: LabelKey, extra: Tuple[Tuple[str, str], ...] = ()) -> str:
-    pairs = key + extra
-    if not pairs:
+def _format_labels(key: LabelKey) -> str:
+    if not key:
         return ""
-    inner = ",".join(f'{k}="{_escape_label_value(v)}"' for k, v in pairs)
+    inner = ",".join(f'{k}="{_escape_label_value(v)}"' for k, v in key)
     return "{" + inner + "}"
 
 
@@ -76,48 +70,23 @@ def _format_value(value: float) -> str:
 
 
 class _Instrument:
-    """Shared behaviour: a name, a help string, and per-label-set state."""
+    """Shared behaviour: a name, a help string, and one value per label set."""
 
     metric_type = "untyped"
 
     def __init__(self, name: str, help: str = ""):
         self.name = _validate_name(name)
         self.help = help
-
-    def _samples(self) -> "List[Tuple[str, LabelKey, float]]":
-        """(suffix, label_key, value) triples for the text exporter."""
-        raise NotImplementedError
-
-    def _json_obj(self) -> Dict[str, object]:
-        raise NotImplementedError
-
-
-class Counter(_Instrument):
-    """Monotonically non-decreasing count, optionally labelled."""
-
-    metric_type = "counter"
-
-    def __init__(self, name: str, help: str = ""):
-        super().__init__(name, help)
         self._values: Dict[LabelKey, float] = {}
-
-    def labels(self, **labels: object) -> "_CounterChild":
-        return _CounterChild(self, _label_key(labels))
-
-    def inc(self, amount: float = 1.0, **labels: object) -> None:
-        if amount < 0:
-            raise ValueError("counters can only increase")
-        key = _label_key(labels)
-        self._values[key] = self._values.get(key, 0.0) + amount
 
     def value(self, **labels: object) -> float:
         return self._values.get(_label_key(labels), 0.0)
 
-    def _samples(self):
-        items = sorted(self._values.items()) or [((), 0.0)]
-        return [("", key, value) for key, value in items]
+    def _samples(self) -> "List[Tuple[LabelKey, float]]":
+        """(label_key, value) pairs for the text exporter."""
+        return sorted(self._values.items()) or [((), 0.0)]
 
-    def _json_obj(self):
+    def _json_obj(self) -> Dict[str, object]:
         return {
             "type": self.metric_type,
             "help": self.help,
@@ -128,31 +97,22 @@ class Counter(_Instrument):
         }
 
 
-class _CounterChild:
-    __slots__ = ("_counter", "_key")
+class Counter(_Instrument):
+    """Monotonically non-decreasing count, optionally labelled."""
 
-    def __init__(self, counter: Counter, key: LabelKey):
-        self._counter = counter
-        self._key = key
+    metric_type = "counter"
 
-    def inc(self, amount: float = 1.0) -> None:
+    def inc(self, amount: float = 1.0, **labels: object) -> None:
         if amount < 0:
             raise ValueError("counters can only increase")
-        values = self._counter._values
-        values[self._key] = values.get(self._key, 0.0) + amount
+        key = _label_key(labels)
+        self._values[key] = self._values.get(key, 0.0) + amount
 
 
 class Gauge(_Instrument):
     """A value that can go up and down, optionally labelled."""
 
     metric_type = "gauge"
-
-    def __init__(self, name: str, help: str = ""):
-        super().__init__(name, help)
-        self._values: Dict[LabelKey, float] = {}
-
-    def labels(self, **labels: object) -> "_GaugeChild":
-        return _GaugeChild(self, _label_key(labels))
 
     def set(self, value: float, **labels: object) -> None:
         self._values[_label_key(labels)] = float(value)
@@ -161,109 +121,12 @@ class Gauge(_Instrument):
         key = _label_key(labels)
         self._values[key] = self._values.get(key, 0.0) + amount
 
-    def value(self, **labels: object) -> float:
-        return self._values.get(_label_key(labels), 0.0)
-
-    def _samples(self):
-        items = sorted(self._values.items()) or [((), 0.0)]
-        return [("", key, value) for key, value in items]
-
-    def _json_obj(self):
-        return {
-            "type": self.metric_type,
-            "help": self.help,
-            "values": [
-                {"labels": dict(key), "value": value}
-                for key, value in sorted(self._values.items())
-            ],
-        }
-
-
-#: Default histogram buckets, tuned for sub-second wall-clock spans.
-DEFAULT_BUCKETS = (
-    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
-)
-
-
-class HistogramMetric(_Instrument):
-    """Cumulative-bucket histogram (Prometheus semantics), labelled.
-
-    Named with the ``Metric`` suffix to avoid clashing with the
-    streaming :class:`repro.sim.monitoring.Histogram`.
-    """
-
-    metric_type = "histogram"
-
-    def __init__(
-        self,
-        name: str,
-        help: str = "",
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ):
-        super().__init__(name, help)
-        bounds = tuple(sorted(float(b) for b in buckets))
-        if not bounds:
-            raise ValueError("histogram needs at least one bucket bound")
-        self.buckets = bounds
-        # key -> (per-bucket counts, +Inf count, sum)
-        self._counts: Dict[LabelKey, List[float]] = {}
-        self._sums: Dict[LabelKey, float] = {}
-        self._totals: Dict[LabelKey, float] = {}
-
-    def observe(self, value: float, **labels: object) -> None:
-        key = _label_key(labels)
-        counts = self._counts.setdefault(key, [0.0] * len(self.buckets))
-        idx = bisect_left(self.buckets, value)
-        if idx < len(counts):
-            counts[idx] += 1
-        self._sums[key] = self._sums.get(key, 0.0) + float(value)
-        self._totals[key] = self._totals.get(key, 0.0) + 1
-
-    def count(self, **labels: object) -> float:
-        return self._totals.get(_label_key(labels), 0.0)
-
-    def sum(self, **labels: object) -> float:
-        return self._sums.get(_label_key(labels), 0.0)
-
-    def _samples(self):
-        samples: List[Tuple[str, LabelKey, float]] = []
-        for key in sorted(self._counts):
-            cumulative = 0.0
-            for bound, count in zip(self.buckets, self._counts[key]):
-                cumulative += count
-                samples.append(
-                    ("_bucket", key + (("le", _format_value(bound)),), cumulative)
-                )
-            samples.append(
-                ("_bucket", key + (("le", "+Inf"),), self._totals[key])
-            )
-            samples.append(("_sum", key, self._sums[key]))
-            samples.append(("_count", key, self._totals[key]))
-        return samples
-
-    def _json_obj(self):
-        return {
-            "type": self.metric_type,
-            "help": self.help,
-            "buckets": list(self.buckets),
-            "values": [
-                {
-                    "labels": dict(key),
-                    "counts": list(self._counts[key]),
-                    "sum": self._sums[key],
-                    "count": self._totals[key],
-                }
-                for key in sorted(self._counts)
-            ],
-        }
-
 
 class MetricsRegistry:
     """Namespace of instruments with shared exporters.
 
-    ``counter`` / ``gauge`` / ``histogram`` are get-or-create: asking
-    for an existing name returns the existing instrument (a type
-    mismatch raises).
+    ``counter`` / ``gauge`` are get-or-create: asking for an existing
+    name returns the existing instrument (a type mismatch raises).
     """
 
     def __init__(self):
@@ -281,7 +144,7 @@ class MetricsRegistry:
     def get(self, name: str) -> Optional[_Instrument]:
         return self._instruments.get(name)
 
-    def _get_or_create(self, cls, name: str, help: str, **kwargs) -> _Instrument:
+    def _get_or_create(self, cls, name: str, help: str) -> _Instrument:
         existing = self._instruments.get(name)
         if existing is not None:
             if not isinstance(existing, cls):
@@ -290,7 +153,7 @@ class MetricsRegistry:
                     f"{existing.metric_type}, not {cls.metric_type}"
                 )
             return existing
-        instrument = cls(name, help, **kwargs)
+        instrument = cls(name, help)
         self._instruments[name] = instrument
         return instrument
 
@@ -300,17 +163,7 @@ class MetricsRegistry:
     def gauge(self, name: str, help: str = "") -> Gauge:
         return self._get_or_create(Gauge, name, help)
 
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> HistogramMetric:
-        return self._get_or_create(
-            HistogramMetric, name, help, buckets=buckets
-        )
-
-    # -- facade absorption ------------------------------------------------
+    # -- snapshot absorption ----------------------------------------------
     def register_counters(
         self,
         prefix: str,
@@ -351,10 +204,8 @@ class MetricsRegistry:
             if instrument.help:
                 lines.append(f"# HELP {name} {instrument.help}")
             lines.append(f"# TYPE {name} {instrument.metric_type}")
-            for suffix, key, value in instrument._samples():
-                lines.append(
-                    f"{name}{suffix}{_format_labels(key)} {_format_value(value)}"
-                )
+            for key, value in instrument._samples():
+                lines.append(f"{name}{_format_labels(key)} {_format_value(value)}")
         return "\n".join(lines) + ("\n" if lines else "")
 
     def to_json(self, indent: Optional[int] = None) -> str:
@@ -369,62 +220,3 @@ class MetricsRegistry:
             indent=indent,
             sort_keys=True,
         )
-
-    # -- importer ---------------------------------------------------------
-    @classmethod
-    def from_json(cls, document: "str | Mapping[str, object]") -> "MetricsRegistry":
-        """Rebuild a registry from a :meth:`to_json` document.
-
-        Accepts the stamped ``repro-obs/metrics-v1`` envelope or the
-        legacy bare ``{name: instrument}`` dict.  Unknown schema stamps,
-        instrument types and extra per-instrument fields warn and are
-        skipped (forward compatibility).
-        """
-        obj = json.loads(document) if isinstance(document, str) else dict(document)
-        if "schema" in obj or "metrics" in obj:
-            schema = obj.get("schema")
-            if schema is not None and schema != METRICS_SCHEMA:
-                warnings.warn(
-                    f"metrics schema {schema!r} is newer than "
-                    f"{METRICS_SCHEMA!r}; reading known fields only",
-                    stacklevel=2,
-                )
-            for key in obj:
-                if key not in ("schema", "metrics"):
-                    warnings.warn(
-                        f"unknown metrics-export field {key!r} ignored",
-                        stacklevel=2,
-                    )
-            instruments = obj.get("metrics", {})
-        else:
-            instruments = obj
-        registry = cls()
-        for name in sorted(instruments):
-            spec = instruments[name]
-            mtype = spec.get("type")
-            help_text = str(spec.get("help", ""))
-            if mtype == "counter":
-                inst = registry.counter(name, help_text)
-                for entry in spec.get("values", []):
-                    key = _label_key(entry.get("labels", {}))
-                    inst._values[key] = float(entry["value"])
-            elif mtype == "gauge":
-                inst = registry.gauge(name, help_text)
-                for entry in spec.get("values", []):
-                    key = _label_key(entry.get("labels", {}))
-                    inst._values[key] = float(entry["value"])
-            elif mtype == "histogram":
-                hist = registry.histogram(
-                    name, help_text, buckets=spec.get("buckets", DEFAULT_BUCKETS)
-                )
-                for entry in spec.get("values", []):
-                    key = _label_key(entry.get("labels", {}))
-                    hist._counts[key] = [float(c) for c in entry["counts"]]
-                    hist._sums[key] = float(entry["sum"])
-                    hist._totals[key] = float(entry["count"])
-            else:
-                warnings.warn(
-                    f"unknown instrument type {mtype!r} for {name!r} skipped",
-                    stacklevel=2,
-                )
-        return registry

@@ -13,6 +13,11 @@ round), ``spne.decide`` (one per Utility-Model-II next-hop decision),
 series settlement), nested inside the ``scenario.setup`` /
 ``scenario.simulate`` / ``scenario.collect`` phase spans.
 
+Spans are the only wall clock of a run: ``ScenarioResult.phase_timings``
+is read from the phase and ``settle.series`` spans.  When obs spans are
+off, ``run_scenario`` records just those on a :class:`SpanTracer` of its
+own, while every component keeps :data:`NULL_TRACER`.
+
 **Important**: spans must not straddle a simulation ``yield`` — the
 tracer's nesting stack assumes the region runs synchronously.  All of
 the wrapped regions above are yield-free.
@@ -132,7 +137,7 @@ class _ActiveSpan:
 
 
 class SpanTracer:
-    """Collects nested spans; one instance per observed run."""
+    """Collects nested spans; one instance per run."""
 
     def __init__(self, clock: Optional[Callable[[], float]] = None):
         self._clock = clock if clock is not None else (lambda: 0.0)

@@ -30,11 +30,7 @@ from repro.sim.faults import (
 from repro.sim.monitoring import (
     PERF,
     DegradationCounters,
-    Histogram,
     PerfCounters,
-    RunningStats,
-    ThreadLocalPerf,
-    TimeSeries,
     ascii_bars,
 )
 from repro.sim.process import Process
@@ -53,19 +49,15 @@ __all__ = [
     "FaultError",
     "FaultInjector",
     "FaultPlan",
-    "Histogram",
     "PERF",
     "PerfCounters",
-    "ThreadLocalPerf",
     "Interrupt",
     "RetryPolicy",
     "Process",
     "RandomStreams",
     "Resource",
-    "RunningStats",
     "StopSimulation",
     "Store",
-    "TimeSeries",
     "Timeout",
     "ascii_bars",
     "distributions",

@@ -1,194 +1,18 @@
-"""Online statistics and time-series monitoring for simulations.
+"""Run counters for simulations.
 
-- :class:`RunningStats` — Welford's online mean/variance (numerically
-  stable; no sample storage).
-- :class:`TimeSeries` — (time, value) recorder with time-weighted mean
-  (the right average for state variables like queue length or online
-  population).
-- :class:`Histogram` — fixed-bin counter for payoff/latency
-  distributions.
 - :class:`PerfCounters` / :data:`PERF` — hot-path profiling counters for
   the routing fast path (selectivity queries, availability cache hits,
   edges scored, SPNE memo reuse).
 - :class:`DegradationCounters` — per-run fault/recovery counters
   (reformations, retries, dropped rounds, deferred settlements) filled
   by :class:`repro.sim.faults.FaultInjector` and the recovery layer.
-
-These are substrate utilities: the scenario runner and benchmarks use
-them, and they are exported for downstream models.
+- :func:`ascii_bars` — a horizontal bar chart for terminal figures.
 """
 
 from __future__ import annotations
 
-import math
-import threading
-from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
-
-
-class RunningStats:
-    """Welford online mean/variance/min/max."""
-
-    def __init__(self):
-        self._n = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self._min = math.inf
-        self._max = -math.inf
-
-    def add(self, x: float) -> None:
-        self._n += 1
-        delta = x - self._mean
-        self._mean += delta / self._n
-        self._m2 += delta * (x - self._mean)
-        self._min = min(self._min, x)
-        self._max = max(self._max, x)
-
-    def extend(self, xs) -> None:
-        for x in xs:
-            self.add(x)
-
-    @property
-    def count(self) -> int:
-        return self._n
-
-    @property
-    def mean(self) -> float:
-        if self._n == 0:
-            raise ValueError("no samples")
-        return self._mean
-
-    @property
-    def variance(self) -> float:
-        """Sample variance (ddof=1); 0 with a single sample."""
-        if self._n == 0:
-            raise ValueError("no samples")
-        if self._n == 1:
-            return 0.0
-        return self._m2 / (self._n - 1)
-
-    @property
-    def stddev(self) -> float:
-        return math.sqrt(self.variance)
-
-    @property
-    def min(self) -> float:
-        if self._n == 0:
-            raise ValueError("no samples")
-        return self._min
-
-    @property
-    def max(self) -> float:
-        if self._n == 0:
-            raise ValueError("no samples")
-        return self._max
-
-    def merge(self, other: "RunningStats") -> "RunningStats":
-        """Parallel-combine two accumulators (Chan et al.)."""
-        if other._n == 0:
-            return self
-        if self._n == 0:
-            self._n, self._mean, self._m2 = other._n, other._mean, other._m2
-            self._min, self._max = other._min, other._max
-            return self
-        n = self._n + other._n
-        delta = other._mean - self._mean
-        self._m2 = self._m2 + other._m2 + delta * delta * self._n * other._n / n
-        self._mean += delta * other._n / n
-        self._n = n
-        self._min = min(self._min, other._min)
-        self._max = max(self._max, other._max)
-        return self
-
-
-@dataclass
-class TimeSeries:
-    """Step-function recorder: value holds from its timestamp onwards."""
-
-    times: List[float] = field(default_factory=list)
-    values: List[float] = field(default_factory=list)
-
-    def record(self, time: float, value: float) -> None:
-        if self.times and time < self.times[-1]:
-            raise ValueError(f"time goes backwards: {time} < {self.times[-1]}")
-        self.times.append(time)
-        self.values.append(value)
-
-    def at(self, time: float) -> float:
-        """Value in effect at ``time`` (last recorded value before it)."""
-        if not self.times:
-            raise ValueError("empty series")
-        idx = bisect_right(self.times, time) - 1
-        if idx < 0:
-            raise ValueError(f"time {time} precedes first record {self.times[0]}")
-        return self.values[idx]
-
-    def time_weighted_mean(self, until: "float | None" = None) -> float:
-        """Integral of the step function divided by elapsed time."""
-        if not self.times:
-            raise ValueError("empty series")
-        end = until if until is not None else self.times[-1]
-        if end < self.times[0]:
-            raise ValueError("until precedes first record")
-        total = 0.0
-        for i, (t, v) in enumerate(zip(self.times, self.values)):
-            t_next = self.times[i + 1] if i + 1 < len(self.times) else end
-            t_next = min(t_next, end)
-            if t_next > t:
-                total += v * (t_next - t)
-        span = end - self.times[0]
-        if span == 0:
-            return self.values[-1]
-        return total / span
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-
-class Histogram:
-    """Fixed-bin histogram over [lo, hi) with under/overflow bins."""
-
-    def __init__(self, lo: float, hi: float, bins: int):
-        if not lo < hi:
-            raise ValueError(f"need lo < hi, got [{lo}, {hi})")
-        if bins < 1:
-            raise ValueError(f"bins must be >= 1, got {bins}")
-        self.lo, self.hi, self.bins = lo, hi, bins
-        self.counts = [0] * bins
-        self.underflow = 0
-        self.overflow = 0
-
-    def add(self, x: float) -> None:
-        if x < self.lo:
-            self.underflow += 1
-        elif x >= self.hi:
-            self.overflow += 1
-        else:
-            idx = int((x - self.lo) / (self.hi - self.lo) * self.bins)
-            self.counts[min(idx, self.bins - 1)] += 1
-
-    def extend(self, xs) -> None:
-        for x in xs:
-            self.add(x)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts) + self.underflow + self.overflow
-
-    def bin_edges(self) -> List[Tuple[float, float]]:
-        width = (self.hi - self.lo) / self.bins
-        return [
-            (self.lo + i * width, self.lo + (i + 1) * width)
-            for i in range(self.bins)
-        ]
-
-    def normalized(self) -> List[float]:
-        """In-range bin frequencies (sum to 1 when data is in range)."""
-        t = self.total
-        if t == 0:
-            raise ValueError("empty histogram")
-        return [c / t for c in self.counts]
+from dataclasses import dataclass
+from typing import Dict, Sequence
 
 
 class PerfCounters:
@@ -196,8 +20,9 @@ class PerfCounters:
 
     A plain slotted object: increments are ordinary attribute operations
     (the cheapest thing Python offers), so they stay on unconditionally
-    in the innermost routing loops.  Thread isolation lives one level up
-    in :class:`ThreadLocalPerf` — this class itself carries no locking.
+    in the innermost routing loops.  A run happens on one thread, so the
+    process-wide :data:`PERF` instance needs no locking; a shard worker
+    process counts into its own copy and ships a :meth:`snapshot` back.
 
     - ``selectivity_queries`` — indexed ``HistoryProfile.selectivity`` calls;
     - ``availability_cache_hits`` / ``availability_cache_misses`` — whether
@@ -268,9 +93,9 @@ class PerfCounters:
     def absorb(self, snapshot: Dict[str, int]) -> None:
         """Add another counter set's :meth:`snapshot` into this one.
 
-        Folds counters accumulated elsewhere — a shard worker process,
-        a finished thread — back into this instance.  Unknown keys are
-        ignored so snapshots from older field sets keep merging.
+        Folds counters accumulated elsewhere — a shard worker process —
+        back into this instance.  Unknown keys are ignored so snapshots
+        from older field sets keep merging.
         """
         for name in self._FIELDS:
             inc = snapshot.get(name, 0)
@@ -278,69 +103,9 @@ class PerfCounters:
                 setattr(self, name, getattr(self, name) + inc)
 
 
-class _PerfLocal(threading.local):
-    def __init__(self):
-        # threading.local calls __init__ once per accessing thread, so
-        # every thread gets its own zeroed PerfCounters.
-        self.counters = PerfCounters()
-
-
-class ThreadLocalPerf:
-    """Per-thread :class:`PerfCounters` behind one shared name.
-
-    Each thread sees (and mutates) its own counter set, so
-    ``run_scenario``'s snapshot/delta bracketing stays correct when
-    replicates run concurrently in one process (``REPRO_JOBS``
-    process-pool replicates are isolated by the fork anyway) — no lock
-    anywhere.
-
-    Direct attribute access (``PERF.edges_scored += 1``) works and is
-    always safe, but routes through ``threading.local`` on every
-    operation (~5x a plain increment).  Hot loops instead bind the
-    per-thread instance once — ``perf = PERF.counters`` at the top of a
-    round/decision, plain increments after that.  ``reset()`` zeroes the
-    per-thread instance *in place*, so held ``PERF.counters`` references
-    never go stale.  The one sharp edge: an object created on thread A
-    that caches ``PERF.counters`` and is then driven from thread B
-    writes to A's counters — exactly the shared-mutable behaviour a
-    plain global had, so nothing regresses, but in-thread construction
-    (what ``run_scenario`` does) is what yields true isolation.
-    """
-
-    __slots__ = ("_local",)
-
-    _FIELDS = PerfCounters._FIELDS
-
-    def __init__(self):
-        object.__setattr__(self, "_local", _PerfLocal())
-
-    @property
-    def counters(self) -> PerfCounters:
-        """This thread's counter instance (bind once in hot loops)."""
-        return self._local.counters
-
-    def reset(self) -> None:
-        self._local.counters.reset()
-
-    def snapshot(self) -> Dict[str, int]:
-        return self._local.counters.snapshot()
-
-    def delta_since(self, before: Dict[str, int]) -> Dict[str, int]:
-        return self._local.counters.delta_since(before)
-
-    def absorb(self, snapshot: Dict[str, int]) -> None:
-        self._local.counters.absorb(snapshot)
-
-    def __getattr__(self, name: str):
-        return getattr(self._local.counters, name)
-
-    def __setattr__(self, name: str, value) -> None:
-        setattr(self._local.counters, name, value)
-
-
-#: Process-wide counter facade used by the routing hot path: one name,
-#: per-thread storage (see :class:`ThreadLocalPerf`).
-PERF = ThreadLocalPerf()
+#: Process-wide hot-path counters.  ``run_scenario`` brackets each run
+#: with :meth:`PerfCounters.snapshot` / :meth:`PerfCounters.delta_since`.
+PERF = PerfCounters()
 
 
 @dataclass

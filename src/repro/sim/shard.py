@@ -304,9 +304,8 @@ class ShardPlanner(BatchPlanner):
                 fr.levels_n.append(fr.levels_n[0])
             return
         self.engine.build_levels(fr, fr.q_flat, need)
-        perf = self._perf
-        perf.kernel_calls += need
-        perf.kernel_batch_elements += need * world.n_children
+        PERF.kernel_calls += need
+        PERF.kernel_batch_elements += need * world.n_children
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +343,7 @@ class _WorkerState:
         self._st_cache: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {}
         self._epoch = -1
 
-    def levels(self, epoch: int, responder: int, n_new: int, barrier, perf) -> None:
+    def levels(self, epoch: int, responder: int, n_new: int, barrier) -> None:
         """Run ``n_new`` consecutive level steps over this shard's state
         range: plane ``i`` is computed from plane ``i-1``, with a
         barrier wait between levels so every shard's slice of a plane
@@ -390,8 +389,8 @@ class _WorkerState:
             plane_n[self.childless] = 0
             if i < n_new and barrier is not None:
                 barrier.wait(timeout=120)
-        perf.kernel_calls += n_new
-        perf.kernel_batch_elements += n_new * self.n_children
+        PERF.kernel_calls += n_new
+        PERF.kernel_batch_elements += n_new * self.n_children
 
 
 def shard_worker_main(
@@ -416,7 +415,6 @@ def shard_worker_main(
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     PERF.reset()  # a forked child inherits the parent's counts
-    perf = PERF.counters
     degradation = DegradationCounters()
     segments, views = _attach_segments(spec, untrack)
     state: Optional[_WorkerState] = None
@@ -433,10 +431,10 @@ def shard_worker_main(
                 elif cmd == "levels":
                     _, epoch, responder, n_new = msg
                     assert state is not None, "levels before topo"
-                    state.levels(epoch, responder, n_new, barrier, perf)
+                    state.levels(epoch, responder, n_new, barrier)
                     reply = ("ok",)
                 elif cmd == "stop":
-                    conn.send(("stopped", perf.snapshot(), degradation.snapshot()))
+                    conn.send(("stopped", PERF.snapshot(), degradation.snapshot()))
                     break
                 else:
                     reply = ("error", f"unknown command {cmd!r}")

@@ -67,7 +67,7 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("DET001", "DET004", "ARCH001", "PERF001"):
+        for code in ("DET001", "DET004", "ARCH001", "PERF002"):
             assert code in out
 
     def test_syntax_error_reported_not_crash(self, tmp_path, capsys):

@@ -28,7 +28,6 @@ class TestRegistry:
             "DET003",
             "DET004",
             "DET005",
-            "PERF001",
             "PERF002",
             "PERF003",
         ]
@@ -157,34 +156,6 @@ class TestDet004:
         assert run_rule("DET004", src) == []
 
 
-class TestPerf001:
-    def test_while_loop_and_resolved_alias(self):
-        src = """
-        from repro.sim.monitoring import PERF as COUNTERS
-
-        def f(n):
-            while n > 0:
-                COUNTERS.edges_scored += 1
-                n -= 1
-        """
-        (f,) = run_rule("PERF001", src)
-        assert "prebind" in f.message
-
-    def test_function_defined_in_loop_not_flagged(self):
-        src = """
-        from repro.sim.monitoring import PERF
-
-        def f(items):
-            hooks = []
-            for item in items:
-                def hook():
-                    return PERF.counters
-                hooks.append(hook)
-            return hooks
-        """
-        assert run_rule("PERF001", src) == []
-
-
 class TestPerf002:
     def test_tolist_untaints_and_inline_conversion_is_ok(self):
         src = """
@@ -284,8 +255,8 @@ class TestPerf003:
         def f(overlay, items):
             return [kernels.WorldArrays(overlay) for _ in items]
         """
-        # Comprehensions are not loop bodies for this rule (parity with
-        # PERF001's traversal) — but an explicit loop through the alias is.
+        # Comprehensions are not loop bodies for this rule — but an
+        # explicit loop through the alias is.
         src_loop = """
         import repro.core.kernels as kernels
 

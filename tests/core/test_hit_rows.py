@@ -254,8 +254,8 @@ class TestPlannerFallback:
         histories = {nid: HistoryProfile(node_id=nid) for nid in overlay.nodes}
         PERF.reset()
         _build(_builder(overlay, histories), overlay, range(1, 6))
-        assert PERF.counters.kernel_calls > 0
-        assert PERF.counters.hit_row_fallbacks == 0
+        assert PERF.kernel_calls > 0
+        assert PERF.hit_row_fallbacks == 0
 
     def test_prerecorded_rounds_fall_back(self):
         overlay = _overlay()
@@ -266,7 +266,7 @@ class TestPlannerFallback:
             histories[nid].record(1, rnd, predecessor=-1, successor=succ)
         PERF.reset()
         _build(_builder(overlay, histories), overlay, range(1, 6))
-        assert PERF.counters.hit_row_fallbacks > 0
+        assert PERF.hit_row_fallbacks > 0
 
 
 def test_finished_scenario_is_freed_without_gc(monkeypatch):

@@ -154,7 +154,7 @@ def test_large_world_decision_makes_one_validity_call(monkeypatch):
 
     monkeypatch.setattr(kernels, "spne_state_validity", counting_validity)
     monkeypatch.setattr(np, "unique", counting_unique)
-    sweeps = PERF.counters.spne_ball_sweeps
+    sweeps = PERF.spne_ball_sweeps
     decisions = 0
     for round_index, nid in enumerate(range(0, 400, 40), start=9):
         node = ov.nodes[nid]
@@ -163,5 +163,5 @@ def test_large_world_decision_makes_one_validity_call(monkeypatch):
         decisions += 1
     monkeypatch.undo()
     assert len(world.blocks) == 1
-    assert PERF.counters.spne_ball_sweeps - sweeps == decisions
+    assert PERF.spne_ball_sweeps - sweeps == decisions
     assert calls == {"validity": decisions, "unique": 0}

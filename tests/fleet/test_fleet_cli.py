@@ -124,19 +124,37 @@ class TestDash:
 
 
 @pytest.mark.parametrize(
-    "command",
-    [["fleet", "show"], ["fleet", "query"], ["fleet", "export"],
-     ["obs", "summarize"]],
-    ids=["fleet-show", "fleet-query", "fleet-export", "obs-summarize"],
+    "argv",
+    [
+        lambda store, missing: ["fleet", "show", missing],
+        lambda store, missing: ["fleet", "query", missing],
+        lambda store, missing: ["fleet", "export", missing],
+        lambda store, missing: ["obs", "summarize", missing],
+        lambda store, missing: [
+            "fleet", "export", store, "--out", missing / "dump.jsonl"
+        ],
+    ],
+    ids=["fleet-show", "fleet-query", "fleet-export", "obs-summarize",
+         "fleet-export-out"],
 )
-def test_missing_path_exits_2_with_one_error_line(tmp_path, command, capsys):
+def test_missing_path_exits_2_with_one_error_line(tmp_path, argv, capsys):
+    store = FleetStore(tmp_path / "store").path
     missing = tmp_path / "nope"
-    assert _run(command + [missing]) == 2
+    assert _run(argv(store, missing)) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert str(missing) in captured.err
     assert captured.out == ""
     assert not missing.exists()
+
+
+def test_malformed_where_exits_2_with_one_error_line(tmp_path, capsys):
+    store = FleetStore(tmp_path / "store").path
+    assert _run(["fleet", "query", store, "--where", "bogus"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "'bogus'" in captured.err
+    assert captured.out == ""
 
 
 class TestSigint:

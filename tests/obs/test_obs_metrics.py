@@ -5,12 +5,7 @@ import pickle
 
 import pytest
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    HistogramMetric,
-    MetricsRegistry,
-)
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 
 
 class TestCounter:
@@ -23,7 +18,7 @@ class TestCounter:
     def test_labelled_children_are_independent(self):
         c = Counter("repro_things_total")
         c.inc(1.0, kind="a")
-        c.labels(kind="b").inc(4.0)
+        c.inc(4.0, kind="b")
         assert c.value(kind="a") == 1.0
         assert c.value(kind="b") == 4.0
         assert c.value() == 0.0
@@ -33,7 +28,7 @@ class TestCounter:
         with pytest.raises(ValueError):
             c.inc(-1.0)
         with pytest.raises(ValueError):
-            c.labels(kind="a").inc(-1.0)
+            c.inc(-1.0, kind="a")
 
     def test_invalid_names_rejected(self):
         with pytest.raises(ValueError):
@@ -58,34 +53,6 @@ class TestGauge:
         g.set(2.0, phase="simulate")
         assert g.value(phase="setup") == 1.0
         assert g.value(phase="simulate") == 2.0
-
-
-class TestHistogram:
-    def test_cumulative_buckets(self):
-        h = HistogramMetric("repro_wall_seconds", buckets=(0.1, 1.0))
-        for v in (0.05, 0.5, 5.0):
-            h.observe(v)
-        assert h.count() == 3
-        assert h.sum() == pytest.approx(5.55)
-        samples = {
-            (suffix, key): value for suffix, key, value in h._samples()
-        }
-        assert samples[("_bucket", (("le", "0.1"),))] == 1
-        assert samples[("_bucket", (("le", "1"),))] == 2
-        assert samples[("_bucket", (("le", "+Inf"),))] == 3
-
-    def test_value_on_bound_counts_in_bucket(self):
-        # Prometheus `le` semantics: the bound is inclusive.
-        h = HistogramMetric("repro_x", buckets=(1.0,))
-        h.observe(1.0)
-        samples = {
-            (suffix, key): value for suffix, key, value in h._samples()
-        }
-        assert samples[("_bucket", (("le", "1"),))] == 1
-
-    def test_empty_bucket_list_rejected(self):
-        with pytest.raises(ValueError):
-            HistogramMetric("repro_x", buckets=())
 
 
 class TestRegistry:
@@ -134,53 +101,38 @@ class TestRegistry:
     def test_json_export_parses(self):
         reg = MetricsRegistry()
         reg.counter("repro_a_total").inc(1.0, kind="x")
-        reg.histogram("repro_h", buckets=(1.0,)).observe(0.5)
+        reg.gauge("repro_g").set(0.5)
         obj = json.loads(reg.to_json())
         assert obj["schema"] == "repro-obs/metrics-v1"
         metrics = obj["metrics"]
         assert metrics["repro_a_total"]["type"] == "counter"
         assert metrics["repro_a_total"]["values"][0]["labels"] == {"kind": "x"}
-        assert metrics["repro_h"]["type"] == "histogram"
+        assert metrics["repro_g"]["type"] == "gauge"
 
     def test_json_round_trip(self):
+        # Every series survives the export: type, help, labels and value.
         reg = MetricsRegistry()
-        reg.counter("repro_a_total").inc(3.0, kind="x")
+        reg.counter("repro_a_total", "A.").inc(3.0, kind="x")
         reg.gauge("repro_g").set(1.5, node="2")
-        reg.histogram("repro_h", buckets=(1.0, 5.0)).observe(0.5)
-        back = MetricsRegistry.from_json(reg.to_json())
-        assert back.to_prometheus() == reg.to_prometheus()
-
-    def test_from_json_accepts_legacy_bare_dict(self):
-        reg = MetricsRegistry()
-        reg.counter("repro_a_total").inc(2.0)
-        bare = json.loads(reg.to_json())["metrics"]
-        back = MetricsRegistry.from_json(bare)
-        assert back.counter("repro_a_total").value() == 2.0
-
-    def test_from_json_warns_on_newer_schema(self):
-        doc = {
-            "schema": "repro-obs/metrics-v2",
-            "metrics": {},
-            "shiny_new_field": 1,
+        metrics = json.loads(reg.to_json())["metrics"]
+        assert metrics == {
+            "repro_a_total": {
+                "type": "counter",
+                "help": "A.",
+                "values": [{"labels": {"kind": "x"}, "value": 3.0}],
+            },
+            "repro_g": {
+                "type": "gauge",
+                "help": "",
+                "values": [{"labels": {"node": "2"}, "value": 1.5}],
+            },
         }
-        with pytest.warns(UserWarning):
-            MetricsRegistry.from_json(doc)
-
-    def test_from_json_warns_on_unknown_instrument(self):
-        doc = {
-            "schema": "repro-obs/metrics-v1",
-            "metrics": {"repro_x": {"type": "summary", "values": []}},
-        }
-        with pytest.warns(UserWarning, match="unknown instrument"):
-            back = MetricsRegistry.from_json(doc)
-        assert len(back) == 0
 
     def test_registry_pickles(self):
         # ScenarioResult.metrics crosses the REPRO_JOBS process pool.
         reg = MetricsRegistry()
         reg.counter("repro_a_total").inc(5.0, kind="x")
         reg.gauge("repro_g").set(1.5)
-        reg.histogram("repro_h", buckets=(1.0,)).observe(0.5)
         back = pickle.loads(pickle.dumps(reg))
         assert back.counter("repro_a_total").value(kind="x") == 5.0
         assert back.to_prometheus() == reg.to_prometheus()

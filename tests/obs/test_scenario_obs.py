@@ -52,6 +52,29 @@ class TestPhaseTimings:
         # exceed the simulate phase that contains it.
         assert timings["settle"] <= timings["simulate"]
 
+    @pytest.mark.parametrize(
+        "obs",
+        [None, ObsConfig(events=True, spans=False), ObsConfig()],
+        ids=["obs-off", "events-only", "obs-on"],
+    )
+    def test_every_obs_mode_times_all_four_phases(self, obs):
+        result = run_scenario(ExperimentConfig(**BASE, obs=obs))
+        timings = result.phase_timings
+        assert set(timings) == {"setup", "simulate", "settle", "collect"}
+        assert timings["settle"] <= timings["simulate"]
+        if obs is None or not obs.spans:
+            # The timing spans stay private to the run.
+            assert result.trace is None or result.trace.spans == []
+
+    def test_timings_are_the_span_walls(self, traced_result):
+        spans = traced_result.trace.spans
+        walls = {s.name: s.wall for s in spans if s.name.startswith("scenario.")}
+        timings = traced_result.phase_timings
+        assert timings["setup"] == walls["scenario.setup"]
+        assert timings["simulate"] == walls["scenario.simulate"]
+        assert timings["collect"] == walls["scenario.collect"]
+        assert timings["settle"] == sum(s.wall for s in spans if s.name == "settle.series")
+
     def test_summary_renders_wall_clock_line(self, traced_result):
         assert "wall clock:" in traced_result.summary()
 

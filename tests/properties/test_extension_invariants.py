@@ -1,7 +1,5 @@
 """Property-based tests for the extension modules."""
 
-import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +11,6 @@ from repro.core.defenses import CidRotator
 from repro.core.reputation import ReputationSystem
 from repro.core.secure_path import keystream_xor
 from repro.sim.engine import Environment
-from repro.sim.monitoring import Histogram, RunningStats
 from repro.sim.resources import Store
 
 
@@ -99,26 +96,6 @@ def test_reputation_always_in_open_unit_interval(feedback):
             system.record_failure(node, weight)
     for node in range(6):
         assert 0.0 < system.reputation(node) < 1.0
-
-
-# ---------------------------------------------------------------- monitoring
-@given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=300))
-def test_running_stats_matches_numpy(xs):
-    s = RunningStats()
-    s.extend(xs)
-    arr = np.asarray(xs)
-    assert s.mean == pytest.approx(float(arr.mean()), rel=1e-9, abs=1e-6)
-    assert s.variance == pytest.approx(float(arr.var(ddof=1)), rel=1e-6, abs=1e-3)
-
-
-@given(
-    xs=st.lists(st.floats(min_value=-100, max_value=200), max_size=200),
-    bins=st.integers(min_value=1, max_value=20),
-)
-def test_histogram_conserves_count(xs, bins):
-    h = Histogram(0.0, 100.0, bins=bins)
-    h.extend(xs)
-    assert h.total == len(xs)
 
 
 # ---------------------------------------------------------------- resources

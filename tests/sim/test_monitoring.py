@@ -1,124 +1,8 @@
-"""Tests for online statistics and time-series monitoring."""
+"""Tests for the run counters and the terminal bar chart."""
 
-import threading
-
-import numpy as np
 import pytest
 
-from repro.sim.monitoring import (
-    PERF,
-    Histogram,
-    PerfCounters,
-    RunningStats,
-    TimeSeries,
-    ascii_bars,
-)
-
-
-class TestRunningStats:
-    def test_matches_numpy(self):
-        rng = np.random.default_rng(0)
-        data = rng.normal(5.0, 2.0, size=1000)
-        s = RunningStats()
-        s.extend(data)
-        assert s.count == 1000
-        assert s.mean == pytest.approx(float(data.mean()))
-        assert s.variance == pytest.approx(float(data.var(ddof=1)))
-        assert s.min == float(data.min())
-        assert s.max == float(data.max())
-
-    def test_single_sample(self):
-        s = RunningStats()
-        s.add(3.0)
-        assert s.mean == 3.0
-        assert s.variance == 0.0
-
-    def test_empty_raises(self):
-        s = RunningStats()
-        for prop in ("mean", "variance", "min", "max"):
-            with pytest.raises(ValueError):
-                getattr(s, prop)
-
-    def test_merge_equals_combined(self):
-        rng = np.random.default_rng(1)
-        a_data, b_data = rng.random(100), rng.random(57) * 10
-        a, b, combined = RunningStats(), RunningStats(), RunningStats()
-        a.extend(a_data)
-        b.extend(b_data)
-        combined.extend(np.concatenate([a_data, b_data]))
-        a.merge(b)
-        assert a.count == combined.count
-        assert a.mean == pytest.approx(combined.mean)
-        assert a.variance == pytest.approx(combined.variance)
-
-    def test_merge_with_empty(self):
-        a = RunningStats()
-        a.add(1.0)
-        a.merge(RunningStats())
-        assert a.count == 1
-        b = RunningStats()
-        b.merge(a)
-        assert b.mean == 1.0
-
-    def test_merge_both_empty(self):
-        a = RunningStats()
-        a.merge(RunningStats())
-        assert a.count == 0
-        with pytest.raises(ValueError):
-            a.mean
-
-    def test_merge_is_symmetric(self):
-        rng = np.random.default_rng(2)
-        a_data, b_data = rng.normal(size=80), rng.normal(3.0, 5.0, size=13)
-        ab, ba = RunningStats(), RunningStats()
-        ab.extend(a_data)
-        other = RunningStats()
-        other.extend(b_data)
-        ab.merge(other)
-        ba.extend(b_data)
-        other2 = RunningStats()
-        other2.extend(a_data)
-        ba.merge(other2)
-        assert ab.count == ba.count
-        assert ab.mean == pytest.approx(ba.mean)
-        assert ab.variance == pytest.approx(ba.variance)
-        assert ab.min == ba.min
-        assert ab.max == ba.max
-
-    def test_merge_propagates_min_max(self):
-        a, b = RunningStats(), RunningStats()
-        a.extend([2.0, 5.0])
-        b.extend([-7.0, 3.0, 11.0])
-        a.merge(b)
-        assert a.min == -7.0
-        assert a.max == 11.0
-
-    def test_merge_single_samples(self):
-        a, b = RunningStats(), RunningStats()
-        a.add(1.0)
-        b.add(3.0)
-        a.merge(b)
-        assert a.count == 2
-        assert a.mean == pytest.approx(2.0)
-        assert a.variance == pytest.approx(2.0)  # ddof=1 over {1, 3}
-        assert (a.min, a.max) == (1.0, 3.0)
-
-    def test_merge_single_into_many(self):
-        data = [4.0, 6.0, 8.0]
-        a, b, combined = RunningStats(), RunningStats(), RunningStats()
-        a.extend(data)
-        b.add(100.0)
-        combined.extend(data + [100.0])
-        a.merge(b)
-        assert a.mean == pytest.approx(combined.mean)
-        assert a.variance == pytest.approx(combined.variance)
-        assert a.max == 100.0
-
-    def test_merge_returns_self(self):
-        a, b = RunningStats(), RunningStats()
-        a.add(1.0)
-        b.add(2.0)
-        assert a.merge(b) is a
+from repro.sim.monitoring import PerfCounters, ascii_bars
 
 
 class TestPerfCounters:
@@ -131,98 +15,6 @@ class TestPerfCounters:
         delta = c.delta_since(before)
         assert delta["edges_scored"] == 2
         assert delta["selectivity_queries"] == 1
-
-    def test_thread_isolation(self):
-        """PERF is threading.local: a worker thread's increments must not
-        bleed into the main thread's snapshot/delta arithmetic (the
-        REPRO_JOBS thread pool runs replicates concurrently)."""
-        PERF.reset()
-        before = PERF.snapshot()
-        seen_in_thread = {}
-
-        def worker():
-            # This thread gets a fresh counter set (zeros), not a view of
-            # the main thread's values.
-            seen_in_thread["initial"] = PERF.snapshot()["edges_scored"]
-            PERF.edges_scored += 1000
-            seen_in_thread["after"] = PERF.snapshot()["edges_scored"]
-
-        PERF.edges_scored += 5
-        t = threading.Thread(target=worker)
-        t.start()
-        t.join()
-        assert seen_in_thread == {"initial": 0, "after": 1000}
-        assert PERF.delta_since(before)["edges_scored"] == 5
-
-
-class TestTimeSeries:
-    def test_at_returns_step_value(self):
-        ts = TimeSeries()
-        ts.record(0.0, 10.0)
-        ts.record(5.0, 20.0)
-        assert ts.at(0.0) == 10.0
-        assert ts.at(4.999) == 10.0
-        assert ts.at(5.0) == 20.0
-        assert ts.at(100.0) == 20.0
-
-    def test_at_before_first_raises(self):
-        ts = TimeSeries()
-        ts.record(5.0, 1.0)
-        with pytest.raises(ValueError):
-            ts.at(4.0)
-
-    def test_time_weighted_mean(self):
-        ts = TimeSeries()
-        ts.record(0.0, 10.0)   # holds 5 units
-        ts.record(5.0, 20.0)   # holds 5 units
-        assert ts.time_weighted_mean(until=10.0) == pytest.approx(15.0)
-
-    def test_time_weighted_mean_ignores_future(self):
-        ts = TimeSeries()
-        ts.record(0.0, 10.0)
-        ts.record(8.0, 1000.0)
-        assert ts.time_weighted_mean(until=8.0) == pytest.approx(10.0)
-
-    def test_backwards_time_rejected(self):
-        ts = TimeSeries()
-        ts.record(5.0, 1.0)
-        with pytest.raises(ValueError):
-            ts.record(4.0, 2.0)
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            TimeSeries().time_weighted_mean()
-
-
-class TestHistogram:
-    def test_binning(self):
-        h = Histogram(0.0, 10.0, bins=5)
-        h.extend([0.0, 1.9, 2.0, 9.99])
-        assert h.counts == [2, 1, 0, 0, 1]
-
-    def test_under_overflow(self):
-        h = Histogram(0.0, 10.0, bins=2)
-        h.extend([-1.0, 10.0, 5.0])
-        assert h.underflow == 1
-        assert h.overflow == 1
-        assert h.total == 3
-
-    def test_normalized(self):
-        h = Histogram(0.0, 4.0, bins=2)
-        h.extend([1.0, 1.0, 3.0, 3.0])
-        assert h.normalized() == [0.5, 0.5]
-
-    def test_bin_edges(self):
-        h = Histogram(0.0, 4.0, bins=2)
-        assert h.bin_edges() == [(0.0, 2.0), (2.0, 4.0)]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Histogram(1.0, 1.0, bins=2)
-        with pytest.raises(ValueError):
-            Histogram(0.0, 1.0, bins=0)
-        with pytest.raises(ValueError):
-            Histogram(0.0, 1.0, bins=2).normalized()
 
 
 class TestAsciiBars:
