@@ -16,8 +16,9 @@ need:
   types (``x = PathBuilder(...)`` / annotated parameters / ``self`` /
   ``self.attr`` set in any method), ``functools.partial`` unwrapping,
   and callables handed to executors (``pool.submit(fn, ...)``,
-  ``pool.map(fn, ...)``, ``run_fleet(..., worker=fn)``) — the last also
-  feeds the worker-entrypoint set of the CONC rules.
+  ``pool.map(fn, ...)``, ``run_jobs(fn, ...)``,
+  ``run_fleet(..., worker=fn)``) — each of these also feeds the
+  worker-entrypoint set of the CONC rules.
 
 Soundness posture: the graph *over*-approximates calls where the
 receiver is known or the method name is distinctive, and deliberately
@@ -180,7 +181,7 @@ MAX_NAME_FALLBACK = 6
 
 
 class Submission:
-    """One callable handed to an executor (or ``run_fleet``)."""
+    """One callable handed to an executor (or ``run_jobs``/``run_fleet``)."""
 
     __slots__ = ("node", "callable_node", "arg_nodes", "via", "targets")
 
@@ -195,7 +196,7 @@ class Submission:
         self.callable_node = callable_node
         #: Non-callable arguments shipped with the task (must pickle too).
         self.arg_nodes = arg_nodes
-        #: How it was submitted: ``pool.submit``, ``run_fleet(worker=)``...
+        #: How it was submitted: ``pool.submit``, ``run_jobs()``...
         self.via = via
         #: Resolved candidate qualnames of the callable (pass 2).
         self.targets: Tuple[str, ...] = ()
@@ -647,10 +648,15 @@ class _CallResolver:
                     f"{dotted_name(func) or func.attr}()",
                 )
             return None
-        # run_fleet(spec, store, worker=fn)
         name = dotted_name(func)
         if name is not None:
             qualified = self.project._qualify(self.ctx, name)
+            # run_jobs(fn, items, n_jobs): the project's one pool
+            if "repro.experiments.runner.run_jobs" in qualified and call.args:
+                return Submission(
+                    call, call.args[0], list(call.args[1:]), "run_jobs()"
+                )
+            # run_fleet(spec, store, worker=fn)
             if any(
                 q in ("repro.fleet.executor.run_fleet", "repro.fleet.run_fleet")
                 for q in qualified

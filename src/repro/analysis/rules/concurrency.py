@@ -1,8 +1,8 @@
 """Concurrency / fork-safety rules CONC001-CONC002.
 
-The sharded scenario engine fans world shards over a pool, the fleet
-runner ships jobs to ``ProcessPoolExecutor`` workers, and
-``run_replicates`` fans seeds over one.  The failure modes that matter
+The sharded scenario engine fans world shards over a pool, and
+``repro.experiments.runner.run_jobs`` fans replicate seeds and fleet
+jobs over a process pool.  The failure modes that matter
 there are interprocedural and invisible to per-file rules:
 
 - CONC001 — a callable submitted to a pool that does not survive the

@@ -4,13 +4,16 @@ The paper's figures plot means with 95% confidence error bars over
 repeated simulations; :func:`sweep` is the generic engine: it varies one
 config field over a grid, runs ``n_seeds`` replicates per grid point, and
 aggregates any per-run metric.
+
+:func:`run_jobs` is the project's one process pool: replicate sweeps
+and ``repro fleet run`` batches both go through it.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -19,6 +22,9 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.scenario import ScenarioResult, run_scenario
 
 MetricFn = Callable[[ScenarioResult], float]
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 
 @dataclass(frozen=True)
@@ -59,7 +65,7 @@ class SweepResult:
 
 
 def default_n_jobs() -> int:
-    """Process-pool width for replicate sweeps: the ``REPRO_JOBS``
+    """Process-pool width for :func:`run_jobs`: the ``REPRO_JOBS``
     environment variable, defaulting to 1 (serial).
 
     The benchmark suite plumbs this through ``benchmarks/conftest.py`` so
@@ -76,6 +82,31 @@ def default_n_jobs() -> int:
     return value
 
 
+def run_jobs(
+    fn: Callable[[T], R], items: Sequence[T], n_jobs: Optional[int] = None
+) -> List[R]:
+    """``[fn(item) for item in items]``, fanned over a process pool.
+
+    ``n_jobs`` is the pool width; ``None`` (the default) resolves via
+    :func:`default_n_jobs` (the ``REPRO_JOBS`` environment variable).
+    With one worker or at most one item everything runs in-process.
+    Otherwise ``fn`` and every item are pickled to the workers, so
+    ``fn`` must be a module-level callable (or a ``functools.partial``
+    of one).  Results come back in item order either way; an exception
+    raised by any call propagates.
+    """
+    if n_jobs is None:
+        n_jobs = default_n_jobs()
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
+    if n_jobs == 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=min(n_jobs, len(items))) as pool:
+        return list(pool.map(fn, items))
+
+
 def run_replicates(
     base: ExperimentConfig,
     n_seeds: int,
@@ -84,26 +115,16 @@ def run_replicates(
 ) -> List[ScenarioResult]:
     """Run ``n_seeds`` scenarios differing only in seed.
 
-    ``n_jobs > 1`` fans the replicates out over a process pool; ``None``
-    (the default) resolves via :func:`default_n_jobs` (the ``REPRO_JOBS``
-    environment variable).  Because every run is deterministic in its
-    config, the parallel result list is bit-identical to the serial one
-    (asserted by the tests) — replicates share no state, so this is
-    embarrassingly parallel.
+    The replicates go through :func:`run_jobs` with ``n_jobs`` workers.
+    Because every run is deterministic in its config, the parallel
+    result list is bit-identical to the serial one (asserted by the
+    tests) — replicates share no state, so this is embarrassingly
+    parallel.
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
-    if n_jobs is None:
-        n_jobs = default_n_jobs()
-    if n_jobs < 1:
-        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     configs = [base.with_overrides(seed=seed0 + k) for k in range(n_seeds)]
-    if n_jobs == 1 or n_seeds == 1:
-        return [run_scenario(cfg) for cfg in configs]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=min(n_jobs, n_seeds)) as pool:
-        return list(pool.map(run_scenario, configs))
+    return run_jobs(run_scenario, configs, n_jobs)
 
 
 def sweep(

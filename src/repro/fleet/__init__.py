@@ -14,9 +14,10 @@ observability data:
 - :mod:`repro.fleet.store` — :class:`FleetStore`, an append-only JSONL
   event log + results log with a compact rebuilt index
   (``repro-fleet/store-v1``) and a filter/group/aggregate query API.
-- :mod:`repro.fleet.executor` — ``REPRO_JOBS``-aware process-pool
-  scheduling with per-job heartbeats, capped retry on worker crash, and
-  graceful SIGINT draining that marks in-flight jobs resumable.
+- :mod:`repro.fleet.executor` — runs the pending jobs in batches
+  through the replicate pool (:func:`repro.experiments.runner.run_jobs`)
+  and records each as completed or failed; a graceful SIGINT drain or
+  the ``--max-jobs`` cutoff marks the jobs not yet started resumable.
 - :mod:`repro.fleet.dash` — the plain-text store summary that
   ``repro fleet show`` prints.
 

@@ -6,11 +6,12 @@
 - ``export STORE`` — dump result records as JSONL or CSV.
 
 Exit codes (``EXIT_*``): 0 success, 1 any job failed, 2 bad input — an
-unreadable or invalid spec, no store at the given path, a malformed
-``--where`` clause or an ``--out`` file that cannot be created (one
-``error:`` line on stderr, nothing written), 3
-interrupted/incomplete (resumable — run again with the same spec and
-store to continue).
+unreadable or invalid spec, a worker count (``--jobs`` or
+``REPRO_JOBS``) that is not an integer >= 1, a ``--max-jobs`` below 1,
+no store at the given path, a malformed ``--where`` clause or an
+``--out`` file that cannot be created (one ``error:`` line on stderr,
+nothing written), 3 interrupted/incomplete (resumable — run again with
+the same spec and store to continue).
 """
 
 from __future__ import annotations
@@ -42,8 +43,6 @@ def add_fleet_arguments(parser: argparse.ArgumentParser) -> None:
     run_p.add_argument("--max-jobs", type=int, default=None, metavar="N",
                        help="stop after completing N jobs this invocation "
                             "(remaining jobs are marked resumable)")
-    run_p.add_argument("--heartbeat", type=float, default=5.0, metavar="S",
-                       help="seconds between per-job heartbeat events")
 
     show_p = sub.add_parser("show", help="summarise a results store")
     show_p.add_argument("store")
@@ -90,11 +89,16 @@ def _parse_where(clauses: List[str]) -> Mapping[str, object]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.experiments.runner import default_n_jobs
     from repro.fleet.executor import run_fleet
     from repro.fleet.spec import load_spec
 
     try:
         jobs = load_spec(args.spec).expand()
+        n_jobs = default_n_jobs() if args.jobs is None else args.jobs
+        for flag, value in (("--jobs", n_jobs), ("--max-jobs", args.max_jobs)):
+            if value is not None and value < 1:
+                raise ValueError(f"{flag} must be >= 1, got {value}")
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -102,9 +106,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     outcome = run_fleet(
         jobs,
         store,
-        n_jobs=args.jobs,
+        n_jobs=n_jobs,
         max_jobs=args.max_jobs,
-        heartbeat=args.heartbeat,
         progress=print,
     )
     if outcome.failed:

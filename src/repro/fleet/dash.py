@@ -4,8 +4,7 @@ One plain-text frame built from the store's replayed event log and
 results: per-state job counts, completion progress, wall-clock
 throughput and ETA (from ``completed`` event timestamps), summed
 degradation counters across finished jobs, the busiest event kinds, and
-the most recent per-job activity — including heartbeats, so a stalled
-worker is visible as a job whose last heartbeat stops advancing.
+the most recent per-job activity.
 """
 
 from __future__ import annotations
@@ -44,11 +43,9 @@ def render_dashboard(store: FleetStore, max_recent: int = 10) -> str:
     done = by_state.get("completed", 0)
 
     spec = ""
-    workers = None
     for event in store.events:
         if event.get("type") == "note" and event.get("note") == "run.start":
             spec = str(event.get("spec", "")) or spec
-            workers = event.get("workers", workers)
 
     out.append("== repro fleet ==" + (f"  spec: {spec}" if spec else ""))
     out.append(_bar(done, total))
@@ -62,6 +59,8 @@ def render_dashboard(store: FleetStore, max_recent: int = 10) -> str:
     )
 
     # -- throughput / ETA from completed-event wall timestamps -----------
+    # The parent appends every ``completed`` event, so ``rate`` is already
+    # the rate of all workers together.
     completed_ts = sorted(
         float(e["ts"])
         for e in store.events
@@ -70,14 +69,9 @@ def render_dashboard(store: FleetStore, max_recent: int = 10) -> str:
     if len(completed_ts) >= 2 and completed_ts[-1] > completed_ts[0]:
         rate = (len(completed_ts) - 1) / (completed_ts[-1] - completed_ts[0])
         remaining = total - done
-        n_workers = int(workers) if workers else 1
         out.append(
             f"throughput: {rate * 60:.1f} jobs/min"
-            + (
-                f"   ETA: {_fmt_eta(remaining / rate / max(1, n_workers) * 1)}"
-                if remaining and rate > 0
-                else ""
-            )
+            + (f"   ETA: {_fmt_eta(remaining / rate)}" if remaining else "")
         )
 
     # -- rolling degradation / failure counters --------------------------
@@ -124,8 +118,5 @@ def render_dashboard(store: FleetStore, max_recent: int = 10) -> str:
                 extra = f"  {event.get('error', '')}"
             elif event.get("event") == "resumable":
                 extra = f"  ({event.get('reason', '')})"
-            out.append(
-                f"  {event.get('event'):<10} {event.get('job_id')}"
-                f"  attempt={event.get('attempt', 1)}{extra}"
-            )
+            out.append(f"  {event.get('event'):<10} {event.get('job_id')}{extra}")
     return "\n".join(out)

@@ -1,27 +1,27 @@
-"""Process-pool sweep executor: resumable, heartbeat-ed, crash-tolerant.
+"""Resumable sweep executor: a spec's pending jobs, run in batches.
 
-Scheduling reuses the harness's pool idiom (``REPRO_JOBS`` resolved via
-:func:`repro.experiments.runner.default_n_jobs`; one
-``ProcessPoolExecutor``, at most ``n_jobs`` jobs in flight).  The
-:class:`~repro.fleet.store.FleetStore` is the only coordination state:
+The :class:`~repro.fleet.store.FleetStore` is the only coordination
+state:
 
 - jobs whose id is already ``completed`` in the store are *skipped*
   (the content-addressed resume contract — see ``repro.fleet.spec``);
-- every submission appends ``started``; while a job runs the parent
-  appends ``heartbeat`` events on a wall-clock cadence, so
-  ``repro fleet show`` can distinguish "slow" from "dead";
-- a worker crash (the future raises, or the pool itself breaks) costs
-  one attempt; jobs retry up to ``retry.max_retries`` times with the
-  capped-backoff schedule of :class:`repro.sim.faults.RetryPolicy`
-  before a ``failed`` event is written;
-- SIGINT drains gracefully: no new submissions, in-flight jobs run to
-  completion and record their results, never-started jobs are marked
-  ``resumable``.  A second SIGINT falls through to the default handler
-  (hard kill) — the store's append-only logs tolerate that too.
+- the pending jobs run in batches of ``n_jobs`` through
+  :func:`repro.experiments.runner.run_jobs`, the project's one process
+  pool (``n_jobs`` from ``--jobs``, else ``REPRO_JOBS``, else 1, which
+  runs in-process).  A batch waits for its slowest job.  Each job gets
+  a ``started`` event, then ``completed`` or ``failed``: a job whose
+  worker raises fails, and a hard worker crash that breaks the pool
+  fails its whole batch.  A failed job is not retried in the same run;
+  it stays pending, so the next ``fleet run`` runs it again;
+- SIGINT drains gracefully: the running batch completes and records
+  its results, and the jobs not yet started are marked ``resumable``.
+  A second SIGINT falls through to the default handler (hard kill) —
+  the store's append-only logs tolerate that too.
 
 ``max_jobs`` bounds how many jobs *this invocation* completes (the
 deterministic interrupt used by the CI smoke lane and the resume
-tests); the cutoff takes the same ``resumable`` path as SIGINT.
+tests): no batch is wider than the completions still allowed, and the
+cutoff takes the same ``resumable`` path as SIGINT.
 """
 
 from __future__ import annotations
@@ -29,20 +29,15 @@ from __future__ import annotations
 import signal
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
+from functools import partial
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.experiments.runner import default_n_jobs
+from repro.experiments.runner import default_n_jobs, run_jobs
 from repro.fleet.spec import FleetJob, SweepSpec, config_from_dict
 from repro.fleet.store import FleetStore
-from repro.sim.faults import RetryPolicy
 
-#: Conservative default retry budget for crashed workers: a sweep job is
-#: deterministic, so a second identical crash usually means the config
-#: itself is broken — burn the budget fast and mark the job failed.
-DEFAULT_RETRY = RetryPolicy(max_retries=2, base_delay=0.1, max_delay=2.0, jitter=0.0)
+Worker = Callable[[Mapping[str, object]], Dict[str, object]]
 
 
 def execute_job(payload: Mapping[str, object]) -> Dict[str, object]:
@@ -124,11 +119,11 @@ class FleetRunOutcome:
 
 
 class _InterruptFlag:
-    """SIGINT latch; restores the previous handler on exit."""
+    """SIGINT latch (main thread only); restores the previous handler on exit."""
 
-    def __init__(self, install: bool):
+    def __init__(self):
         self.tripped = False
-        self._install = install and threading.current_thread() is threading.main_thread()
+        self._install = threading.current_thread() is threading.main_thread()
         self._previous = None
 
     def __enter__(self) -> "_InterruptFlag":
@@ -149,15 +144,23 @@ class _InterruptFlag:
         self.tripped = True
 
 
+def _attempt(
+    worker: Worker, payload: Mapping[str, object]
+) -> Tuple[Optional[Dict[str, object]], Optional[str]]:
+    """Run one job: ``(record, None)``, or ``(None, repr(exc))`` when the
+    worker raises, so one failing job does not take its batch down."""
+    try:
+        return worker(payload), None
+    except Exception as exc:
+        return None, repr(exc)
+
+
 def run_fleet(
     spec: Union[SweepSpec, Sequence[FleetJob]],
     store: FleetStore,
     n_jobs: Optional[int] = None,
     max_jobs: Optional[int] = None,
-    heartbeat: float = 5.0,
-    retry: RetryPolicy = DEFAULT_RETRY,
-    worker: Optional[Callable[[Mapping[str, object]], Dict[str, object]]] = None,
-    install_signal_handler: bool = True,
+    worker: Optional[Worker] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> FleetRunOutcome:
     """Execute a sweep against a store, resuming completed work.
@@ -168,6 +171,8 @@ def run_fleet(
     jobs = list(spec.expand() if isinstance(spec, SweepSpec) else spec)
     if n_jobs is None:
         n_jobs = default_n_jobs()
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     if worker is None:
         worker = execute_job
     say = progress if progress is not None else (lambda _msg: None)
@@ -198,17 +203,34 @@ def run_fleet(
         f"({n_jobs} worker{'s' if n_jobs != 1 else ''})"
     )
 
-    with _InterruptFlag(install_signal_handler) as interrupt:
-        if n_jobs == 1:
-            _run_serial(pending, store, worker, retry, max_jobs, interrupt, outcome, say)
-        else:
-            _run_pool(
-                pending, store, worker, retry, n_jobs, max_jobs, heartbeat,
-                interrupt, outcome, say,
-            )
-        outcome.interrupted = interrupt.tripped or (
-            max_jobs is not None and bool(outcome.resumable)
-        )
+    budget = len(pending) if max_jobs is None else max_jobs
+    with _InterruptFlag() as interrupt:
+        while pending and not interrupt.tripped and len(outcome.completed) < budget:
+            width = min(n_jobs, budget - len(outcome.completed))
+            batch, pending = pending[:width], pending[width:]
+            for job in batch:
+                store.append_event("started", job.job_id)
+            try:
+                results = run_jobs(
+                    partial(_attempt, worker), [job.payload() for job in batch], n_jobs
+                )
+            except Exception as exc:  # e.g. BrokenProcessPool: a worker died hard
+                results = [(None, repr(exc))] * len(batch)
+            for job, (record, error) in zip(batch, results):
+                if error is None:
+                    store.append_result(record)
+                    store.append_event("completed", job.job_id)
+                    outcome.completed.append(job.job_id)
+                    say(f"[fleet] done {job.job_id}  {_axes_brief(job)}")
+                else:
+                    store.append_event("failed", job.job_id, error=error)
+                    outcome.failed.append(job.job_id)
+                    say(f"[fleet] FAILED {job.job_id}: {error}")
+        reason = "sigint" if interrupt.tripped else "max-jobs"
+        for job in pending:
+            store.append_event("resumable", job.job_id, reason=reason)
+            outcome.resumable.append(job.job_id)
+        outcome.interrupted = interrupt.tripped or bool(outcome.resumable)
 
     store.append_note(
         "run.finish",
@@ -223,181 +245,5 @@ def run_fleet(
     return outcome
 
 
-def _attempt_budget(retry: RetryPolicy) -> int:
-    return retry.max_retries + 1
-
-
-def _record_completion(
-    store: FleetStore,
-    job: FleetJob,
-    record: Dict[str, object],
-    attempt: int,
-    outcome: FleetRunOutcome,
-    say: Callable[[str], None],
-) -> None:
-    record.setdefault("attempt", attempt)
-    store.append_result(record)
-    store.append_event("completed", job.job_id, attempt=attempt)
-    outcome.completed.append(job.job_id)
-    say(f"[fleet] done {job.job_id}  {_axes_brief(job)}")
-
-
-def _record_failure(
-    store: FleetStore,
-    job: FleetJob,
-    error: BaseException,
-    attempt: int,
-    outcome: FleetRunOutcome,
-    say: Callable[[str], None],
-) -> None:
-    store.append_event(
-        "failed", job.job_id, attempt=attempt, error=repr(error)
-    )
-    outcome.failed.append(job.job_id)
-    say(f"[fleet] FAILED {job.job_id} after {attempt} attempts: {error!r}")
-
-
-def _mark_resumable(
-    store: FleetStore,
-    job: FleetJob,
-    outcome: FleetRunOutcome,
-    reason: str,
-) -> None:
-    store.append_event("resumable", job.job_id, reason=reason)
-    outcome.resumable.append(job.job_id)
-
-
 def _axes_brief(job: FleetJob) -> str:
     return " ".join(f"{k}={v}" for k, v in sorted(job.axes.items()))
-
-
-def _run_serial(
-    pending: List[FleetJob],
-    store: FleetStore,
-    worker: Callable[[Mapping[str, object]], Dict[str, object]],
-    retry: RetryPolicy,
-    max_jobs: Optional[int],
-    interrupt: _InterruptFlag,
-    outcome: FleetRunOutcome,
-    say: Callable[[str], None],
-) -> None:
-    done_this_run = 0
-    for idx, job in enumerate(pending):
-        cutoff = max_jobs is not None and done_this_run >= max_jobs
-        if interrupt.tripped or cutoff:
-            reason = "sigint" if interrupt.tripped else "max-jobs"
-            for leftover in pending[idx:]:
-                _mark_resumable(store, leftover, outcome, reason)
-            return
-        for attempt in range(1, _attempt_budget(retry) + 1):
-            store.append_event("started", job.job_id, attempt=attempt)
-            try:
-                record = worker(job.payload())
-            except BaseException as exc:  # noqa: B036 - worker crash boundary
-                if isinstance(exc, KeyboardInterrupt):
-                    _mark_resumable(store, job, outcome, "sigint")
-                    interrupt.tripped = True
-                    break
-                if attempt >= _attempt_budget(retry):
-                    _record_failure(store, job, exc, attempt, outcome, say)
-                    break
-                store.append_event(
-                    "resumable", job.job_id, reason="retry", error=repr(exc)
-                )
-                time.sleep(retry.delay(attempt - 1))
-            else:
-                _record_completion(store, job, record, attempt, outcome, say)
-                done_this_run += 1
-                break
-
-
-def _run_pool(
-    pending: List[FleetJob],
-    store: FleetStore,
-    worker: Callable[[Mapping[str, object]], Dict[str, object]],
-    retry: RetryPolicy,
-    n_jobs: int,
-    max_jobs: Optional[int],
-    heartbeat: float,
-    interrupt: _InterruptFlag,
-    outcome: FleetRunOutcome,
-    say: Callable[[str], None],
-) -> None:
-    queue: List[FleetJob] = list(pending)
-    attempts: Dict[str, int] = {}
-    inflight: Dict[Future, FleetJob] = {}
-    done_this_run = 0
-    last_beat = time.monotonic()
-    pool = ProcessPoolExecutor(max_workers=n_jobs)
-    try:
-        while queue or inflight:
-            cutoff = max_jobs is not None and done_this_run >= max_jobs
-            if interrupt.tripped or cutoff:
-                reason = "sigint" if interrupt.tripped else "max-jobs"
-                for job in queue:
-                    _mark_resumable(store, job, outcome, reason)
-                queue = []
-                if not inflight:
-                    break
-            while queue and len(inflight) < n_jobs and not interrupt.tripped and not cutoff:
-                job = queue.pop(0)
-                attempt = attempts.get(job.job_id, 0) + 1
-                attempts[job.job_id] = attempt
-                store.append_event("started", job.job_id, attempt=attempt)
-                inflight[pool.submit(worker, job.payload())] = job
-            if not inflight:
-                continue
-            finished, _running = wait(
-                inflight, timeout=heartbeat, return_when=FIRST_COMPLETED
-            )
-            now = time.monotonic()
-            if now - last_beat >= heartbeat:
-                for future, job in inflight.items():
-                    if not future.done():
-                        store.append_event(
-                            "heartbeat", job.job_id,
-                            attempt=attempts[job.job_id],
-                        )
-                last_beat = now
-            pool_broken = False
-            for future in finished:
-                job = inflight.pop(future)
-                attempt = attempts[job.job_id]
-                try:
-                    record = future.result()
-                except BaseException as exc:  # noqa: B036 - worker crash boundary
-                    if isinstance(exc, BrokenProcessPool):
-                        pool_broken = True
-                    if attempt >= _attempt_budget(retry):
-                        _record_failure(store, job, exc, attempt, outcome, say)
-                    else:
-                        store.append_event(
-                            "resumable", job.job_id,
-                            reason="retry", error=repr(exc),
-                        )
-                        time.sleep(retry.delay(attempt - 1))
-                        queue.append(job)
-                else:
-                    _record_completion(store, job, record, attempt, outcome, say)
-                    done_this_run += 1
-            if pool_broken:
-                # A hard worker crash poisons every sibling future; pull
-                # the survivors back onto the queue (their attempt count
-                # stands) and start a fresh pool.
-                for future, job in list(inflight.items()):
-                    inflight.pop(future)
-                    if attempts[job.job_id] >= _attempt_budget(retry):
-                        _record_failure(
-                            store, job,
-                            BrokenProcessPool("worker pool crashed"),
-                            attempts[job.job_id], outcome, say,
-                        )
-                    else:
-                        store.append_event(
-                            "resumable", job.job_id, reason="pool-crash"
-                        )
-                        queue.append(job)
-                pool.shutdown(wait=False, cancel_futures=True)
-                pool = ProcessPoolExecutor(max_workers=n_jobs)
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)

@@ -16,10 +16,11 @@ from the logs on every open and rewritten atomically, never read back
 as authority.
 
 Job lifecycle events (``type: "job"``): ``scheduled`` → ``started`` →
-(``heartbeat``...) → ``completed`` | ``failed`` | ``resumable``.  A
-``resumable`` event marks a job whose execution was interrupted
-(SIGINT drain, ``--max-jobs`` cutoff, worker crash before the retry
-budget) — it stays pending and a later ``fleet run`` picks it up.
+``completed`` | ``failed``, or ``scheduled`` → ``resumable`` for a job
+that a SIGINT drain or the ``--max-jobs`` cutoff kept from starting.
+Every job that is not ``completed`` stays pending, and a later
+``fleet run`` picks it up.  Event kinds outside :data:`JOB_STATES`,
+which older stores may hold, replay but set no state.
 
 Result records (``type: "result"``) carry the job's resolved config,
 sweep coordinates, deterministic metrics (forwarder-set size, path
@@ -78,7 +79,7 @@ class FleetStore:
         self.index_path = self.path / "index.json"
         #: Replayed state: every event line, in order.
         self.events: List[Dict[str, object]] = []
-        #: Replayed result records keyed by job id (last attempt wins).
+        #: Replayed result records keyed by job id (last run wins).
         self.results: Dict[str, Dict[str, object]] = {}
         self._replay()
 

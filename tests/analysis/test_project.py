@@ -168,3 +168,22 @@ class TestReachability:
             """
         project = build_project(tmp_path, sources)
         assert "repro.util.helper" in project.worker_entrypoints()
+
+    def test_run_jobs_callable_is_a_worker_entrypoint(self, tmp_path):
+        # The pool call inside run_jobs maps a parameter, so the callable
+        # is only visible where run_jobs is called.
+        sources = dict(TREE)
+        sources["repro/sweep.py"] = """\
+            from functools import partial
+
+            from repro.experiments.runner import run_jobs
+            from repro.util import helper
+
+
+            def launch(jobs):
+                return run_jobs(partial(helper, 1), jobs, 2)
+            """
+        project = build_project(tmp_path, sources)
+        assert "repro.util.helper" in project.worker_entrypoints()
+        (sub,) = project.functions["repro.sweep.launch"].submissions
+        assert sub.via == "run_jobs()"

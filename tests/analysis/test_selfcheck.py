@@ -36,13 +36,12 @@ def test_shipped_tree_is_clean():
 
 
 @pytest.mark.lint
-def test_no_wall_clock_read_is_suppressed():
-    # Wall time is read only through spans: no DET005 finding anywhere in
-    # the tree is waved through with an inline noqa.
+def test_no_finding_is_suppressed():
+    # The tree is clean without waivers: no finding anywhere is waved
+    # through with an inline noqa.
     proc = run_lint("--format", "json", str(SRC), str(REPO_ROOT / "tests"))
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    suppressed = json.loads(proc.stdout)["suppressed"]
-    assert [f for f in suppressed if f["code"] == "DET005"] == []
+    assert json.loads(proc.stdout)["suppressed"] == []
 
 
 @pytest.mark.lint

@@ -1,16 +1,16 @@
-"""Fleet executor: resume semantics, retry, pool path, acceptance.
+"""Fleet executor: resume semantics, batches on the pool, acceptance.
 
-Pool-path workers must be module-level (picklable); the serial path
-accepts closures, which the retry tests exploit.
+Workers are module-level so the pool can pickle them.
 """
 
 import json
 import os
 
+import pytest
+
 from repro.fleet.executor import execute_job, run_fleet
 from repro.fleet.spec import SweepSpec
 from repro.fleet.store import FleetStore
-from repro.sim.faults import RetryPolicy
 
 TINY_BASE = {
     "n_nodes": 16,
@@ -18,10 +18,6 @@ TINY_BASE = {
     "total_transmissions": 24,
     "use_bank": False,
 }
-
-FAST_RETRY = RetryPolicy(
-    max_retries=2, base_delay=0.001, max_delay=0.001, jitter=0.0
-)
 
 
 def tiny_spec(seeds=(0, 1), strategies=("random", "utility-I")):
@@ -49,24 +45,27 @@ def fake_worker(payload):
     }
 
 
+def pid_worker(payload):
+    """fake_worker that also records the process that ran the job."""
+    record = fake_worker(payload)
+    record["timing"]["pid"] = os.getpid()
+    return record
+
+
 def crashing_worker(payload):
     raise RuntimeError("boom")
 
 
-def env_flaky_worker(payload):
-    """Fails hard until the sentinel file exists (pool-crash recovery)."""
-    sentinel = os.environ["FLEET_TEST_SENTINEL"]
-    if not os.path.exists(sentinel):
-        with open(sentinel, "w") as fh:
-            fh.write("tripped")
-        os._exit(1)
-    return fake_worker(payload)
+def hard_crash_worker(payload):
+    """Kills its pool worker outright, which breaks the whole pool."""
+    os._exit(1)
 
 
 class TestSerial:
-    def test_all_jobs_complete(self, tmp_path):
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_all_jobs_complete(self, tmp_path, n_jobs):
         store = FleetStore(tmp_path / "s")
-        outcome = run_fleet(tiny_spec(), store, n_jobs=1, worker=fake_worker)
+        outcome = run_fleet(tiny_spec(), store, n_jobs=n_jobs, worker=fake_worker)
         assert outcome.converged and not outcome.interrupted
         assert len(outcome.completed) == 4
         assert set(store.completed_job_ids()) == set(outcome.completed)
@@ -82,45 +81,19 @@ class TestSerial:
         assert again.converged
         assert len(again.skipped) == 4 and not again.completed
 
-    def test_retry_recovers_from_transient_crash(self, tmp_path):
-        calls = {"n": 0}
-
-        def flaky(payload):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise RuntimeError("transient")
-            return fake_worker(payload)
-
+    def test_raising_job_fails_once_and_rerun_converges(self, tmp_path):
+        spec = tiny_spec(seeds=(0,), strategies=("random",))
         store = FleetStore(tmp_path / "s")
-        outcome = run_fleet(
-            tiny_spec(seeds=(0,), strategies=("random",)),
-            store,
-            n_jobs=1,
-            # n_jobs=1 runs the worker in-process: nothing is pickled, so a
-            # closure is safe here (and is what lets the test count calls).
-            worker=flaky,  # repro: noqa-CONC001 (serial path, no process boundary)
-            retry=FAST_RETRY,
-        )
-        assert outcome.converged
-        assert list(store.started_counts().values()) == [2]
-        retries = [
-            e
-            for e in store.events
-            if e.get("event") == "resumable" and e.get("reason") == "retry"
-        ]
-        assert len(retries) == 1
-
-    def test_exhausted_retries_mark_failed(self, tmp_path):
-        store = FleetStore(tmp_path / "s")
-        outcome = run_fleet(
-            tiny_spec(seeds=(0,), strategies=("random",)),
-            store,
-            n_jobs=1,
-            worker=crashing_worker,
-            retry=FAST_RETRY,
-        )
+        outcome = run_fleet(spec, store, n_jobs=1, worker=crashing_worker)
         assert outcome.failed and not outcome.converged
-        assert store.job_states()[outcome.failed[0]] == "failed"
+        (job_id,) = outcome.failed
+        assert store.job_states()[job_id] == "failed"
+        assert store.started_counts()[job_id] == 1
+        failed = [e for e in store.events if e.get("event") == "failed"]
+        assert [e["error"] for e in failed] == ["RuntimeError('boom')"]
+
+        rerun = run_fleet(spec, FleetStore(tmp_path / "s"), n_jobs=1, worker=fake_worker)
+        assert rerun.converged and rerun.completed == [job_id]
 
     def test_max_jobs_marks_rest_resumable(self, tmp_path):
         store = FleetStore(tmp_path / "s")
@@ -140,17 +113,18 @@ class TestSerial:
 
 
 class TestResume:
-    def test_resume_runs_exactly_the_remaining_jobs(self, tmp_path):
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_resume_runs_exactly_the_remaining_jobs(self, tmp_path, n_jobs):
         spec = tiny_spec()
         store = FleetStore(tmp_path / "s")
         first = run_fleet(
-            spec, store, n_jobs=1, max_jobs=2, worker=fake_worker
+            spec, store, n_jobs=n_jobs, max_jobs=2, worker=fake_worker
         )
         assert len(first.completed) == 2
 
         resumed_store = FleetStore(tmp_path / "s")
         second = run_fleet(
-            spec, resumed_store, n_jobs=1, worker=fake_worker
+            spec, resumed_store, n_jobs=n_jobs, worker=fake_worker
         )
         assert second.converged
         assert sorted(second.skipped) == sorted(first.completed)
@@ -162,26 +136,36 @@ class TestResume:
 class TestPool:
     def test_pool_completes_all_jobs(self, tmp_path):
         store = FleetStore(tmp_path / "s")
-        outcome = run_fleet(
-            tiny_spec(), store, n_jobs=2, worker=fake_worker, heartbeat=30.0
-        )
+        outcome = run_fleet(tiny_spec(), store, n_jobs=2, worker=pid_worker)
         assert outcome.converged
         assert len(store.completed_job_ids()) == 4
+        pids = {r["timing"]["pid"] for r in store.results.values()}
+        assert os.getpid() not in pids
 
-    def test_pool_recovers_from_worker_hard_crash(self, tmp_path, monkeypatch):
-        sentinel = tmp_path / "sentinel"
-        monkeypatch.setenv("FLEET_TEST_SENTINEL", str(sentinel))
+    def test_max_jobs_is_exact_on_the_pool(self, tmp_path):
         store = FleetStore(tmp_path / "s")
         outcome = run_fleet(
-            tiny_spec(seeds=(0,), strategies=("random",)),
-            store,
-            n_jobs=2,
-            worker=env_flaky_worker,
-            retry=FAST_RETRY,
-            heartbeat=30.0,
+            tiny_spec(), store, n_jobs=2, max_jobs=1, worker=fake_worker
         )
-        assert outcome.converged, outcome.summary()
-        assert store.started_counts()[outcome.completed[0]] == 2
+        assert outcome.interrupted and not outcome.converged
+        assert len(outcome.completed) == 1
+        assert len(outcome.resumable) == 3
+        assert sum(store.started_counts().values()) == 1
+
+    def test_hard_crash_fails_the_batch_and_rerun_converges(self, tmp_path):
+        spec = tiny_spec(seeds=(0,))
+        store = FleetStore(tmp_path / "s")
+        outcome = run_fleet(spec, store, n_jobs=2, worker=hard_crash_worker)
+        assert sorted(outcome.failed) == sorted(job.job_id for job in spec.expand())
+        assert not outcome.completed and not outcome.converged
+        failed = [e for e in store.events if e.get("event") == "failed"]
+        assert len(failed) == 2
+        assert all("BrokenProcessPool" in e["error"] for e in failed)
+
+        resumed = FleetStore(tmp_path / "s")
+        rerun = run_fleet(spec, resumed, n_jobs=2, worker=fake_worker)
+        assert rerun.converged and sorted(rerun.completed) == sorted(outcome.failed)
+        assert all(n == 2 for n in resumed.started_counts().values())
 
 
 class TestAcceptance:

@@ -89,18 +89,27 @@ class TestRunAndQuery:
         assert header == "job_id,kind,spec,axes,metric,value"
 
     @pytest.mark.parametrize(
-        "spec",
+        "spec, flags, env",
         [
-            {"base": {"churn": {"sesion_median": 5}}},
-            {"bogus": 1},
+            ({"base": {"churn": {"sesion_median": 5}}}, [], {}),
+            ({"bogus": 1}, [], {}),
+            ({}, ["--jobs", "0"], {}),
+            ({}, [], {"REPRO_JOBS": "x"}),
+            ({}, ["--max-jobs", "0"], {}),
+            ({}, ["--max-jobs", "-1"], {}),
         ],
-        ids=["misspelled-nested-field", "unknown-top-level-key"],
+        ids=["misspelled-nested-field", "unknown-top-level-key", "jobs-0",
+             "repro-jobs-x", "max-jobs-0", "max-jobs-negative"],
     )
-    def test_bad_spec_exits_2_without_a_store(self, tmp_path, spec, capsys):
+    def test_bad_spec_exits_2_without_a_store(
+        self, tmp_path, spec, flags, env, capsys, monkeypatch
+    ):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(dict(spec, seeds=[0])))
         store_dir = tmp_path / "store"
-        assert _run(["fleet", "run", path, "--store", store_dir]) == 2
+        assert _run(["fleet", "run", path, "--store", store_dir, *flags]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not store_dir.exists()
@@ -121,6 +130,24 @@ class TestDash:
     def test_render_empty_store(self, tmp_path):
         frame = render_dashboard(FleetStore(tmp_path / "s"))
         assert "no jobs scheduled yet" in frame
+
+    def test_eta_is_remaining_jobs_over_the_completion_rate(self, tmp_path):
+        # Two workers, 4 jobs, 3 completions 10 s apart: the parent logs
+        # every completion, so the rate (6 jobs/min) already covers both
+        # workers and the last job is 10 s away.
+        events = [{"type": "note", "note": "run.start", "spec": "eta",
+                   "workers": 2, "ts": 0.0}]
+        events += [{"type": "job", "event": "scheduled", "job_id": f"j{i}",
+                    "ts": 0.0} for i in range(4)]
+        events += [{"type": "job", "event": "completed", "job_id": f"j{i}",
+                    "ts": 100.0 + 10 * i} for i in range(3)]
+        store_dir = tmp_path / "s"
+        store_dir.mkdir()
+        (store_dir / "events.jsonl").write_text(
+            "".join(json.dumps(e) + "\n" for e in events)
+        )
+        frame = render_dashboard(FleetStore(store_dir))
+        assert "throughput: 6.0 jobs/min   ETA: 10s" in frame
 
 
 @pytest.mark.parametrize(

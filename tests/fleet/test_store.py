@@ -56,6 +56,18 @@ class TestReplay:
         with pytest.raises(FileNotFoundError):
             FleetStore(tmp_path / "absent", create=False)
 
+    def test_older_heartbeat_events_replay(self, tmp_path):
+        store = FleetStore(tmp_path / "s")
+        store.append_event("started", "j1", attempt=1)
+        store.append_event("heartbeat", "j1", attempt=1)
+        store.append_event("completed", "j1", attempt=1)
+        store.append_event("started", "j2", attempt=1)
+        store.append_event("heartbeat", "j2", attempt=1)
+
+        back = FleetStore(tmp_path / "s")
+        assert back.job_states() == {"j1": "completed", "j2": "started"}
+        assert len(back.events) == 5
+
     def test_started_counts(self, tmp_path):
         store = FleetStore(tmp_path / "s")
         store.append_event("started", "j1", attempt=1)
