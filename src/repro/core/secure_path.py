@@ -34,7 +34,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.path import Path
-from repro.payment.crypto import RSAKeyPair
+from repro.payment.crypto import ChunkStream, RSAKeyPair
 
 
 def keystream_xor(key: bytes, data: bytes) -> bytes:
@@ -64,10 +64,8 @@ def seal(public: RSAKeyPair, plaintext: bytes, rng: np.random.Generator) -> Seal
     """Encrypt so that only the holder of ``public``'s private exponent
     can read (the :class:`RSAKeyPair` carries both halves; sealing uses
     only ``n`` and ``e``)."""
-    key_int = 0
-    for _ in range(3):
-        key_int = (key_int << 30) | int(rng.integers(0, 2**30))
-    key_int = 2 + key_int % (public.n - 3)
+    with ChunkStream(rng, block=3) as stream:
+        key_int = 2 + stream.compose(3) % (public.n - 3)
     session_key = hashlib.sha256(key_int.to_bytes(32, "big")).digest()
     wrapped = pow(key_int, public.e, public.n)
     return SealedBox(wrapped_key=wrapped, ciphertext=keystream_xor(session_key, plaintext))

@@ -20,7 +20,10 @@ Subcommands:
   (:mod:`repro.analysis`); also available dependency-free as
   ``python -m repro.analysis``.
 
-Scale is selected with ``--preset quick|paper`` and ``--seeds N``.
+Scale is selected with ``--preset quick|paper`` and ``--seeds N``.  The
+seed sweeps (``figure``, ``table``, ``prop``, ``suite``) run on
+``REPRO_JOBS`` worker processes; a value that is not an integer >= 1 is
+one ``error:`` line on stderr and exit status 2, before any scenario runs.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from repro.experiments.reporting import (
     render_payoff_vs_fraction,
     render_table2,
 )
+from repro.experiments.runner import default_n_jobs
 from repro.experiments.scenario import run_scenario
 from repro.experiments.tables import table2
 
@@ -399,9 +403,19 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return run_lint(args)
 
 
+#: Subcommands whose seed sweeps go through ``runner.run_jobs``.
+_SWEEP_COMMANDS = frozenset({"figure", "table", "prop", "suite"})
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
+    if args.command in _SWEEP_COMMANDS:
+        try:
+            default_n_jobs()
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     handlers = {
         "run": _cmd_run,
         "figure": _cmd_figure,

@@ -197,3 +197,24 @@ def test_figure_plot_flag(capsys, monkeypatch):
     assert rc == 0
     assert "Figure 3" in out
     assert "avg payoff" in out  # the ASCII chart's y-axis label
+
+
+@pytest.mark.parametrize("value", ["0", "x"])
+@pytest.mark.parametrize(
+    "argv",
+    [["prop", "1", "--seeds", "2"], ["figure", "5"], ["table", "2"], ["suite"]],
+    ids=["prop", "figure", "table", "suite"],
+)
+def test_bad_repro_jobs_is_a_usage_error(argv, value, capsys, monkeypatch):
+    """A bad pool width is one error line and exit 2, before any scenario."""
+    import repro.experiments.runner as runner
+
+    def no_scenario(config):
+        raise AssertionError("a scenario ran")
+
+    monkeypatch.setattr(runner, "run_scenario", no_scenario)
+    monkeypatch.setenv("REPRO_JOBS", value)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: REPRO_JOBS") and captured.err.count("\n") == 1
+    assert captured.out == ""
