@@ -52,14 +52,22 @@ class HistoryRecord:
             raise ValueError(f"round_index must be >= 1, got {self.round_index}")
 
 
-@dataclass
-class HistoryProfile:
+class _WeakReferable:
+    """Slot base that keeps a slotted subclass weakly referable
+    (``dataclass(weakref_slot=True)`` needs Python 3.11)."""
+
+    __slots__ = ("__weakref__",)
+
+
+@dataclass(slots=True)
+class HistoryProfile(_WeakReferable):
     """History store for one node, keyed by series cid.
 
     ``capacity`` bounds the number of records kept *per cid* (the paper
     notes "the amount of history information stored at a node also
     influences the quality of the edge"); oldest records are evicted first.
-    ``capacity=None`` keeps everything.
+    ``capacity=None`` keeps everything.  Slotted (no per-instance
+    ``__dict__``): a run holds one profile per node.
     """
 
     node_id: int

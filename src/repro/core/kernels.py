@@ -781,7 +781,10 @@ class Frontier:
       advance the round, probe sweeps advance ``alpha_generation``.
       ``q_flat`` is filled only by the full sweep's decisions (and by
       Model I per node); a lookahead-ball decision scores its own edges
-      and leaves it, and ``row_complete``, untouched;
+      and leaves it, and ``row_complete``, untouched.  The dense rows
+      (``q_flat`` and the per-node ``q_built`` flags) are allocated on
+      first use, so a frontier that only ever decides over lookahead
+      balls holds neither (both stay ``None``);
     - liveness (``valid0`` and the per-block ``st_valid``/``st_dead``):
       keyed ``Overlay.liveness_version``;
     - SPNE value tables (``levels_*``): keyed on both plus the
@@ -819,8 +822,8 @@ class Frontier:
         #: True once any Model II decision needed the full quality row —
         #: only such connections are worth pre-building into batches.
         self.wants_full_row = False
-        self.q_flat = np.zeros(0, dtype=np.float64)
-        self.q_built = np.zeros(0, dtype=bool)
+        self.q_flat: Optional[np.ndarray] = None
+        self.q_built: Optional[np.ndarray] = None
         self.row_complete = False
         self.q_token: Optional[Tuple[int, int]] = None
         #: Position-aware base quality, one ``(S, W)`` table per block.
@@ -900,8 +903,8 @@ class BatchPlanner:
     def _reset_frontier(self, fr: Frontier) -> None:
         world = self.world
         fr.generation = world.generation
-        fr.q_flat = np.zeros(world.n_edges, dtype=np.float64)
-        fr.q_built = np.zeros(world.size, dtype=bool)
+        fr.q_flat = None
+        fr.q_built = None
         fr.row_complete = world.n_edges == 0
         fr.q_token = None
         fr.q_child = None
@@ -920,7 +923,8 @@ class BatchPlanner:
         if fr.q_token != tok:
             fr.q_token = tok
             fr.row_complete = self.world.n_edges == 0
-            fr.q_built[:] = False
+            if fr.q_built is not None:
+                fr.q_built[:] = False
             fr.pos_q_cache.clear()
             fr.q_child = None
             fr.q_child_token = None
@@ -991,9 +995,15 @@ class BatchPlanner:
         """Lazily score one node's slice (Model I touches only the
         deciding node's row; also the root row under position-aware
         scoring with no predecessor)."""
-        if fr.row_complete or fr.q_built[node_id]:
+        if fr.row_complete:
             return
         world = self.world
+        if fr.q_built is None:
+            fr.q_built = np.zeros(world.size, dtype=bool)
+        if fr.q_flat is None:
+            fr.q_flat = np.zeros(world.n_edges, dtype=np.float64)
+        if fr.q_built[node_id]:
+            return
         start = int(world.indptr[node_id])
         end = int(world.indptr[node_id + 1])
         if start == end:
@@ -1109,6 +1119,7 @@ class BatchPlanner:
             if row is None:
                 self._ensure_full_rows(fr, context)
         if fr.row_complete:
+            assert fr.q_flat is not None
             return fr.q_flat.__getitem__
         max_entries = float(fr.round_index - 1)
         safe = max_entries if max_entries > 0.0 else 1.0
@@ -1246,7 +1257,9 @@ class BatchPlanner:
         if position_aware:
             bases = fr.q_child
         else:
-            bases = [fr.q_flat[block.child] for block in world.blocks]
+            q_flat = fr.q_flat
+            assert q_flat is not None
+            bases = [q_flat[block.child] for block in world.blocks]
         perf = PERF
         while len(fr.levels_sum) <= depth:
             new_sum, new_n = self._level_step(fr, bases)
@@ -1330,8 +1343,6 @@ class BatchPlanner:
         """
         world = self.world
         blocks = world.blocks
-        if quality is None:
-            quality = fr.q_flat.__getitem__
         # Top-down: each level's state count, its block groups and the
         # place of each slot's child in the level below (``None``: the
         # slot's own position).
@@ -1372,15 +1383,19 @@ class BatchPlanner:
                 fr.valid0, child, real, block.not_pred[rows]
             )
             bases.append(fr.q_child[b][rows] if position_aware else child)
-        if not position_aware and len(bases) == 1:
-            bases = [quality(bases[0])]
-        elif not position_aware and bases:
-            flat = quality(np.concatenate([child.ravel() for child in bases]))
-            ends = np.cumsum([child.size for child in bases]).tolist()
-            bases = [
-                flat[end - child.size : end].reshape(child.shape)
-                for child, end in zip(bases, ends)
-            ]
+        if not position_aware:
+            if quality is None:
+                assert fr.q_flat is not None
+                quality = fr.q_flat.__getitem__
+            if len(bases) == 1:
+                bases = [quality(bases[0])]
+            elif bases:
+                flat = quality(np.concatenate([child.ravel() for child in bases]))
+                ends = np.cumsum([child.size for child in bases]).tolist()
+                bases = [
+                    flat[end - child.size : end].reshape(child.shape)
+                    for child, end in zip(bases, ends)
+                ]
         base_of = dict(zip(block_rows, bases))
         # Bottom-up.
         prev_sum = np.zeros(1, dtype=np.float64)
@@ -1451,6 +1466,7 @@ class BatchPlanner:
         sel_pred = context.selectivity_predecessor(predecessor)
         if sel_pred is None:
             self._ensure_q_node(fr, context, node_id)
+            assert fr.q_flat is not None
             return fr.q_flat[cand_idx]
         start = int(self.world.indptr[node_id])
         return self._pos_q(fr, context, node_id, sel_pred)[cand_idx - start]

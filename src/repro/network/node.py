@@ -122,7 +122,7 @@ class NeighborView:
         )
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class PeerNode:
     """A peer in the anonymity overlay.
 
@@ -130,6 +130,8 @@ class PeerNode:
     churn process act on it.  It owns only local knowledge — its neighbour
     set and the observed availability counters.  Nodes compare by identity:
     a field-wise ``==`` would read views with sweep credits not yet applied.
+    Slotted (no per-instance ``__dict__``): a large overlay holds one
+    node per peer.
     """
 
     node_id: int

@@ -6,7 +6,8 @@ connection's full quality row.  The values must equal the full row's
 ``q_flat`` at those edges bit for bit — in round 1 (no history yet), in
 later rounds, and when the selectivity hit row would over-count and the
 full row is built instead.  On a large world the decision must then
-score a small fraction of the edges and leave the full row unbuilt.
+score a small fraction of the edges and leave the full row unbuilt, and
+the frontier's dense rows unallocated.
 """
 
 import numpy as np
@@ -19,7 +20,7 @@ from repro.core.costs import CostModel
 from repro.core.edge_quality import QualityWeights
 from repro.core.history import HistoryProfile
 from repro.core.kernels import WorldArrays
-from repro.core.routing import ForwardingContext, UtilityModelII
+from repro.core.routing import ForwardingContext, UtilityModelI, UtilityModelII
 from repro.network.overlay import Overlay
 from repro.sim.monitoring import PERF
 
@@ -114,6 +115,36 @@ def test_large_world_decision_scores_only_its_ball():
     assert 0 < delta["edges_scored"] < world.n_edges / 10
     scalar = _context(ov, histories, HISTORY_ROUNDS + 1, QualityWeights(), "python")
     assert choice == strategy.select_next_hop(node, None, scalar)
+
+
+def test_ball_decisions_allocate_no_dense_rows():
+    ov, histories = _world(seed=3, n=2000, degree=5)
+    strategy = UtilityModelII(lookahead=3)
+    ctx = _context(ov, histories, HISTORY_ROUNDS + 1, QualityWeights(), world=WorldArrays(ov))
+    node, pred = ov.nodes[17], None
+    for _ in range(3):
+        nxt = strategy.select_next_hop(node, pred, ctx)
+        assert nxt is not None
+        node, pred = ov.nodes[nxt], node.node_id
+    fr = ctx.batch_planner().frontiers[1]
+    assert fr.q_flat is None
+    assert fr.q_built is None
+
+
+@pytest.mark.parametrize("strategy", [UtilityModelI(), UtilityModelII(lookahead=2)])
+def test_small_world_decisions_still_fill_the_dense_rows(strategy):
+    ov, histories = _world(seed=5, n=30, degree=4)
+    world = WorldArrays(ov)
+    ctx = _context(ov, histories, HISTORY_ROUNDS + 1, QualityWeights(), world=world)
+    choice = strategy.select_next_hop(ov.nodes[2], None, ctx)
+    fr = ctx.batch_planner().frontiers[1]
+    assert fr.q_flat is not None and fr.q_flat.shape == (world.n_edges,)
+    if isinstance(strategy, UtilityModelI):
+        assert fr.q_built is not None and fr.q_built[2]
+    else:
+        assert fr.row_complete
+    scalar = _context(ov, histories, HISTORY_ROUNDS + 1, QualityWeights(), "python")
+    assert choice == strategy.select_next_hop(ov.nodes[2], None, scalar)
 
 
 @pytest.mark.parametrize("round_index", [1, HISTORY_ROUNDS + 1])

@@ -1,5 +1,7 @@
 """Tests for history profiles and selectivity (§2.3)."""
 
+import pickle
+
 import pytest
 
 from repro.core.history import HistoryProfile, HistoryRecord
@@ -104,3 +106,18 @@ def test_observed_edges_leak_shape():
     h = HistoryProfile(5)
     h.record(cid=7, round_index=1, predecessor=2, successor=9)
     assert h.observed_edges() == [(7, 2, 9)]
+
+
+def test_profile_is_slotted_and_round_trips_through_pickle():
+    h = HistoryProfile(node_id=4, capacity=3)
+    assert not hasattr(h, "__dict__")
+    for rnd, succ in [(1, 7), (2, 7), (3, 8), (4, 7), (5, 9)]:
+        h.record(cid=1, round_index=rnd, predecessor=2, successor=succ)
+    h.record(cid=2, round_index=1, predecessor=0, successor=8)
+    copy = pickle.loads(pickle.dumps(h))
+    assert copy == h
+    for cid in (1, 2, 3):
+        for rnd in (1, 2, 4, 6):
+            assert copy.selectivity_hits_block(cid, [7, 8, 9], rnd) == (
+                h.selectivity_hits_block(cid, [7, 8, 9], rnd)
+            )

@@ -1,8 +1,12 @@
 """Tests for PeerNode: lifecycle, neighbours, availability estimate."""
 
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.network.node import NodeState, PeerNode
+from repro.network.overlay import Overlay
 
 
 def make_node(node_id=1, degree=3):
@@ -146,3 +150,38 @@ class TestAvailabilityEstimate:
         n.set_neighbors([2])
         with pytest.raises(KeyError):
             n.availability(99)
+
+
+class TestSlotsAndPickling:
+    """Nodes are slotted, and an overlay still round-trips through pickle
+    (the replicate pool pickles results that hold it)."""
+
+    def test_node_has_no_instance_dict(self):
+        node = make_node()
+        assert not hasattr(node, "__dict__")
+        with pytest.raises(AttributeError):
+            node.undeclared = 1
+
+    def test_overlay_with_pending_sweeps_round_trips(self):
+        overlay = Overlay(rng=np.random.default_rng(11), degree=4)
+        overlay.bootstrap(30)
+        for node_id in (0, 7, 19):
+            node = overlay.nodes[node_id]
+            node.credit_session_times(node.neighbor_ids()[:2], 0.7, now=1.0)
+        overlay.log_fast_sweep(5.0, 2.0)
+        overlay.log_fast_sweep(0.1, 3.0)
+
+        copy = pickle.loads(pickle.dumps(overlay))
+
+        def views(ov):
+            return {
+                nid: [(vid, v.session_time, v.last_seen) for vid, v in n.neighbors.items()]
+                for nid, n in ov.nodes.items()
+            }
+
+        assert views(copy) == views(overlay)
+        # The copy's nodes follow the copy's own log.
+        for ov in (copy, overlay):
+            ov.log_fast_sweep(7.3, 4.0)
+        assert views(copy) == views(overlay)
+        assert copy.nodes[7].availability_vector() == overlay.nodes[7].availability_vector()

@@ -1,5 +1,11 @@
 """Tests for overlay topology generation."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -83,3 +89,40 @@ def test_stats_connected_fields(rng):
     assert stats["connected"] == 1.0
     assert stats["avg_shortest_path"] > 1.0
     assert stats["n"] == 20
+
+
+_LAZY_NETWORKX_PROBE = """
+import json, sys
+import numpy as np
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.scenario import run_scenario
+result = run_scenario(ExperimentConfig(
+    seed=3, n_nodes=30, n_pairs=4, total_transmissions=32, use_bank=False,
+))
+assert result.series_stats, "the scenario routed nothing"
+before = "networkx" in sys.modules
+from repro.network.topology import build_topology
+adj = build_topology("small-world", n=20, degree=4, rng=np.random.default_rng(0))
+print(json.dumps([before, "networkx" in sys.modules, adj]))
+"""
+
+
+def test_networkx_loads_only_for_graph_topologies():
+    """A default (``random``) scenario never imports networkx; the first
+    graph topology does, and builds the same adjacency as in-process."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_NETWORKX_PROBE],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    before, after, adj = json.loads(proc.stdout)
+    assert before is False
+    assert after is True
+    expected = build_topology("small-world", n=20, degree=4, rng=np.random.default_rng(0))
+    assert {int(k): v for k, v in adj.items()} == expected
