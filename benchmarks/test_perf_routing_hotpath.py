@@ -8,7 +8,8 @@ numbers reflect a round's first decision rather than a warmed planner.
 Three more track the large world's hot spots on a 5,000-node overlay:
 the steady-state probe sweep, the same sweep after a topology change
 (which scans every node's degree again), and a Model II lookahead-ball
-decision.
+decision.  One more times a cold paper-size Model II round: the round
+table's build and the hop decisions that read it.
 
 The decision benchmarks run once per scoring backend: ``python`` (the
 scalar reference with its indexed selectivity, cached availability
@@ -43,6 +44,9 @@ LATE_ROUND = HISTORY_ROUNDS + 1
 #: The large world: ``overlay-5k-l3``'s population and degree.
 LARGE_NODES = 5000
 LARGE_DEGREE = 5
+#: The paper's world: ``paper-l3``'s population and degree.
+PAPER_NODES = 40
+PAPER_DEGREE = 5
 
 
 @pytest.fixture(scope="module")
@@ -276,3 +280,41 @@ def test_perf_model2_ball_decision_5k(benchmark):
         return strat.select_next_hop(node, None, ctx)
 
     assert benchmark(decide) in node.neighbors
+
+
+def test_perf_model2_round_table_cold(benchmark):
+    """One cold Model II L3 round on the paper's 40-node, degree-5
+    overlay: the round table's build (quality row, validity, the level
+    steps, path qualities) and the round's hop decisions, which read it.
+    Each call is the next round of one connection over one planner, as
+    in a scenario."""
+    rng = np.random.default_rng(11)
+    ov = Overlay(rng=rng, degree=PAPER_DEGREE)
+    ov.bootstrap(PAPER_NODES)
+    histories = {nid: HistoryProfile(nid) for nid in ov.nodes}
+    for _, node in sorted(ov.nodes.items()):
+        for _, view in sorted(node.neighbors.items()):
+            view.session_time = float(rng.uniform(1.0, 120.0))
+    for nid, h in histories.items():
+        nbrs = ov.nodes[nid].neighbor_ids()
+        for rnd in range(1, 9):
+            h.record(1, rnd, predecessor=int(rng.integers(PAPER_NODES)),
+                     successor=int(rng.choice(nbrs)))
+    base = fresh_context(ov, histories, "numpy", WorldArrays(ov), round_index=9)
+    base.batch_planner()
+    rounds = iter(range(9, 10**9))
+    strat = UtilityModelII(lookahead=3)
+    start = ov.nodes[0]
+
+    def route_round():
+        ctx = dataclasses.replace(base, round_index=next(rounds))
+        node, pred, hops = start, None, 0
+        for _ in range(3):
+            nxt = strat.select_next_hop(node, pred, ctx)
+            if nxt is None:
+                break
+            hops += 1
+            node, pred = ov.nodes[nxt], node.node_id
+        return hops
+
+    assert benchmark(route_round) == 3

@@ -13,15 +13,13 @@ of vectorised kernels:
   version counters (``neighbors_version``, ``availability_version``,
   ``liveness_version``) and the arrays are rebuilt or patched only when
   a remembered version no longer matches.
-- :class:`BatchPlanner` — the round-level batch planner.  It keeps one
-  :class:`Frontier` per open connection (derived per-``(cid, round)``
-  state: the per-edge quality row, liveness masks, SPNE value tables)
-  and, when any connection needs its full quality row, rebuilds *all*
-  stale prepared frontiers in one stacked ``(connections, edges)``
-  kernel invocation.  ``PathBuilder`` announces upcoming rounds through
-  :meth:`BatchPlanner.prepare` right after committing a path, so a
-  heavy-traffic scenario scores many connections' next rounds inside a
-  single numpy call instead of one call per connection.
+- :class:`BatchPlanner` — the round-level planner.  It holds one round
+  table, a :class:`Frontier` for the deciding ``(cid, round)`` (the
+  per-edge quality row, liveness masks, SPNE value tables and the path
+  qualities read from them), built by the round's first decision and
+  read by the rest.  Every decision of a round runs synchronously inside
+  one ``PathBuilder._attempt``, so no other connection decides between
+  them and one table per planner is enough.
 - ``BatchPlanner.decide_model1`` / ``decide_model2`` — batched
   replacements for the scalar ``select_next_hop`` bodies: the arrays give
   the candidate set, root qualities and SPNE tails, and the scalar
@@ -55,8 +53,7 @@ RNG stream aligned:
    per candidate, in scalar candidate order, only for top-level
    decisions — never eagerly, never batched — so first-use draws happen
    at exactly the same points of the run.  Quality rows and SPNE tables
-   touch no RNG at all, which is what makes speculative cross-
-   connection batching sound.
+   touch no RNG at all.
 
 **Backward induction as edge states.**  A memo state of the scalar
 Model II recursion is ``(node, predecessor, depth)``; since the
@@ -80,8 +77,8 @@ candidate edges, their children, and so on ``lookahead`` levels down —
 at most ``candidates * max_out_degree ** lookahead`` child slots in the
 deepest level, against ``WorldArrays.n_children`` for the whole axis.
 Two sweeps share the same kernels.  The full sweep runs over every
-state, and its levels are cached per ``(cid, round)`` for the few
-decisions of one round.  The ball sweep (``BatchPlanner._spne_ball``)
+state, and its levels live in the round table for the few decisions of
+one ``(cid, round)``.  The ball sweep (``BatchPlanner._spne_ball``)
 is the array form of the scalar memo for one decision, laid out as a
 positional tree: each level holds every child slot of the level above,
 in row order, so a slot reads its child's value at its own position and
@@ -115,14 +112,12 @@ tokens when nothing moved), and the scalar strategies compute straight
 from the overlay and the histories.  Nothing is snapshotted per round or
 per formation attempt, so retries inside one round see the churn,
 crash-rejoin and probe credits that happened while they backed off.
-Derived frontier state is keyed on what it reads instead: quality rows
-on ``(round_index, WorldArrays.alpha_generation)`` (histories commit
-only after a round's path succeeds, so a round's selectivity is fixed),
-candidate validity on ``Overlay.liveness_version``, everything on
-``WorldArrays.generation``.  A speculatively pre-built row is therefore
-dropped, never misused, when probing moved availability before the
-round actually ran.  Ball-local qualities are computed per decision and
-kept nowhere, so they need no key.
+The round table is keyed on what it reads instead: the whole table on
+``(cid, round_index, responder, WorldArrays.generation)`` (histories
+commit only after a round's path succeeds, so a round's selectivity is
+fixed), quality rows on ``WorldArrays.alpha_generation``, candidate
+validity on ``Overlay.liveness_version``.  Ball-local qualities are
+computed per decision and kept nowhere, so they need no key.
 
 **Small-world crossover.**  The kernels win on batch size; on tiny
 candidate sets the array bookkeeping costs more than the scalar loop
@@ -145,6 +140,7 @@ from typing import (
     Mapping,
     NamedTuple,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
@@ -180,10 +176,10 @@ MODEL1_KERNEL_MIN_CANDIDATES = 12
 #: axis (measured crossover: degree-5 L3 overlays switch at ~400 nodes).
 SPNE_BALL_MIN_RATIO = 16
 
-#: Frontier cache bound per planner (oldest evicted first).  Generous:
-#: a frontier is a handful of per-edge arrays, and scenarios keep well
-#: under this many connections open at once.
-MAX_FRONTIERS = 128
+#: :class:`HitRows` bound per planner (oldest row evicted first).
+#: Generous: a row is one int32 per edge, and scenarios keep well under
+#: this many connections open at once.
+MAX_HIT_ROWS = 128
 
 
 def validate_backend(name: str) -> str:
@@ -251,18 +247,18 @@ class WorldArrays:
     per-node ``availability_version`` scan resyncs the rows that moved.
     Reading a node's version applies its pending sweep credits
     (:mod:`repro.network.node`), so the scan sees eager counters.
-    Recomputing alpha bumps ``alpha_generation``, the token frontier
-    quality rows key on.  Liveness is *not* stored here — it changes
-    mid-round under fault injection and is masked per :class:`Frontier`.
+    Recomputing alpha bumps ``alpha_generation``, the token the round
+    table's quality row keys on.  Liveness is *not* stored here — it changes
+    mid-round under fault injection and is masked per round table.
     """
 
     def __init__(self, overlay: "Overlay") -> None:
         self.overlay = overlay
-        #: Bumped on every topology rebuild; frontiers compare against it.
+        #: Bumped on every topology rebuild; round tables compare against it.
         self.generation = 0
-        #: Bumped whenever any ``alpha_flat`` slice is re-patched; part
-        #: of the quality-row freshness token, so rows pre-built for a
-        #: future round survive exactly until availability moves.
+        #: Bumped whenever any ``alpha_flat`` slice is re-patched: the
+        #: round table's quality row, and the SPNE levels and path
+        #: qualities built on it, are valid for one value.
         self.alpha_generation = 0
         self.size = 0
         self.n_edges = 0
@@ -597,13 +593,14 @@ def spne_state_validity(
 
 def spne_level_step(
     base_child: np.ndarray,
-    prev_sum: np.ndarray,
-    prev_n: np.ndarray,
+    prev_sum: Optional[np.ndarray],
+    prev_n: Optional[np.ndarray],
     child: np.ndarray,
-    st_valid: np.ndarray,
-    st_dead: np.ndarray,
+    st_valid: Optional[np.ndarray],
+    st_dead: Optional[np.ndarray],
     out_sum: np.ndarray,
     out_n: np.ndarray,
+    row_start: Optional[np.ndarray] = None,
 ) -> None:
     """One backward-induction level for the rows of one degree block.
 
@@ -614,24 +611,47 @@ def spne_level_step(
     lookahead ball.  Results go to ``out_sum``/``out_n`` (one entry per
     row) — for the sharded engine these may be shared-memory views.
 
+    A caller that knows more may pass less, with the same bits out:
+
+    - ``prev_sum``/``prev_n`` ``None``: level 1.  The level below is all
+      zeros, so a slot's sum is ``base_child + 0.0`` (the ``+ 0.0``
+      turns a ``-0.0`` base into the ``0.0`` the gather-and-add gives)
+      and its count is 1, so its mean is the sum itself.
+    - ``st_valid`` ``None``: ``base_child`` is already masked, ``-inf``
+      in every invalid and padded slot.
+    - ``st_dead`` ``None``: no row is dead.
+    - ``row_start``: the cached row offsets ``arange(0, S * W, W)``.
+
     Every row is computed from its own slots alone, so any set of rows
     in any order — a shard range or a lookahead ball — gets the bits the
     whole block gets.
     """
-    total_sum = base_child + prev_sum[child]
-    total_n = 1 + prev_n[child]
-    # Invalid and padded slots get a sentinel below every reachable mean
-    # (means are >= 0; the scalar loop's initial best is -1.0).
-    masked = np.where(st_valid, total_sum / total_n, -2.0)
+    total_n: Optional[np.ndarray] = None
+    if prev_sum is None or prev_n is None:
+        total_sum = base_child + 0.0
+        means = total_sum
+    else:
+        total_sum = base_child + prev_sum[child]
+        total_n = 1 + prev_n[child]
+        means = total_sum / total_n
+    if st_valid is not None:
+        # Invalid and padded slots get a sentinel below every reachable
+        # mean (means are >= 0; the scalar loop's initial best is -1.0).
+        means = np.where(st_valid, means, -2.0)
+    if row_start is None:
+        row_start = np.arange(0, means.size, child.shape[1])
     # argmax returns the first index of the row maximum == the scalar
     # loop's strict-`>` first winner (children are in ascending-id,
     # i.e. scalar candidate, order).
-    width = child.shape[1]
-    sel = masked.argmax(axis=1) + np.arange(0, masked.size, width)
+    sel = means.argmax(axis=1) + row_start
     out_sum[:] = total_sum.ravel()[sel]
-    out_n[:] = total_n.ravel()[sel]
-    out_sum[st_dead] = 0.0
-    out_n[st_dead] = 0
+    if total_n is None:
+        out_n[:] = 1
+    else:
+        out_n[:] = total_n.ravel()[sel]
+    if st_dead is not None:
+        out_sum[st_dead] = 0.0
+        out_n[st_dead] = 0
 
 
 #: Round horizon that makes ``selectivity_hits_block`` count every stored
@@ -669,7 +689,8 @@ class HitRows:
     eviction and forget to the live rows.  A topology rebuild
     (``WorldArrays.generation`` moves) drops every row.  The store holds
     no reference to the histories or to any profile, and profiles hold it
-    only weakly, so no reference cycle keeps a finished run alive.
+    only weakly, so no reference cycle keeps a finished run alive.  At
+    most :data:`MAX_HIT_ROWS` rows are kept, the oldest evicted first.
     """
 
     def __init__(self, world: WorldArrays) -> None:
@@ -714,6 +735,8 @@ class HitRows:
             return None
         row = self.rows.get(cid)
         if row is None:
+            if len(self.rows) >= MAX_HIT_ROWS:
+                del self.rows[next(iter(self.rows))]
             row = np.zeros(world.n_edges, dtype=np.int32)
             starts = world.indptr.tolist()
             nbr_lists = world.nbr_lists
@@ -727,10 +750,6 @@ class HitRows:
                     ].selectivity_hits_block(cid, lst, _ALL_ROUNDS)
             self.rows[cid] = row
         return row
-
-    def drop(self, cid: int) -> None:
-        """Release the cid's row (its frontier was evicted)."""
-        self.rows.pop(cid, None)
 
     # -- write-through (called by HistoryProfile) -----------------------
     def _note(self, node_id: int, cid: int, round_index: int) -> None:
@@ -772,24 +791,29 @@ class HitRows:
 
 
 class Frontier:
-    """Per-connection derived state inside a :class:`BatchPlanner`.
+    """The round table: one connection-round's derived state inside a
+    :class:`BatchPlanner`.
 
-    Three epochs, invalidated independently by freshness tokens:
+    A table belongs to one ``(cid, round_index, responder)`` over one
+    ``WorldArrays.generation``; the planner builds a new table whenever
+    any of the four moves.  Inside it, three epochs are invalidated
+    independently by freshness tokens:
 
     - quality (``q_flat``/``q_child``/``pos_q_cache``): keyed
-      ``(round_index, WorldArrays.alpha_generation)`` — history commits
-      advance the round, probe sweeps advance ``alpha_generation``.
+      ``WorldArrays.alpha_generation`` — probe sweeps move it mid-round.
       ``q_flat`` is filled only by the full sweep's decisions (and by
       Model I per node); a lookahead-ball decision scores its own edges
       and leaves it, and ``row_complete``, untouched.  The dense rows
       (``q_flat`` and the per-node ``q_built`` flags) are allocated on
-      first use, so a frontier that only ever decides over lookahead
-      balls holds neither (both stay ``None``);
-    - liveness (``valid0`` and the per-block ``st_valid``/``st_dead``):
-      keyed ``Overlay.liveness_version``;
-    - SPNE value tables (``levels_*``): keyed on both plus the
-      position-aware flag.  Only the full-axis sweep fills them; a
-      lookahead-ball decision keeps its values local.
+      first use, so a table that only ever decides over lookahead balls
+      holds neither (both stay ``None``);
+    - liveness (``valid0`` and the per-block ``st_valid``/``st_dead``,
+      which tables of one liveness epoch and responder share): keyed
+      ``Overlay.liveness_version``;
+    - SPNE value tables (``levels_*``, the whole-block sweep's masked
+      ``level_base``, and the ``path_q`` list read from them): keyed on
+      both plus the position-aware flag.  Only the full-axis sweep fills
+      them; a lookahead-ball decision keeps its values local.
     """
 
     __slots__ = (
@@ -797,13 +821,11 @@ class Frontier:
         "round_index",
         "responder",
         "generation",
-        "wants_full_row",
         "q_flat",
         "q_built",
         "row_complete",
         "q_token",
         "q_child",
-        "q_child_token",
         "pos_q_cache",
         "valid0",
         "st_valid",
@@ -812,154 +834,128 @@ class Frontier:
         "levels_sum",
         "levels_n",
         "levels_token",
+        "level_base",
+        "path_q",
+        "path_q_key",
     )
 
-    def __init__(self, cid: int, round_index: int, responder: int) -> None:
+    def __init__(
+        self, cid: int, round_index: int, responder: int, world: WorldArrays
+    ) -> None:
         self.cid = cid
         self.round_index = round_index
         self.responder = responder
-        self.generation = -1
-        #: True once any Model II decision needed the full quality row —
-        #: only such connections are worth pre-building into batches.
-        self.wants_full_row = False
+        self.generation = world.generation
         self.q_flat: Optional[np.ndarray] = None
         self.q_built: Optional[np.ndarray] = None
-        self.row_complete = False
-        self.q_token: Optional[Tuple[int, int]] = None
+        self.row_complete = world.n_edges == 0
+        self.q_token = world.alpha_generation
         #: Position-aware base quality, one ``(S, W)`` table per block.
         self.q_child: Optional[List[np.ndarray]] = None
-        self.q_child_token: Optional[Tuple[int, int]] = None
         self.pos_q_cache: Dict[Tuple[int, int], np.ndarray] = {}
         self.valid0: Optional[np.ndarray] = None
-        #: Per-block SPNE validity (``spne_state_validity`` outputs).
+        #: Per-block SPNE validity (``spne_state_validity`` outputs); a
+        #: block without a dead row holds ``None`` in ``st_dead``.
         self.st_valid: Optional[List[np.ndarray]] = None
-        self.st_dead: Optional[List[np.ndarray]] = None
+        self.st_dead: Optional[List[Optional[np.ndarray]]] = None
         self.liveness_token: Optional[int] = None
         self.levels_sum: Optional[List[np.ndarray]] = None
         self.levels_n: Optional[List[np.ndarray]] = None
         self.levels_token: Optional[tuple] = None
+        #: The whole block's base quality, ``-inf`` in every invalid and
+        #: padded slot (see :meth:`BatchPlanner._whole_block_step`).
+        self.level_base: Optional[np.ndarray] = None
+        #: ``(q + tail_sum + 1.0) / (tail_n + 2)`` per edge, as a list,
+        #: for ``path_q_key = (levels_token, depth)``.
+        self.path_q: Optional[List[float]] = None
+        self.path_q_key: Optional[tuple] = None
 
 
 class BatchPlanner:
-    """Round-level batch planner: one per :class:`PathBuilder` (or per
-    bare context), holding one :class:`Frontier` per open connection
-    over a shared :class:`WorldArrays`.
+    """Round-level planner: one per :class:`PathBuilder` (or per bare
+    context), holding the round table (:attr:`table`) of the deciding
+    connection over a shared :class:`WorldArrays`.
+
+    The first decision of a ``(cid, round)`` builds the table; the
+    round's later decisions, reformation attempts included, read it.
+    Every decision of a round runs synchronously inside one
+    ``PathBuilder._attempt``, so no other connection decides in between
+    and a single table serves every lane.  The only per-connection state
+    that outlives a round is the :class:`HitRows` store.
 
     All contexts routed through one planner must share ``histories``
     and ``weights`` (true for every context a single ``PathBuilder``
     creates) — quality rows are built from them without re-reading per
     decision.  Contract payloads and responders may differ per
-    connection; they live on the frontier.
+    connection; they live on the table.
     """
 
     def __init__(self, world: WorldArrays) -> None:
         self.world = world
-        self.frontiers: Dict[int, Frontier] = {}
-        #: Frontiers announced through :meth:`prepare` and not yet taken
-        #: into a stacked build: each announced round buys at most one
-        #: pre-built row, so retired connections never leak work into
-        #: later batches.
-        self.announced: Dict[int, Frontier] = {}
-        #: Selectivity hit rows for the full-row builds; a row lives as
-        #: long as its cid's frontier.
-        self.hits = HitRows(world)
-        #: High-water mark of frontiers scored in one stacked kernel
-        #: call — the cross-connection batching observable.
+        #: Most quality rows scored in one kernel call: 1 once a table's
+        #: full row was built, as a call scores the deciding table's row
+        #: alone.  Read by the e2e benchmark harness
+        #: (``kernels.max_batched_frontiers``).
         self.max_batched_frontiers = 0
+        #: The round table of the connection deciding now (or last).
+        self.table: Optional[Frontier] = None
+        #: Selectivity hit rows for the full-row builds, per cid.
+        self.hits = HitRows(world)
         self._mask: Optional[np.ndarray] = None
+        self._edge_online = np.zeros(0, dtype=bool)
         self._mask_key: Optional[Tuple[int, int]] = None
+        #: Validity passes of one ``(liveness_version, generation)``
+        #: epoch, by responder.
+        self._validity: Dict[int, tuple] = {}
+        self._validity_key: Optional[Tuple[int, int]] = None
+        #: ``(generation, row offsets)`` of the whole degree block.
+        self._row_start: Optional[Tuple[int, np.ndarray]] = None
 
-    # -- announcements -----------------------------------------------------
-    def prepare(self, cid: int, round_index: int, responder: int) -> None:
-        """Announce that connection ``cid`` will next build
-        ``round_index`` — called by the protocol layer right after a
-        path commit, when the round's history is final.
+    def prepare(self, cid: int) -> None:
+        """Release the committed round's table — called by the protocol
+        layer right after a path commit, when the connection's next round
+        will need a new table anyway.  (The name is kept for the e2e
+        benchmark harness, which times this method by name.)"""
+        if self.table is not None and self.table.cid == cid:
+            self.table = None
 
-        Cheap: no arrays are touched here.  The frontier is only marked
-        eligible for the next stacked quality build, so another
-        connection's decision computes this one's row for free.  If the
-        prediction misses (cid rotation re-keyed the epoch, probing
-        moved availability first), the freshness token discards the row
-        — speculation is never observable, only faster.
-        """
-        fr = self.frontiers.get(cid)
-        if fr is None:
-            fr = self._new_frontier(cid, round_index, responder)
-        fr.round_index = round_index
-        fr.responder = responder
-        self.announced[cid] = fr
-
-    # -- frontier bookkeeping ----------------------------------------------
-    def _new_frontier(self, cid: int, round_index: int, responder: int) -> Frontier:
-        if len(self.frontiers) >= MAX_FRONTIERS:
-            oldest = next(iter(self.frontiers))
-            del self.frontiers[oldest]
-            self.announced.pop(oldest, None)
-            self.hits.drop(oldest)
-        fr = Frontier(cid, round_index, responder)
-        self.frontiers[cid] = fr
-        return fr
-
-    def _reset_frontier(self, fr: Frontier) -> None:
+    # -- the round table ---------------------------------------------------
+    def _frontier(self, context: "ForwardingContext") -> Frontier:
+        """The round table for the context's ``(cid, round)``, over a
+        world brought up to date for this decision (the one freshness
+        rule): the current table if it is that round's, else a new one."""
         world = self.world
-        fr.generation = world.generation
-        fr.q_flat = None
-        fr.q_built = None
-        fr.row_complete = world.n_edges == 0
-        fr.q_token = None
-        fr.q_child = None
-        fr.q_child_token = None
-        fr.pos_q_cache = {}
-        fr.valid0 = None
-        fr.st_valid = None
-        fr.st_dead = None
-        fr.liveness_token = None
-        fr.levels_sum = None
-        fr.levels_n = None
-        fr.levels_token = None
-
-    def _sync_round_token(self, fr: Frontier) -> None:
-        tok = (fr.round_index, self.world.alpha_generation)
-        if fr.q_token != tok:
-            fr.q_token = tok
-            fr.row_complete = self.world.n_edges == 0
+        world.ensure_fresh()
+        fr = self.table
+        if (
+            fr is None
+            or fr.cid != context.cid
+            or fr.round_index != context.round_index
+            or fr.responder != context.responder
+            or fr.generation != world.generation
+        ):
+            fr = self.table = Frontier(
+                context.cid, context.round_index, context.responder, world
+            )
+        elif fr.q_token != world.alpha_generation:
+            fr.q_token = world.alpha_generation
+            fr.row_complete = world.n_edges == 0
             if fr.q_built is not None:
                 fr.q_built[:] = False
             fr.pos_q_cache.clear()
             fr.q_child = None
-            fr.q_child_token = None
-
-    def _frontier(self, context: "ForwardingContext") -> Frontier:
-        """The synced frontier for the context's connection, over a world
-        brought up to date for this decision (the one freshness rule)."""
-        world = self.world
-        world.ensure_fresh()
-        fr = self.frontiers.get(context.cid)
-        if fr is None:
-            fr = self._new_frontier(
-                context.cid, context.round_index, context.responder
-            )
-        fr.round_index = context.round_index
-        if fr.generation != world.generation:
-            self._reset_frontier(fr)
-        if fr.responder != context.responder:
-            fr.responder = context.responder
-            fr.valid0 = None
-            fr.st_valid = None
-            fr.st_dead = None
-            fr.liveness_token = None
-            fr.levels_token = None
-        self._sync_round_token(fr)
         return fr
 
     # -- liveness ----------------------------------------------------------
     def _online_mask(self) -> np.ndarray:
-        """Overlay liveness as a bool vector, shared across frontiers
-        within one ``(liveness_version, generation)`` epoch."""
+        """Overlay liveness as a bool vector, shared across tables
+        within one ``(liveness_version, generation)`` epoch, as is its
+        gather onto the edge axis (``_edge_online``)."""
         world = self.world
         key = (world.overlay.liveness_version, world.generation)
         if key != self._mask_key or self._mask is None:
             self._mask = world.overlay.online_mask(world.size)
+            self._edge_online = self._mask[world.nbr_flat]
             self._mask_key = key
         return self._mask
 
@@ -967,10 +963,9 @@ class BatchPlanner:
         stamp = context.overlay.liveness_version
         if fr.liveness_token == stamp and fr.valid0 is not None:
             return
-        world = self.world
-        nbr = world.nbr_flat
-        online = self._online_mask()
-        fr.valid0 = online[nbr] & (nbr != fr.responder)
+        nbr = self.world.nbr_flat
+        self._online_mask()
+        fr.valid0 = self._edge_online & (nbr != fr.responder)
         # State-level (SPNE) validity is derived lazily: Model I
         # decisions never touch it, and it is ~branching-factor times
         # larger than the edge axis.
@@ -981,14 +976,27 @@ class BatchPlanner:
         PERF.kernel_batch_elements += int(nbr.size)
 
     def _ensure_state_valid(self, fr: Frontier) -> None:
+        """The table's per-block SPNE validity.  It depends on the
+        liveness epoch and the responder alone, so tables of one epoch
+        with the same responder share one validity pass."""
         if fr.st_valid is not None:
             return
-        masks = [
-            spne_state_validity(fr.valid0, block.child, block.real, block.not_pred)
-            for block in self.world.blocks
-        ]
-        fr.st_valid = [valid for valid, _ in masks]
-        fr.st_dead = [dead for _, dead in masks]
+        key = (fr.liveness_token, self.world.generation)
+        if key != self._validity_key:
+            self._validity = {}
+            self._validity_key = key
+        masks = self._validity.get(fr.responder)
+        if masks is None:
+            pairs = [
+                spne_state_validity(fr.valid0, block.child, block.real, block.not_pred)
+                for block in self.world.blocks
+            ]
+            masks = (
+                [valid for valid, _ in pairs],
+                [dead if dead.any() else None for _, dead in pairs],
+            )
+            self._validity[fr.responder] = masks
+        fr.st_valid, fr.st_dead = masks
 
     # -- quality -----------------------------------------------------------
     def _ensure_q_node(self, fr: Frontier, context: "ForwardingContext", node_id: int) -> None:
@@ -1032,71 +1040,40 @@ class BatchPlanner:
         PERF.edges_scored += end - start
 
     def _ensure_full_rows(self, fr: Frontier, context: "ForwardingContext") -> None:
-        """The cross-connection quality kernel: stack every stale
-        prepared frontier's hit counts into one ``(F, E)`` matrix and
-        score all rows with a single vectorised expression.
+        """Score the table's whole quality row with one element-wise
+        expression.
 
-        Each member's hit counts are one row gather from :class:`HitRows`
-        — the same integers the bisects count (rule 1 of the bit-identity
+        The hit counts are one row gather from :class:`HitRows` — the
+        same integers the bisects count (rule 1 of the bit-identity
         contract), and int32 converts to float64 exactly.  When the cid
-        has an entry at or past the member's round, the row would
-        over-count, so the member falls back to one bisect per edge
-        (``PERF.hit_row_fallbacks``).  Rows are element-wise independent,
-        so co-batching can never change a row's bits.
+        has an entry at or past the table's round, the row would
+        over-count, so the table falls back to one bisect per edge
+        (``PERF.hit_row_fallbacks``).
         """
-        fr.wants_full_row = True
         if fr.row_complete:
             return
         world = self.world
-        members = [fr]
-        for other in list(self.announced.values()):
-            if other is fr or not other.wants_full_row:
-                continue
-            del self.announced[other.cid]
-            if other.generation != world.generation:
-                self._reset_frontier(other)
-            self._sync_round_token(other)
-            if not other.row_complete:
-                members.append(other)
-        n_edges = world.n_edges
-        hits_mat = np.empty((len(members), n_edges), dtype=np.float64)
+        cid, rnd = fr.cid, fr.round_index
         histories = context.histories
-        for i, member in enumerate(members):
-            cid, rnd = member.cid, member.round_index
-            row = self.hits.row(cid, rnd, histories)
-            if row is not None:
-                hits_mat[i, :] = row
-                continue
+        hits = self.hits.row(cid, rnd, histories)
+        if hits is None:
             PERF.hit_row_fallbacks += 1
             counts: List[int] = []
             extend = counts.extend
             for nid, lst in world.nbr_lists.items():
                 if lst:
-                    extend(
-                        histories[nid].selectivity_hits_block(cid, lst, rnd)
-                    )
-            hits_mat[i, :] = counts
-        max_entries = np.array(
-            [float(member.round_index - 1) for member in members],
-            dtype=np.float64,
-        )
+                    extend(histories[nid].selectivity_hits_block(cid, lst, rnd))
+            hits = np.asarray(counts, dtype=np.float64)
         # Round-1 rows have all-zero hits, so any positive divisor
         # reproduces the scalar "no history yet -> sigma = 0" branch.
-        safe = np.where(max_entries > 0.0, max_entries, 1.0)
-        sigma = np.minimum(1.0, hits_mat / safe[:, None])
+        max_entries = float(rnd - 1)
+        safe = max_entries if max_entries > 0.0 else 1.0
+        sigma = np.minimum(1.0, hits / safe)
         weights = context.weights
-        q = (
-            weights.selectivity * sigma
-            + weights.availability * world.alpha_flat[None, :]
-        )
-        q = np.minimum(1.0, np.maximum(0.0, q))
-        alpha_gen = world.alpha_generation
-        for member, q_row in zip(members, q):
-            member.q_flat = q_row
-            member.row_complete = True
-            member.q_token = (member.round_index, alpha_gen)
-        if len(members) > self.max_batched_frontiers:
-            self.max_batched_frontiers = len(members)
+        q = weights.selectivity * sigma + weights.availability * world.alpha_flat
+        fr.q_flat = np.minimum(1.0, np.maximum(0.0, q))
+        fr.row_complete = True
+        self.max_batched_frontiers = 1
         PERF.kernel_calls += 1
         PERF.kernel_batch_elements += int(q.size)
         PERF.edges_scored += int(q.size)
@@ -1110,7 +1087,7 @@ class BatchPlanner:
 
         It reads the cid's :class:`HitRows` row and ``alpha_flat`` with
         :meth:`_ensure_full_rows`' element-wise expression, so the bits
-        equal the full row's.  A frontier whose full row is already built
+        equal the full row's.  A table whose full row is already built
         reads it; when the hit row would over-count (``HitRows.row``
         returns ``None``), the full row is built and read instead.
         """
@@ -1143,8 +1120,7 @@ class BatchPlanner:
         per degree block: the edge ``head(e) -> child`` scored against
         selectivity conditioned on ``owner(e)`` — the predecessor the
         SPNE state already encodes.  Padded slots score zero hits."""
-        tok = (fr.round_index, self.world.alpha_generation)
-        if fr.q_child is not None and fr.q_child_token == tok:
+        if fr.q_child is not None:
             return
         world = self.world
         histories = context.histories
@@ -1181,7 +1157,6 @@ class BatchPlanner:
             )
             q_child.append(np.minimum(1.0, np.maximum(0.0, q)))
         fr.q_child = q_child
-        fr.q_child_token = tok
         PERF.kernel_calls += 1
         PERF.kernel_batch_elements += world.n_children
         PERF.edges_scored += world.n_children
@@ -1236,63 +1211,112 @@ class BatchPlanner:
         ``levels_n[d][e]`` are the scalar memo's ``(best_sum, best_n)``
         for state ``e`` with ``d`` edges of lookahead left."""
         world = self.world
-        tok = (
-            fr.round_index,
-            world.alpha_generation,
-            fr.liveness_token,
-            position_aware,
-        )
+        tok = (world.alpha_generation, fr.liveness_token, position_aware)
         if fr.levels_sum is None or fr.levels_token != tok:
             self._reset_levels(fr)
             fr.levels_token = tok
-        if len(fr.levels_sum) > depth:
+        assert fr.levels_sum is not None and fr.levels_n is not None
+        need = depth + 1 - len(fr.levels_sum)
+        if need <= 0:
             return
         if not world.blocks:
-            while len(fr.levels_sum) <= depth:
-                fr.levels_sum.append(fr.levels_sum[0])
-                fr.levels_n.append(fr.levels_n[0])
+            fr.levels_sum.extend([fr.levels_sum[0]] * need)
+            fr.levels_n.extend([fr.levels_n[0]] * need)
             return
+        self._build_levels(fr, need, position_aware)
+        PERF.kernel_calls += need
+        PERF.kernel_batch_elements += need * world.n_children
+
+    def _reset_levels(self, fr: Frontier) -> None:
+        """Start a fresh level stack (level 0 = all zeros): one more
+        full-sweep table."""
+        n_edges = self.world.n_edges
+        fr.levels_sum = [np.zeros(n_edges, dtype=np.float64)]
+        fr.levels_n = [np.zeros(n_edges, dtype=np.int64)]
+        fr.level_base = None
+        PERF.spne_tables += 1
+
+    def _build_levels(self, fr: Frontier, need: int, position_aware: bool) -> None:
+        """Append ``need`` levels to the table's stack."""
+        assert fr.levels_sum is not None and fr.levels_n is not None
+        world = self.world
+        self._ensure_state_valid(fr)
         # q_child is already laid out per block; the per-edge row gathers
         # through each block's child table.
         if position_aware:
+            assert fr.q_child is not None
             bases = fr.q_child
         else:
             q_flat = fr.q_flat
             assert q_flat is not None
             bases = [q_flat[block.child] for block in world.blocks]
-        perf = PERF
-        while len(fr.levels_sum) <= depth:
-            new_sum, new_n = self._level_step(fr, bases)
+        blocks = world.blocks
+        whole = len(blocks) == 1 and blocks[0].states.size == world.n_edges
+        for _ in range(need):
+            if whole:
+                new_sum, new_n = self._whole_block_step(fr, bases[0])
+            else:
+                new_sum, new_n = self._block_level_step(fr, bases)
             fr.levels_sum.append(new_sum)
             fr.levels_n.append(new_n)
-            perf.kernel_calls += 1
-            perf.kernel_batch_elements += world.n_children
 
-    def _reset_levels(self, fr: Frontier) -> None:
-        """Start a fresh level stack (level 0 = all zeros).  Overridden
-        by the sharded planner to place levels in shared memory."""
-        n_edges = self.world.n_edges
-        fr.levels_sum = [np.zeros(n_edges, dtype=np.float64)]
-        fr.levels_n = [np.zeros(n_edges, dtype=np.int64)]
+    def _whole_block_step(
+        self, fr: Frontier, base: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The next level when one degree block holds every state (the
+        paper's overlay): the block's rows are the states, so the step
+        writes the level itself, with no zero fill and no scatter.
 
-    def _level_step(
+        Each step is one :func:`spne_level_step` on its cheaper inputs:
+        the base masked once per table (``-inf`` in every invalid and
+        padded slot, below every mean as the kernel's ``-2.0`` sentinel
+        is, so the argmax picks the same slot), level 1 read from the
+        base alone, the dead-row mask only when some row is dead, and the
+        row offsets cached per topology.
+        """
+        assert fr.levels_sum is not None and fr.levels_n is not None
+        assert fr.st_valid is not None and fr.st_dead is not None
+        world = self.world
+        block = world.blocks[0]
+        if fr.level_base is None:
+            fr.level_base = np.where(fr.st_valid[0], base, -np.inf)
+        cached = self._row_start
+        if cached is None or cached[0] != world.generation:
+            width = block.child.shape[1]
+            cached = (world.generation, np.arange(0, block.child.size, width))
+            self._row_start = cached
+        out_sum = np.empty(world.n_edges, dtype=np.float64)
+        out_n = np.empty(world.n_edges, dtype=np.int64)
+        first = len(fr.levels_sum) == 1
+        spne_level_step(
+            fr.level_base,
+            None if first else fr.levels_sum[-1],
+            None if first else fr.levels_n[-1],
+            block.child,
+            None,
+            fr.st_dead[0],
+            out_sum,
+            out_n,
+            cached[1],
+        )
+        return out_sum, out_n
+
+    def _block_level_step(
         self, fr: Frontier, bases: List[np.ndarray]
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Compute the next level over the whole state axis, one
-        :func:`spne_level_step` per degree block; states without
-        children read ``(0.0, 0)``."""
-        self._ensure_state_valid(fr)
+        """The next level over the whole state axis, one
+        :func:`spne_level_step` per degree block, scattered into the
+        level; states without children read ``(0.0, 0)``."""
+        assert fr.levels_sum is not None and fr.levels_n is not None
+        assert fr.st_valid is not None and fr.st_dead is not None
         world = self.world
         n_edges = world.n_edges
         prev_sum, prev_n = fr.levels_sum[-1], fr.levels_n[-1]
         new_sum = np.zeros(n_edges, dtype=np.float64)
         new_n = np.zeros(n_edges, dtype=np.int64)
         for b, block in enumerate(world.blocks):
-            # A block that holds every state (the bootstrap overlay's
-            # single block) writes the level in place.
-            whole = block.states.size == n_edges
-            out_sum = new_sum if whole else np.empty(block.states.size)
-            out_n = new_n if whole else np.empty(block.states.size, dtype=np.int64)
+            out_sum = np.empty(block.states.size, dtype=np.float64)
+            out_n = np.empty(block.states.size, dtype=np.int64)
             spne_level_step(
                 bases[b],
                 prev_sum,
@@ -1303,21 +1327,47 @@ class BatchPlanner:
                 out_sum,
                 out_n,
             )
-            if not whole:
-                new_sum[block.states] = out_sum
-                new_n[block.states] = out_n
+            new_sum[block.states] = out_sum
+            new_n[block.states] = out_n
         return new_sum, new_n
+
+    def _path_quality(
+        self, fr: Frontier, context: "ForwardingContext", depth: int
+    ) -> List[float]:
+        """The table's path quality per edge at ``depth``, computed once
+        per table and read by every full-sweep decision of the round.
+
+        Terminal delivery edge (quality 1) appended, then normalised —
+        the scalar ``path_quality_through`` expression, op for op (the
+        integer count converts to float64 exactly) — over the whole edge
+        axis; element-wise, so a candidate's entry has the bits a
+        per-decision gather would.  Keyed on the table's tokens, which
+        cover everything the row and the levels read.
+        """
+        self._ensure_full_rows(fr, context)
+        self._ensure_levels(fr, context, depth, False)
+        key = (fr.levels_token, depth)
+        if fr.path_q_key != key:
+            assert fr.q_flat is not None
+            assert fr.levels_sum is not None and fr.levels_n is not None
+            path_q = (fr.q_flat + fr.levels_sum[depth] + 1.0) / (
+                fr.levels_n[depth] + 2
+            )
+            fr.path_q = path_q.tolist()
+            fr.path_q_key = key
+        assert fr.path_q is not None
+        return fr.path_q
 
     def _spne_ball(
         self,
         fr: Frontier,
-        cand_idx: np.ndarray,
+        cand_idx: "Sequence[int] | np.ndarray",
         depth: int,
         position_aware: bool,
         quality: "Optional[Callable[[np.ndarray], np.ndarray]]" = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Demand-driven backward induction: ``(tail_sum, tail_n)`` for the
-        states ``cand_idx`` with ``depth`` edges of lookahead left, equal
+        states ``cand_idx`` (edge ids, a list or an array) with ``depth`` edges of lookahead left, equal
         bit for bit to ``levels_sum[depth][cand_idx]`` /
         ``levels_n[depth][cand_idx]`` of the full sweep.
 
@@ -1348,7 +1398,7 @@ class BatchPlanner:
         # slot's own position).
         tree = []
         block_rows: Dict[int, List[np.ndarray]] = {}
-        states = cand_idx
+        states = np.asarray(cand_idx, dtype=np.int64)
         for d in range(depth, 0, -1):
             groups = []
             for b, at, rows in world.block_groups(states):
@@ -1438,20 +1488,21 @@ class BatchPlanner:
     # -- candidates & the pick ---------------------------------------------
     def _candidates(
         self, fr: Frontier, node_id: int, predecessor: Optional[int]
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    ) -> Tuple[List[int], List[int]]:
         """(flat edge indices, neighbour ids) of the candidate set, in
-        ascending-id order — the scalar ``candidates()`` semantics."""
-        world = self.world
-        start = int(world.indptr[node_id])
-        end = int(world.indptr[node_id + 1])
-        ids = world.nbr_flat[start:end]
-        valid = fr.valid0[start:end]
-        if predecessor is not None:
-            without_pred = valid & (ids != predecessor)
-            if without_pred.any():
-                valid = without_pred
-        rel = np.nonzero(valid)[0]
-        return rel + start, ids[rel]
+        ascending-id order — the scalar ``candidates()`` semantics.  Plain
+        lists: a candidate set has out-degree entries (5 at paper size),
+        where one list pass costs less than the numpy calls it replaces,
+        and the full sweep's decisions read the table's lists by them."""
+        ids = self.world.nbr_lists[node_id]
+        start = int(self.world.indptr[node_id])
+        assert fr.valid0 is not None
+        live = fr.valid0[start : start + len(ids)].tolist()
+        keep = [ok and nbr != predecessor for nbr, ok in zip(ids, live)]
+        if predecessor is not None and not any(keep):
+            keep = live
+        cand_idx = [start + j for j, ok in enumerate(keep) if ok]
+        return cand_idx, [ids[e - start] for e in cand_idx]
 
     def _root_quality(
         self,
@@ -1459,7 +1510,7 @@ class BatchPlanner:
         context: "ForwardingContext",
         node_id: int,
         predecessor: Optional[int],
-        cand_idx: np.ndarray,
+        cand_idx: List[int],
     ) -> np.ndarray:
         """``q(node, candidate)`` per candidate, against the actual
         predecessor under position-aware selectivity."""
@@ -1469,14 +1520,15 @@ class BatchPlanner:
             assert fr.q_flat is not None
             return fr.q_flat[cand_idx]
         start = int(self.world.indptr[node_id])
-        return self._pos_q(fr, context, node_id, sel_pred)[cand_idx - start]
+        q = self._pos_q(fr, context, node_id, sel_pred)
+        return q[[e - start for e in cand_idx]]
 
     def _pick(
         self,
         strategy,
         node,
         context: "ForwardingContext",
-        cand_ids: np.ndarray,
+        cand_ids: List[int],
         qualities: List[float],
         utility,
     ) -> Optional[int]:
@@ -1503,7 +1555,7 @@ class BatchPlanner:
                 q,
                 nbr,
             )
-            for nbr, q in zip(cand_ids.tolist(), qualities)
+            for nbr, q in zip(cand_ids, qualities)
         ]
         PERF.utility_evaluations += len(scored)
         PERF.kernel_calls += 1
@@ -1523,7 +1575,7 @@ class BatchPlanner:
         fr = self._frontier(context)
         self._ensure_liveness(fr, context)
         cand_idx, cand_ids = self._candidates(fr, node_id, predecessor)
-        if cand_ids.size == 0:
+        if not cand_ids:
             return None
         q = self._root_quality(fr, context, node_id, predecessor, cand_idx)
         return self._pick(
@@ -1535,46 +1587,48 @@ class BatchPlanner:
     ) -> Optional[int]:
         """Batched Utility Model II: level-synchronous backward induction
         over edge states — the decision's own lookahead ball on large
-        worlds, the cached whole state axis otherwise — then the scalar
-        pick over the candidates' path qualities."""
+        worlds, the round table's whole state axis otherwise — then the
+        scalar pick over the candidates' path qualities."""
         node_id = node.node_id
         fr = self._frontier(context)
         self._ensure_liveness(fr, context)
         cand_idx, cand_ids = self._candidates(fr, node_id, predecessor)
-        if cand_ids.size == 0:
+        if not cand_ids:
             return None
         position_aware = context.position_aware_selectivity
         depth = strategy.lookahead
         world = self.world
+        if position_aware:
+            self._ensure_q_child(fr, context)
         # The ball's child entries per level are bounded by this; the full
         # sweep's per-level cost (the real children, never the padded
         # slots) is shared by the few decisions of a round.
-        ball_bound = cand_idx.size * world.max_out_degree ** depth
-        quality = None
-        if position_aware:
-            self._ensure_q_child(fr, context)
+        ball_bound = len(cand_idx) * world.max_out_degree ** depth
         if ball_bound * SPNE_BALL_MIN_RATIO <= world.n_children:
-            if not position_aware:
-                quality = self._ball_quality(fr, context)
+            cand = np.array(cand_idx, dtype=np.int64)
+            quality = None if position_aware else self._ball_quality(fr, context)
             tail_sum, tail_n = self._spne_ball(
-                fr, cand_idx, depth, position_aware, quality
+                fr, cand, depth, position_aware, quality
             )
-        else:
-            if not position_aware:
-                self._ensure_full_rows(fr, context)
+            if quality is None:
+                q_root = self._root_quality(fr, context, node_id, predecessor, cand_idx)
+            else:
+                q_root = quality(cand)
+        elif position_aware:
             self._ensure_levels(fr, context, depth, position_aware)
             assert fr.levels_sum is not None and fr.levels_n is not None
             tail_sum = fr.levels_sum[depth][cand_idx]
             tail_n = fr.levels_n[depth][cand_idx]
-        if quality is None:
             q_root = self._root_quality(fr, context, node_id, predecessor, cand_idx)
         else:
-            q_root = quality(cand_idx)
-        # Terminal delivery edge (quality 1) appended, then normalised —
-        # the scalar path_quality_through expression, op for op (the
-        # integer count converts to float64 exactly).
-        path_q = (q_root + tail_sum + 1.0) / (tail_n + 2)
+            path_q = self._path_quality(fr, context, depth)
+            return self._pick(
+                strategy, node, context, cand_ids, [path_q[e] for e in cand_idx],
+                forwarder_utility_model2,
+            )
+        # The _path_quality expression over the candidates alone.
+        path_q_cand = (q_root + tail_sum + 1.0) / (tail_n + 2)
         return self._pick(
-            strategy, node, context, cand_ids, path_q.tolist(),
+            strategy, node, context, cand_ids, path_q_cand.tolist(),
             forwarder_utility_model2,
         )

@@ -182,9 +182,8 @@ class PathBuilder:
     #: first round built so topology/availability arrays amortise across
     #: every round and series this builder serves.
     _world: Optional[WorldArrays] = field(default=None, repr=False, compare=False)
-    #: Shared :class:`BatchPlanner` over ``_world``: one frontier per
-    #: connection, so concurrent series' quality rows are scored in one
-    #: stacked kernel call (see :meth:`BatchPlanner.prepare`).
+    #: Shared :class:`BatchPlanner` over ``_world``: it holds the round
+    #: table of the connection deciding now (see :class:`BatchPlanner`).
     _planner: Optional[BatchPlanner] = field(
         default=None, repr=False, compare=False
     )
@@ -271,10 +270,8 @@ class PathBuilder:
                     )
                     self._commit(path)
                     if self._planner is not None:
-                        # Announce the next round now that its history is
-                        # final: another connection's decision can score
-                        # this one's quality row inside its own batch.
-                        self._planner.prepare(cid, round_index + 1, responder)
+                        # The round is over: its table is never read again.
+                        self._planner.prepare(cid)
                     if self.bus is not None:
                         self.bus.emit(
                             "path.form",

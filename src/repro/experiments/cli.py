@@ -23,7 +23,8 @@ Subcommands:
 Scale is selected with ``--preset quick|paper`` and ``--seeds N``.  The
 seed sweeps (``figure``, ``table``, ``prop``, ``suite``) run on
 ``REPRO_JOBS`` worker processes; a value that is not an integer >= 1 is
-one ``error:`` line on stderr and exit status 2, before any scenario runs.
+one ``error:`` line on stderr and exit status 2, before any scenario runs,
+as is a ``run`` whose options make an invalid scenario.
 """
 
 from __future__ import annotations
@@ -199,37 +200,40 @@ def _scale_args(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    faults = None
-    if args.fault_severity > 0.0:
-        from repro.experiments.config import FaultConfig
-
-        faults = FaultConfig.from_severity(args.fault_severity)
     obs_config = None
     if args.trace_out is not None:
         from repro.obs import ObsConfig
 
         obs_config = ObsConfig()
-    shard = None
-    if args.shards > 0:
-        from repro.sim.shard import ShardConfig
+    shard = faults = None
+    try:
+        if args.shards > 0:
+            from repro.sim.shard import ShardConfig
 
-        shard = ShardConfig(n_shards=args.shards)
-    cfg = ExperimentConfig(
-        seed=args.seed,
-        strategy=args.strategy,
-        malicious_fraction=args.fraction,
-        tau=args.tau,
-        n_nodes=args.nodes,
-        n_pairs=args.pairs,
-        total_transmissions=args.transmissions,
-        topology=args.topology,
-        use_bank=not args.no_bank,
-        faults=faults,
-        obs=obs_config,
-        backend=args.backend,
-        position_aware=args.position_aware,
-        shard=shard,
-    )
+            shard = ShardConfig(n_shards=args.shards)
+        if args.fault_severity > 0.0:
+            from repro.experiments.config import FaultConfig
+
+            faults = FaultConfig.from_severity(args.fault_severity)
+        cfg = ExperimentConfig(
+            seed=args.seed,
+            strategy=args.strategy,
+            malicious_fraction=args.fraction,
+            tau=args.tau,
+            n_nodes=args.nodes,
+            n_pairs=args.pairs,
+            total_transmissions=args.transmissions,
+            topology=args.topology,
+            use_bank=not args.no_bank,
+            faults=faults,
+            obs=obs_config,
+            backend=args.backend,
+            position_aware=args.position_aware,
+            shard=shard,
+        )
+    except ValueError as exc:  # an invalid scenario: a usage error
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     result = run_scenario(cfg)
     print(result.summary())
     if args.trace_out is not None:

@@ -376,6 +376,8 @@ class ExperimentConfig:
             raise ValueError(
                 f"malicious_fraction out of [0,1]: {self.malicious_fraction}"
             )
+        if self.tau < 0:
+            raise ValueError(f"negative tau: {self.tau}")
         if self.n_pairs < 1 or self.total_transmissions < self.n_pairs:
             raise ValueError("need >= 1 pair and >= 1 transmission per pair")
         if self.strategy not in ("random", "utility-I", "utility-II"):

@@ -50,7 +50,12 @@ class PerfCounters:
       history at or past the round being built (0 in scenario runs);
     - ``spne_ball_sweeps`` — Model II decisions whose backward induction
       ran over the deciding node's own lookahead ball instead of the
-      whole state axis (0 on small worlds, see ``BatchPlanner``).
+      whole state axis (0 on small worlds, see ``BatchPlanner``);
+    - ``spne_tables`` — full-sweep tables built: level stacks started over
+      the whole state axis, one per round table whose Model II decisions
+      take the full sweep (plus one per mid-round liveness or
+      availability change that invalidates the stack).  Compare it with
+      completed rounds: at paper size it stays just under one per round.
     """
 
     _FIELDS = (
@@ -68,6 +73,7 @@ class PerfCounters:
         "alpha_row_resyncs",
         "hit_row_fallbacks",
         "spne_ball_sweeps",
+        "spne_tables",
     )
 
     __slots__ = _FIELDS

@@ -273,39 +273,19 @@ class ShardPlanner(BatchPlanner):
             self._published_mask_key = self._mask_key
         return mask
 
-    def _ensure_levels(self, fr, context, depth, position_aware) -> None:
+    def _build_levels(self, fr, need: int, position_aware: bool) -> None:
         """Whole-build dispatch: every missing level goes to the workers
         in one ``levels`` command (they synchronise between levels on
         the shared barrier), instead of one pipe round-trip per level.
-        Token handling, the empty-child short-circuit and the perf
-        accounting mirror the base method exactly."""
+        The base planner's ``_ensure_levels`` keeps the tokens, the
+        empty-child short-circuit and the perf accounting."""
         if position_aware:
             # Position-aware runs are rejected at config validation;
             # keep the single-process path as a safety net for direct
             # planner use.
-            super()._ensure_levels(fr, context, depth, position_aware)
-            return
-        world = self.world
-        tok = (
-            fr.round_index,
-            world.alpha_generation,
-            fr.liveness_token,
-            position_aware,
-        )
-        if fr.levels_sum is None or fr.levels_token != tok:
-            self._reset_levels(fr)
-            fr.levels_token = tok
-        need = depth - (len(fr.levels_sum) - 1)
-        if need <= 0:
-            return
-        if not world.blocks:
-            for _ in range(need):
-                fr.levels_sum.append(fr.levels_sum[0])
-                fr.levels_n.append(fr.levels_n[0])
+            super()._build_levels(fr, need, position_aware)
             return
         self.engine.build_levels(fr, fr.q_flat, need)
-        PERF.kernel_calls += need
-        PERF.kernel_batch_elements += need * world.n_children
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,13 @@ def _context(ov, histories, round_index, weights, backend="numpy", world=None):
     )
 
 
+def _table(ctx):
+    """The planner's round table, which must be cid 1's."""
+    table = ctx.batch_planner().table
+    assert table is not None and table.cid == 1
+    return table
+
+
 def _bits(values):
     return np.asarray(values, dtype=np.float64).view(np.int64)
 
@@ -111,7 +118,7 @@ def test_large_world_decision_scores_only_its_ball():
     choice = strategy.select_next_hop(node, None, ctx)
     delta = PERF.delta_since(before)
     assert delta["spne_ball_sweeps"] == 1
-    assert not ctx.batch_planner().frontiers[1].row_complete
+    assert not _table(ctx).row_complete
     assert 0 < delta["edges_scored"] < world.n_edges / 10
     scalar = _context(ov, histories, HISTORY_ROUNDS + 1, QualityWeights(), "python")
     assert choice == strategy.select_next_hop(node, None, scalar)
@@ -126,7 +133,7 @@ def test_ball_decisions_allocate_no_dense_rows():
         nxt = strategy.select_next_hop(node, pred, ctx)
         assert nxt is not None
         node, pred = ov.nodes[nxt], node.node_id
-    fr = ctx.batch_planner().frontiers[1]
+    fr = _table(ctx)
     assert fr.q_flat is None
     assert fr.q_built is None
 
@@ -137,7 +144,7 @@ def test_small_world_decisions_still_fill_the_dense_rows(strategy):
     world = WorldArrays(ov)
     ctx = _context(ov, histories, HISTORY_ROUNDS + 1, QualityWeights(), world=world)
     choice = strategy.select_next_hop(ov.nodes[2], None, ctx)
-    fr = ctx.batch_planner().frontiers[1]
+    fr = _table(ctx)
     assert fr.q_flat is not None and fr.q_flat.shape == (world.n_edges,)
     if isinstance(strategy, UtilityModelI):
         assert fr.q_built is not None and fr.q_built[2]

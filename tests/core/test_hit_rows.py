@@ -20,7 +20,7 @@ import numpy as np
 from repro.core.contracts import Contract
 from repro.core.costs import CostModel
 from repro.core.history import HistoryProfile
-from repro.core.kernels import BatchPlanner, HitRows, WorldArrays
+from repro.core.kernels import MAX_HIT_ROWS, BatchPlanner, HitRows, WorldArrays
 from repro.core.protocol import PathBuilder, TerminationPolicy
 from repro.core.routing import UtilityModelII
 from repro.experiments.config import ExperimentConfig
@@ -203,7 +203,10 @@ class TestHitRows:
         rng = np.random.default_rng(19)
         _record_random(rng, world, histories, 80)
         _assert_exact(world, store, histories)
-        store.drop(1)
+        # Rows for MAX_HIT_ROWS other cids evict cids 0-2, oldest first.
+        for cid in range(3, 3 + MAX_HIT_ROWS):
+            store.row(cid, HORIZON, histories)
+        assert len(store.rows) == MAX_HIT_ROWS
         assert 1 not in store.rows
         _record_random(rng, world, histories, 80)
         _assert_exact(world, store, histories)

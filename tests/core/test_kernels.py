@@ -19,6 +19,7 @@ from repro.core.edge_quality import QualityWeights
 from repro.core.history import HistoryProfile
 from repro.core.kernels import (
     BACKENDS,
+    BatchPlanner,
     WorldArrays,
     default_backend,
     validate_backend,
@@ -212,13 +213,20 @@ def test_backends_build_identical_paths(seed, strategy_name, position_aware):
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_cross_connection_batching_matches_scalar(seed):
     """Several interleaved connections share one builder: the planner
-    stacks every announced frontier into one batched scoring pass, and
-    the interleaved decisions must still match the scalar reference for
-    every cid and round."""
+    keeps one round table, built once per ``(cid, round)`` that decides,
+    and the interleaved decisions must still match the scalar reference
+    for every cid and round."""
     cids = (1, 2, 3)
     paths = {}
-    planner = None
+    decided = set()
+
+    class NotingPlanner(BatchPlanner):
+        def decide_model2(self, strategy, node, predecessor, context):
+            decided.add((context.cid, context.round_index))
+            return super().decide_model2(strategy, node, predecessor, context)
+
     for backend in BACKENDS:
+        tables = PERF.spne_tables
         ov, histories = make_world(seed, n=16, degree=4)
         builder = PathBuilder(
             overlay=ov,
@@ -232,6 +240,9 @@ def test_cross_connection_batching_matches_scalar(seed):
             backend=backend,
             kernel_crossover=False,
         )
+        if backend == "numpy":
+            builder._world = WorldArrays(ov)
+            planner = builder._planner = NotingPlanner(builder._world)
         built = []
         for rnd in range(1, 5):
             for cid in cids:
@@ -248,11 +259,13 @@ def test_cross_connection_batching_matches_scalar(seed):
                     built.append((cid, rnd, repr(exc)))
         paths[backend] = built
         if backend == "numpy":
-            planner = builder._planner
+            tables = PERF.spne_tables - tables
     assert paths["python"] == paths["numpy"]
-    # The planner really co-batched announced frontiers (not one-by-one).
-    assert planner is not None
-    assert planner.max_batched_frontiers >= 2
+    # One table per decided (cid, round), and only the current one held.
+    assert decided and tables == len(decided)
+    assert planner.table is None or (
+        (planner.table.cid, planner.table.round_index) in decided
+    )
 
 
 # ---- invalidation ---------------------------------------------------------

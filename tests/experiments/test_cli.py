@@ -218,3 +218,30 @@ def test_bad_repro_jobs_is_a_usage_error(argv, value, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: REPRO_JOBS") and captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--nodes", "1"],
+        ["--pairs", "0"],
+        ["--fraction", "2"],
+        ["--fault-severity", "1.5"],
+        ["--tau", "-1"],
+        ["--shards", "2", "--backend", "python"],
+    ],
+    ids=["nodes", "pairs", "fraction", "severity", "tau", "shards-python"],
+)
+def test_run_with_an_invalid_scenario_is_a_usage_error(argv, capsys, monkeypatch):
+    """An option value the scenario config rejects is one error line and
+    exit 2, before any scenario runs."""
+    import repro.experiments.cli as cli
+
+    def no_scenario(config):
+        raise AssertionError("a scenario ran")
+
+    monkeypatch.setattr(cli, "run_scenario", no_scenario)
+    assert main(["run", "--no-bank", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
