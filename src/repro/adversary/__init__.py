@@ -23,8 +23,6 @@ from repro.adversary.intersection import (
     CoalitionObserver,
     IntersectionAttack,
     IntersectionResult,
-    coalition_of,
-    pooled_intersection_attack,
 )
 from repro.adversary.models import AvailabilityAttacker, make_availability_attackers
 from repro.adversary.sybil import (
@@ -50,8 +48,6 @@ __all__ = [
     "SYBIL_STRATEGIES",
     "SybilColony",
     "SybilResult",
-    "coalition_of",
     "make_availability_attackers",
-    "pooled_intersection_attack",
     "run_sybil_experiment",
 ]

@@ -15,7 +15,7 @@ number of path reformations and the information each reformation leaks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from repro.core.path import Path
 from repro.network.trace import NetworkTrace
@@ -154,24 +154,6 @@ class CoalitionObserver:
             times.append(time)
             times.sort()
 
-    def merge(self, other: "CoalitionObserver") -> None:
-        """Pool another coalition's observations into this one (the
-        round-merging step: candidate sets are intersected lazily when
-        :meth:`attack` replays the pooled times)."""
-        self.members = self.members | other.members
-        for cid, times in other._times.items():
-            mine = self._times.setdefault(cid, [])
-            merged = sorted(set(mine) | set(times))
-            self._times[cid] = merged
-
-    def observed_series(self) -> List[int]:
-        """Series ids with at least one pooled observation, sorted."""
-        return sorted(cid for cid, ts in self._times.items() if ts)
-
-    def observed_times(self, cid: int) -> List[float]:
-        """Pooled observation times for one series (empty if unobserved)."""
-        return list(self._times.get(cid, ()))
-
     def attack(
         self,
         cid: int,
@@ -191,24 +173,3 @@ class CoalitionObserver:
             trace=self.trace, initiator=initiator, excluded=excluded
         )
         return attack.observe_rounds(times)
-
-
-def coalition_of(member_ids: Iterable[int], trace: NetworkTrace) -> CoalitionObserver:
-    """Convenience constructor from any iterable of member ids."""
-    return CoalitionObserver(trace=trace, members=frozenset(member_ids))
-
-
-def pooled_intersection_attack(
-    trace: NetworkTrace,
-    members: Iterable[int],
-    rounds: Iterable[Tuple[Path, float]],
-    initiator: int,
-    cid: int,
-    excluded: FrozenSet[int] = frozenset(),
-) -> Optional[IntersectionResult]:
-    """One-shot helper: build a coalition, feed it ``(path, time)`` rounds
-    and run the pooled attack against series ``cid``."""
-    observer = coalition_of(members, trace)
-    for path, time in rounds:
-        observer.observe_path(path, time)
-    return observer.attack(cid, initiator, excluded=excluded)

@@ -15,7 +15,7 @@ time, and availability-weighted routing increasingly prefers it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
@@ -28,15 +28,10 @@ class AvailabilityAttacker:
 
     The attack needs no active behaviour beyond *not leaving*: the node is
     flagged malicious (so it routes randomly when chosen) and is excluded
-    from churn by the scenario runner.  ``times_selected`` is filled in by
-    the analysis to quantify the attack's success.
+    from churn by the scenario runner.
     """
 
     node_id: int
-    times_selected: int = 0
-
-    def record_selection(self) -> None:
-        self.times_selected += 1
 
 
 def make_availability_attackers(
@@ -57,12 +52,3 @@ def make_availability_attackers(
         overlay.nodes[int(nid)].malicious = True
         attackers.append(AvailabilityAttacker(node_id=int(nid)))
     return attackers
-
-
-def attacker_selection_rate(
-    attackers: Sequence[AvailabilityAttacker], total_forwarder_slots: int
-) -> float:
-    """Fraction of forwarder slots captured by availability attackers."""
-    if total_forwarder_slots <= 0:
-        raise ValueError("total_forwarder_slots must be positive")
-    return sum(a.times_selected for a in attackers) / total_forwarder_slots

@@ -168,25 +168,6 @@ class SybilResult:
     #: What the initiators paid out in settlements, total.
     initiator_spend: float = 0.0
 
-    @property
-    def profitable(self) -> bool:
-        """Did identity multiplication beat pro-rata participation?"""
-        return self.amplification > 1.0
-
-    @property
-    def value_per_identity(self) -> float:
-        """Extracted value (income + subsidies) per identity used."""
-        if self.identities_used <= 0:
-            return 0.0
-        return (self.colony_income + self.subsidy_collected) / self.identities_used
-
-    @property
-    def net_gain_beyond_subsidy(self) -> float:
-        """Colony token gain not explained by join subsidies.  Every unit
-        of this was earned through settled forwarding work — identity
-        churn itself mints nothing."""
-        return self.colony_income
-
 
 def run_sybil_experiment(
     n_honest: int = 24,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.history import HistoryProfile
 from repro.core.path import Path
@@ -101,13 +101,3 @@ class HistoryProfileAttack:
             for rec in profile.records_for(cid):
                 edges.add((rec.predecessor, profile.node_id))
         return edges
-
-    def exposure_fraction(self, cid: int, true_paths: Iterable[Path]) -> float:
-        """Fraction of the series' true edge set revealed by the pooled
-        captured history."""
-        true_edges: Set[Tuple[int, int]] = set()
-        for p in true_paths:
-            true_edges.update(p.edges)
-        if not true_edges:
-            raise ValueError("series has no edges")
-        return len(self.linked_edges(cid) & true_edges) / len(true_edges)

@@ -16,8 +16,8 @@ enforces — ARCH001 holds this package to the same standard.
 
 from repro.analysis.context import FileContext, module_name_for, parse_noqa
 from repro.analysis.findings import Finding
-from repro.analysis.pipeline import discover_files, lint_file, lint_paths
-from repro.analysis.registry import Rule, all_rules, get_rule, register, rule_codes
+from repro.analysis.pipeline import discover_files, lint_paths
+from repro.analysis.registry import Rule, all_rules, register
 from repro.analysis.reporters import LintReport, render, render_json, render_text
 
 __all__ = [
@@ -27,8 +27,6 @@ __all__ = [
     "Rule",
     "all_rules",
     "discover_files",
-    "get_rule",
-    "lint_file",
     "lint_paths",
     "module_name_for",
     "parse_noqa",
@@ -36,5 +34,4 @@ __all__ = [
     "render",
     "render_json",
     "render_text",
-    "rule_codes",
 ]

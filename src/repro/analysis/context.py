@@ -91,7 +91,7 @@ class FileContext:
         self.tree: ast.Module = ast.parse(source, filename=str(path))
         self.noqa = parse_noqa(source)
         #: Whole-program view, set by the pipeline's project phase (None
-        #: when linting a single file outside ``lint_paths``).  Typed
+        #: for a context checked outside ``lint_paths``).  Typed
         #: loosely to keep this module import-light; it is a
         #: ``repro.analysis.project.ProjectContext`` when present.
         self.project: Optional[object] = None

@@ -53,27 +53,6 @@ def discover_files(paths: Sequence[Path]) -> List[Path]:
     return out
 
 
-def lint_file(
-    path: Path,
-    rules: Sequence[Rule],
-    root: Optional[Path] = None,
-) -> "FileResult":
-    """Parse one file and run every rule over it.
-
-    Single-file entry point (fixture tests, editor integration): project
-    rules see ``ctx.project is None`` and degrade to their documented
-    lexical behaviour.
-    """
-    display = _display_path(path, root)
-    try:
-        ctx = _parse(path, display)
-    except (SyntaxError, UnicodeDecodeError, OSError) as exc:
-        return FileResult(display, error=f"{type(exc).__name__}: {exc}")
-    result = FileResult(display)
-    _run_rules_on(ctx, rules, result.findings, result.suppressed)
-    return result
-
-
 def _parse(path: Path, display: str) -> FileContext:
     return FileContext(path, path.read_bytes().decode("utf-8"), display_path=display)
 
@@ -90,16 +69,6 @@ def _run_rules_on(
                 suppressed.append(finding)
             else:
                 findings.append(finding)
-
-
-class FileResult:
-    """Findings (kept + suppressed) or the parse error."""
-
-    def __init__(self, display_path: str, error: Optional[str] = None):
-        self.display_path = display_path
-        self.findings: List[Finding] = []
-        self.suppressed: List[Finding] = []
-        self.error = error
 
 
 def lint_paths(

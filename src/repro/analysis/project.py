@@ -48,7 +48,6 @@ SIM_HOT_ENTRY_POINTS = frozenset(
     {
         "repro.experiments.scenario.run_scenario",
         "repro.core.protocol.PathBuilder.build_round",
-        "repro.core.protocol.PathBuilder.build_round_with_retry",
         "repro.core.kernels.BatchPlanner.prepare",
         "repro.core.kernels.WorldArrays.ensure_fresh",
     }
@@ -531,12 +530,6 @@ class ProjectContext:
             (f for f in self.functions.values() if f.module == module),
             key=lambda f: (f.lineno, f.qualname),
         )
-
-    def function_for_node(self, module: str, node: ast.AST) -> Optional[FunctionInfo]:
-        for fn in self.functions.values():
-            if fn.module == module and fn.node is node:
-                return fn
-        return None
 
 
 class _CallResolver:

@@ -36,7 +36,7 @@ class Rule(abc.ABC):
     #: graph) and run after every file is parsed; per-file rules run as
     #: each file is parsed, before the project exists.  A
     #: project-aware rule must degrade gracefully when ``ctx.project``
-    #: is ``None`` (fixture tests lint single files).
+    #: is ``None`` (a FileContext checked outside ``lint_paths``).
     requires_project: bool = False
 
     @abc.abstractmethod
@@ -72,16 +72,6 @@ def all_rules() -> List[Rule]:
     """Every registered rule, sorted by code (stable report order)."""
     _ensure_loaded()
     return [_REGISTRY[code] for code in sorted(_REGISTRY)]
-
-
-def get_rule(code: str) -> Rule:
-    _ensure_loaded()
-    return _REGISTRY[code]
-
-
-def rule_codes() -> List[str]:
-    _ensure_loaded()
-    return sorted(_REGISTRY)
 
 
 def select_rules(

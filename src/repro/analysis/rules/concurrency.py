@@ -39,8 +39,9 @@ _SUBMIT_METHODS = frozenset(
 def _project_for(ctx: FileContext):
     """The usable ProjectContext for ``ctx``, if any.
 
-    ``None`` when linting a single file, or when this file is a
-    duplicate-module scratch copy the project resolved to another path.
+    ``None`` outside ``lint_paths`` (no project attached), or when this
+    file is a duplicate-module scratch copy the project resolved to
+    another path.
     """
     project = ctx.project
     if project is None:

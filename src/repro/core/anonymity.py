@@ -28,7 +28,6 @@ checked against closed forms:
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 from repro.core.utility import entropy_anonymity_degree as degree_of_anonymity
 
@@ -132,15 +131,3 @@ def predecessor_attack_rounds(
     if q >= 1.0:
         return 1.0
     return math.log(1.0 - confidence) / math.log(1.0 - q)
-
-
-def empirical_predecessor_probability(
-    first_hops: Sequence[int], initiator: int
-) -> float:
-    """Fraction of observed first-collaborator predecessors equal to the
-    initiator — the simulation-side estimator the tests compare against
-    :func:`prob_predecessor_is_initiator`."""
-    hops = list(first_hops)
-    if not hops:
-        raise ValueError("no observations")
-    return sum(1 for h in hops if h == initiator) / len(hops)

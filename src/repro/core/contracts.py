@@ -84,13 +84,6 @@ class Contract:
             self.routing_benefit / forwarder_set_size
         )
 
-    def total_cost(self, total_instances: int) -> float:
-        """The initiator's total outlay for the series (§2.2, eq. 2 cost term)."""
-        if total_instances < 0:
-            raise ValueError(f"negative instance count {total_instances}")
-        return total_instances * self.forwarding_benefit + self.routing_benefit
-
-
 def draw_contract(
     rng: np.random.Generator,
     tau: float,

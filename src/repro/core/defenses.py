@@ -22,7 +22,7 @@ our protocol, so the attack/defence trade-offs are measurable:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -114,39 +114,3 @@ class CidRotator:
         if round_index < 1:
             raise ValueError(f"round_index must be >= 1, got {round_index}")
         return (round_index - 1) % self.epoch + 1
-
-    def epochs_used(self, rounds: int) -> int:
-        if rounds < 0:
-            raise ValueError(f"negative rounds {rounds}")
-        return 0 if rounds == 0 else (rounds - 1) // self.epoch + 1
-
-
-def linkable_fraction(rotator: CidRotator, rounds: int) -> float:
-    """Upper bound on the fraction of a series' rounds an attacker can
-    link through a single captured history profile: one epoch's worth."""
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
-    return min(1.0, rotator.epoch / rounds)
-
-
-@dataclass
-class DefenseReport:
-    """Measured effect of a defence configuration (filled by benches)."""
-
-    name: str
-    attack_metric_before: float
-    attack_metric_after: float
-    utility_metric_before: float
-    utility_metric_after: float
-
-    @property
-    def attack_reduction(self) -> float:
-        if self.attack_metric_before == 0:
-            return 0.0
-        return 1.0 - self.attack_metric_after / self.attack_metric_before
-
-    @property
-    def utility_cost(self) -> float:
-        if self.utility_metric_before == 0:
-            return 0.0
-        return self.utility_metric_after / self.utility_metric_before - 1.0

@@ -23,7 +23,7 @@ candidate edge, every hop, every round), so the profile maintains two
 A selectivity query then counts matching entries with a single
 ``bisect`` (O(log k)) instead of scanning every stored record
 (O(k)).  The indices are kept exactly consistent with ``_records``
-through :meth:`record`, capacity eviction, and :meth:`forget_series`;
+through :meth:`record` and capacity eviction;
 :meth:`selectivity_naive` retains the original linear scan as the
 executable specification the differential tests check against.
 """
@@ -83,7 +83,7 @@ class HistoryProfile(_WeakReferable):
         default_factory=dict, repr=False
     )
     #: Monotonic change counter: advances on every :meth:`record` (which
-    #: covers eviction) and :meth:`forget_series`.  Array-backed views
+    #: covers eviction).  Array-backed views
     #: (:class:`repro.core.kernels.WorldArrays`) compare a remembered
     #: value against this to invalidate derived selectivity arrays.
     version: int = field(default=0, repr=False)
@@ -91,8 +91,8 @@ class HistoryProfile(_WeakReferable):
     #: :meth:`subscribe`).  Each is an object with
     #: ``on_hits(node_id, cid, round_index, successor, delta)`` —
     #: ``delta`` is ``+1`` per stored record and ``-1`` per record that
-    #: capacity eviction drops — and ``on_forget(node_id, cid)``, notified
-    #: *after* the indices and ``version`` are updated.  The numpy
+    #: capacity eviction drops — notified *after* the indices and
+    #: ``version`` are updated.  The numpy
     #: planner's hit-row store (:class:`repro.core.kernels.HitRows`)
     #: subscribes here so its per-(cid, edge) entry counts stay exact
     #: without re-scanning the indices.
@@ -142,19 +142,19 @@ class HistoryProfile(_WeakReferable):
         self._index_add(rec)
         self.version += 1
         if self._subscribers:
-            self._notify("on_hits", cid, round_index, successor, 1)
+            self._notify(cid, round_index, successor, 1)
         if self.capacity is not None and len(bucket) > self.capacity:
             evicted = bucket[0 : len(bucket) - self.capacity]
             del bucket[0 : len(bucket) - self.capacity]
             for old in evicted:
                 self._index_remove(old)
                 if self._subscribers:
-                    self._notify("on_hits", old.cid, old.round_index, old.successor, -1)
+                    self._notify(old.cid, old.round_index, old.successor, -1)
 
     # -- write-through subscribers ---------------------------------------
     def subscribe(self, subscriber: object) -> None:
-        """Notify ``subscriber`` of every later record, eviction and
-        forget (see ``_subscribers``).  The profile keeps only a weak
+        """Notify ``subscriber`` of every later record and eviction (see
+        ``_subscribers``).  The profile keeps only a weak
         reference, so it never extends the subscriber's lifetime and no
         reference cycle runs through it."""
         self._subscribers = [ref for ref in self._subscribers if ref() is not None]
@@ -163,12 +163,12 @@ class HistoryProfile(_WeakReferable):
     def is_subscribed(self, subscriber: object) -> bool:
         return any(ref() is subscriber for ref in self._subscribers)
 
-    def _notify(self, method: str, *args: int) -> None:
+    def _notify(self, cid: int, round_index: int, successor: int, delta: int) -> None:
         live = []
         for ref in self._subscribers:
             sub = ref()
             if sub is not None:
-                getattr(sub, method)(self.node_id, *args)
+                sub.on_hits(self.node_id, cid, round_index, successor, delta)
                 live.append(ref)
         if len(live) != len(self._subscribers):
             self._subscribers = live
@@ -282,7 +282,7 @@ class HistoryProfile(_WeakReferable):
 
         Kept as the executable specification for :meth:`selectivity`; the
         differential tests assert bit-identical results over randomized
-        workloads (records, eviction, forgetting, position-aware queries).
+        workloads (records, eviction, position-aware queries).
         """
         if round_index < 1:
             raise ValueError(f"round_index must be >= 1, got {round_index}")
@@ -307,26 +307,6 @@ class HistoryProfile(_WeakReferable):
             for cid, edges in self._edge_rounds.items()
             if edges
         }
-
-    def known_successors(self, cid: int) -> List[int]:
-        """Distinct successors seen for a series (sorted, deterministic)."""
-        return sorted(self._edge_rounds.get(cid, {}))
-
-    def series_count(self) -> int:
-        """Number of distinct series this node has forwarded for."""
-        return len(self._records)
-
-    def total_records(self) -> int:
-        return sum(len(v) for v in self._records.values())
-
-    def forget_series(self, cid: int) -> None:
-        """Drop all history for a completed series (storage reclamation)."""
-        self._records.pop(cid, None)
-        self._edge_rounds.pop(cid, None)
-        self._pos_rounds.pop(cid, None)
-        self.version += 1
-        if self._subscribers:
-            self._notify("on_forget", cid)
 
     # -- attack surface (§5(3)) -----------------------------------------
     def observed_edges(self) -> List[Tuple[int, int, int]]:

@@ -679,14 +679,14 @@ class HitRows:
     when all of the cid's entries lie below ``r``.  The store tracks the
     highest round ever recorded per cid and returns ``None`` when that
     condition fails, so the caller falls back to the bisects.  Eviction
-    and ``forget_series`` leave the tracked round as an upper bound, which
-    can only cause extra fallbacks, never a wrong row.
+    leaves the tracked round as an upper bound, which can only cause
+    extra fallbacks, never a wrong row.
 
     A row is materialised from the sorted indices of only the nodes that
     ever recorded for the cid, then kept fresh by write-through: the
     store subscribes to every profile in ``histories`` (profiles added
-    later are picked up when the mapping grows) and applies each record,
-    eviction and forget to the live rows.  A topology rebuild
+    later are picked up when the mapping grows) and applies each record
+    and eviction to the live rows.  A topology rebuild
     (``WorldArrays.generation`` moves) drops every row.  The store holds
     no reference to the histories or to any profile, and profiles hold it
     only weakly, so no reference cycle keeps a finished run alive.  At
@@ -778,17 +778,6 @@ class HitRows:
             j = bisect_left(lst, successor)
             if j < len(lst) and lst[j] == successor:
                 row[int(self.world.indptr[node_id]) + j] += delta
-
-    def on_forget(self, node_id: int, cid: int) -> None:
-        recorded = self._recorded.get(cid)
-        if recorded is not None:
-            recorded.discard(node_id)
-        row = self._live_row(cid)
-        lst = self.world.nbr_lists.get(node_id)
-        if row is not None and lst:
-            start = int(self.world.indptr[node_id])
-            row[start : start + len(lst)] = 0
-
 
 class Frontier:
     """The round table: one connection-round's derived state inside a

@@ -15,7 +15,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -68,33 +68,6 @@ def payoff_cdf(payoffs: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
     return values, probs
 
 
-def cdf_at(values: np.ndarray, probs: np.ndarray, x: float) -> float:
-    """Evaluate an empirical CDF at ``x``."""
-    return float(np.searchsorted(values, x, side="right")) / len(values)
-
-
-def gini_coefficient(values: Sequence[float]) -> float:
-    """Gini coefficient of a non-negative distribution (0 = perfectly
-    equal, -> 1 = fully concentrated).
-
-    Quantifies the payoff skew Figures 6-7 show qualitatively: utility
-    routing concentrates income on incumbent forwarders (high Gini),
-    random routing spreads it (low Gini).
-    """
-    arr = np.sort(np.asarray(list(values), dtype=float))
-    if arr.size == 0:
-        raise ValueError("gini_coefficient needs at least one value")
-    if np.any(arr < 0):
-        raise ValueError("gini_coefficient requires non-negative values")
-    total = arr.sum()
-    if total == 0:
-        return 0.0
-    n = arr.size
-    # Mean absolute difference formulation via the sorted cumulative sum.
-    index = np.arange(1, n + 1)
-    return float((2.0 * np.sum(index * arr) - (n + 1) * total) / (n * total))
-
-
 def confidence_interval95(samples: Sequence[float]) -> Tuple[float, float]:
     """(mean, 95% CI half-width) using the normal approximation.
 
@@ -137,22 +110,6 @@ class ConnectionSeriesStats:
             forwarder_set_size=forwarder_set_size(log),
             path_quality=path_quality(log),
         )
-
-
-def aggregate_payoffs(
-    settlements: Iterable[Dict[int, float]],
-    costs: "Dict[int, float] | None" = None,
-) -> Dict[int, float]:
-    """Total net payoff per node: sum of settlements minus incurred costs."""
-    totals: Dict[int, float] = {}
-    for s in settlements:
-        for node, amount in s.items():
-            totals[node] = totals.get(node, 0.0) + amount
-    if costs:
-        for node, c in costs.items():
-            if node in totals or c != 0.0:
-                totals[node] = totals.get(node, 0.0) - c
-    return totals
 
 
 def mean_new_edge_fraction(logs: Iterable[SeriesLog]) -> float:

@@ -49,7 +49,7 @@ from repro.core.routing import (
     _null_tracer,
 )
 from repro.network.overlay import Overlay
-from repro.sim.faults import FaultInjector, FaultPlan, RetryPolicy
+from repro.sim.faults import FaultInjector, FaultPlan
 
 if TYPE_CHECKING:  # lazy: core stays loadable without the obs layer (ARCH001)
     from repro.obs.events import EventBus
@@ -307,43 +307,6 @@ class PathBuilder:
         # attempts of this round, not just the final attempt.
         raise PathFailure(
             f"no path after {attempts} attempts", reformations=local_reformations
-        )
-
-    def build_round_with_retry(
-        self,
-        cid: int,
-        round_index: int,
-        initiator: int,
-        responder: int,
-        contract: Contract,
-        retry: RetryPolicy,
-        retry_rng: Optional[np.random.Generator] = None,
-    ) -> Path:
-        """Recovery wrapper: re-run :meth:`build_round` per ``retry``.
-
-        On final exhaustion the raised :class:`PathFailure` carries the
-        reformation count **accumulated across every retried build**, not
-        the count from the last attempt only — the recovery layer must
-        not under-report how much work the failure consumed.  (Backoff
-        delays are ignored here; the simulation-time variant lives in the
-        scenario's pair process, where a clock exists.)
-        """
-        total_reformations = 0
-        last: Optional[PathFailure] = None
-        for attempt in range(retry.max_retries + 1):
-            try:
-                path = self.build_round(cid, round_index, initiator, responder, contract)
-            except PathFailure as exc:
-                total_reformations += exc.reformations
-                last = exc
-                if attempt < retry.max_retries and self.fault_injector is not None:
-                    self.fault_injector.stats.path_retries += 1
-                continue
-            return path
-        assert last is not None
-        raise PathFailure(
-            f"{last.reason} (after {retry.max_retries} retries)",
-            reformations=total_reformations,
         )
 
     def _attempt(

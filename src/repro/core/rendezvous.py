@@ -19,7 +19,7 @@ destination (not R); every forwarder on R's half sees Z as the
 destination (not I); Z itself sees only two forwarders and a pseudonym.
 Provided both halves have at least one forwarder — which the base
 protocol guarantees — **no single node observes both endpoints**
-(:func:`linkers` computes who could correlate the two halves).
+(:meth:`MutualPath.mutually_anonymous` checks it).
 
 Both endpoints pay for their own half (mutual anonymity costs both
 parties), so settlements compose from two ordinary series settlements.
@@ -108,16 +108,6 @@ class MutualPath:
     def total_length(self) -> int:
         """End-to-end hop count: both halves plus the splice at Z."""
         return self.initiator_half.length + self.responder_half.length + 1
-
-    def linkers(self) -> FrozenSet[int]:
-        """Nodes positioned to correlate the two halves (on both, or Z).
-
-        Even these learn endpoint identities only by being *adjacent* to
-        an endpoint on the relevant half; appearing on both halves alone
-        correlates traffic, not names.
-        """
-        both = self.initiator_half.forwarder_set & self.responder_half.forwarder_set
-        return frozenset(both | {self.rendezvous})
 
     def endpoint_observers(self) -> Tuple[FrozenSet[int], FrozenSet[int]]:
         """(nodes adjacent to I, nodes adjacent to R) — who *could* learn

@@ -28,7 +28,7 @@ paths, not to peer testimony).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional
 
 from repro.core.path import Path
 from repro.core.routing import ForwardingContext, RoutingStrategy
@@ -71,14 +71,6 @@ class ReputationSystem:
                 self.record_success(node_id, weight=float(instances))
         for node_id in suspects:
             self.record_failure(node_id)
-
-    def top_nodes(self, k: int) -> List[Tuple[int, float]]:
-        """The k highest-reputation nodes (id, score), deterministic order."""
-        scored = sorted(
-            {(n, self.reputation(n)) for n in set(self.positive) | set(self.negative)},
-            key=lambda t: (-t[1], t[0]),
-        )
-        return scored[:k]
 
 
 @dataclass
@@ -124,17 +116,3 @@ def inject_collusion_feedback(
             if reporter == subject:
                 continue
             system.record_success(subject, weight=weight * rounds)
-
-
-def collusion_capture_rate(
-    system: ReputationSystem, coalition: Iterable[int], candidate_pool: Iterable[int]
-) -> float:
-    """Fraction of the top-|coalition| reputation slots held by colluders —
-    a proxy for how much traffic reputation routing would hand them."""
-    members = set(coalition)
-    pool = set(candidate_pool) | members
-    k = len(members)
-    if k == 0:
-        raise ValueError("empty coalition")
-    ranked = sorted(pool, key=lambda n: (-system.reputation(n), n))[:k]
-    return len(members & set(ranked)) / k

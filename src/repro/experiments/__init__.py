@@ -23,7 +23,6 @@ from repro.experiments.runner import (
     SweepResult,
     metric_average_good_payoff,
     metric_forwarder_set_size,
-    metric_path_quality,
     metric_routing_efficiency,
     pooled_good_payoffs,
     run_replicates,
@@ -65,7 +64,6 @@ __all__ = [
     "line_plot",
     "metric_average_good_payoff",
     "metric_forwarder_set_size",
-    "metric_path_quality",
     "metric_routing_efficiency",
     "payoff_cdf_at_fraction",
     "payoff_vs_fraction_plot",

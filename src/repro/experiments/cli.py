@@ -24,7 +24,9 @@ Scale is selected with ``--preset quick|paper`` and ``--seeds N``.  The
 seed sweeps (``figure``, ``table``, ``prop``, ``suite``) run on
 ``REPRO_JOBS`` worker processes; a value that is not an integer >= 1 is
 one ``error:`` line on stderr and exit status 2, before any scenario runs,
-as is a ``run`` whose options make an invalid scenario.
+as is a ``run`` whose options make an invalid scenario or whose
+``--trace-out`` / ``--metrics-out`` path cannot be written.  A ``--seeds``
+value below 1 is an argparse usage error (exit status 2).
 """
 
 from __future__ import annotations
@@ -196,10 +198,46 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _scale_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", choices=("quick", "paper"), default="quick")
-    p.add_argument("--seeds", type=int, default=3)
+    p.add_argument("--seeds", type=_seed_count, default=3)
+
+
+def _seed_count(text: str) -> int:
+    """``--seeds`` value: an integer >= 1 (argparse reports anything else
+    as a usage error, exit status 2)."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
+def _output_path_error(option: str, path: Optional[str]) -> Optional[str]:
+    """Why ``path`` cannot be written by ``option``, or None if it can."""
+    if path is None:
+        return None
+    from pathlib import Path
+
+    target = Path(path)
+    parent = target.parent
+    if target.is_dir():
+        return f"{option}: {path} is a directory"
+    if not parent.is_dir():
+        return f"{option}: directory {parent} does not exist"
+    if not os.access(parent, os.W_OK):
+        return f"{option}: directory {parent} is not writable"
+    return None
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    for option, path in (
+        ("--trace-out", args.trace_out), ("--metrics-out", args.metrics_out)
+    ):
+        problem = _output_path_error(option, path)
+        if problem is not None:
+            print(f"error: {problem}", file=sys.stderr)
+            return 2
     obs_config = None
     if args.trace_out is not None:
         from repro.obs import ObsConfig

@@ -10,8 +10,7 @@ The config holds what a workload varies.  The model constants no
 workload varies live in the one module that uses them:
 
 - 5-minute probing period: ``repro.network.probing.PROBE_PERIOD``;
-- Pareto session shape 2 and no fresh arrivals: the defaults of
-  ``Pareto.with_median`` and ``ChurnModel.arrival_rate``;
+- Pareto session shape 2: the default of ``Pareto.with_median``;
 - the link cost law (bandwidth ``U[1, 10]``, unit cost on the
   reference link): ``MIN_BANDWIDTH``, ``MAX_BANDWIDTH``,
   ``REFERENCE_BANDWIDTH``, ``UNIT_COST`` and the Prop 3 expected cost

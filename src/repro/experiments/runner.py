@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, TypeVar
+from typing import Callable, List, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -51,17 +51,6 @@ class SweepResult:
 
     def cis(self) -> List[float]:
         return [p.ci95 for p in self.points]
-
-    def as_rows(self) -> List[Dict[str, object]]:
-        return [
-            {
-                self.field_name: p.value,
-                self.metric_name: p.mean,
-                "ci95": p.ci95,
-                "n": len(p.samples),
-            }
-            for p in self.points
-        ]
 
 
 def default_n_jobs() -> int:
@@ -164,19 +153,9 @@ def metric_average_good_payoff(result: ScenarioResult) -> float:
     return result.average_good_series_payoff()
 
 
-def metric_average_good_total_payoff(result: ScenarioResult) -> float:
-    """Cumulative net payoff per good node (CDF-style aggregate)."""
-    return result.average_good_payoff()
-
-
 def metric_forwarder_set_size(result: ScenarioResult) -> float:
     """Figure 5 metric: mean per-pair forwarder-set size ``||pi||``."""
     return result.average_forwarder_set_size()
-
-
-def metric_path_quality(result: ScenarioResult) -> float:
-    """Mean per-pair path quality ``Q(pi) = L / ||pi||``."""
-    return result.average_path_quality()
 
 
 def metric_routing_efficiency(result: ScenarioResult) -> float:

@@ -143,13 +143,9 @@ class ScenarioResult:
     #: ``config.sybil``; these ids are excluded from ``good_node_ids``).
     sybil_ids: Set[int] = field(default_factory=set)
     #: Colony accounting: identities_used, whitewashes,
-    #: subsidy_collected, colony_income, value_per_identity.
+    #: subsidy_collected, colony_income, value_per_identity (income plus
+    #: subsidies per identity used).
     sybil_stats: Dict[str, float] = field(default_factory=dict)
-
-    def mean_payload_latency(self) -> float:
-        if not self.round_latencies:
-            raise ValueError("temporal forwarding was not enabled")
-        return float(np.mean([p for p, _rt in self.round_latencies]))
 
     def good_payoffs(self) -> List[float]:
         """Total net payoff per non-malicious node (CDF figures 6-7).
@@ -304,16 +300,6 @@ class ScenarioResult:
             "mean_anonymity_degree": float(np.mean(degrees)) if degrees else 1.0,
             "exposure_rate": exposed / evaluated if evaluated else 0.0,
         }
-
-    def payoff_gini(self) -> float:
-        """Gini coefficient of good-node earnings (income concentration;
-        the quantified version of the figure-6/7 skew)."""
-        from repro.core.metrics import gini_coefficient
-
-        values = [
-            max(0.0, self.earnings.get(n, 0.0)) for n in sorted(self.good_node_ids)
-        ]
-        return gini_coefficient(values)
 
     def predecessor_attack_summary(self) -> Dict[str, float]:
         """Run the pooled predecessor attack (malicious coalition) against

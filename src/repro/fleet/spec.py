@@ -147,15 +147,6 @@ class FleetJob:
             "config": config_to_dict(self.config),
         }
 
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, object]) -> "FleetJob":
-        return cls(
-            job_id=str(payload["job_id"]),
-            config=config_from_dict(payload["config"]),
-            axes=dict(payload.get("axes", {})),
-            spec_name=str(payload.get("spec", "")),
-        )
-
 
 @dataclass(frozen=True)
 class SweepSpec:

@@ -6,7 +6,7 @@ check* those claims:
 
 - :mod:`~repro.gametheory.normal_form` — normal-form games over explicit
   payoff tensors: best responses, dominant strategies, pure Nash
-  equilibria, iterated elimination of dominated strategies.
+  equilibria.
 - :mod:`~repro.gametheory.extensive_form` — finite extensive-form game
   trees with backward induction (subgame-perfect equilibria).
 - :mod:`~repro.gametheory.forwarding_game` — constructors that express the

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -118,63 +118,5 @@ class NormalFormGame:
                 out.append(profile)
         return out
 
-    def iterated_elimination(self, strict: bool = True) -> List[List[int]]:
-        """Survivors of iterated elimination of (strictly) dominated
-        strategies; returns per-player surviving strategy indices."""
-        alive: List[List[int]] = [list(range(len(s))) for s in self.strategies]
-        changed = True
-        while changed:
-            changed = False
-            for p in range(self.n_players):
-                if len(alive[p]) <= 1:
-                    continue
-                others_spaces = [alive[i] for i in range(self.n_players) if i != p]
-                for s in list(alive[p]):
-                    dominated = False
-                    for alt in alive[p]:
-                        if alt == s:
-                            continue
-                        all_better = True
-                        some_strict = False
-                        for others in itertools.product(*others_spaces):
-                            others = tuple(others)
-                            sp = others[:p] + (s,) + others[p:]
-                            ap = others[:p] + (alt,) + others[p:]
-                            sv, av = self.payoff(sp, p), self.payoff(ap, p)
-                            if strict:
-                                if av <= sv + 1e-12:
-                                    all_better = False
-                                    break
-                            else:
-                                if av < sv - 1e-12:
-                                    all_better = False
-                                    break
-                                if av > sv + 1e-12:
-                                    some_strict = True
-                        if all_better and (strict or some_strict):
-                            dominated = True
-                            break
-                    if dominated:
-                        alive[p].remove(s)
-                        changed = True
-        return alive
-
     def label_profile(self, profile: Profile) -> Tuple[str, ...]:
         return tuple(self.strategies[i][s] for i, s in enumerate(profile))
-
-
-def two_player_game(
-    row_strategies: Sequence[str],
-    col_strategies: Sequence[str],
-    row_payoffs: Sequence[Sequence[float]],
-    col_payoffs: Sequence[Sequence[float]],
-) -> NormalFormGame:
-    """Convenience constructor for bimatrix games."""
-    rp = np.asarray(row_payoffs, dtype=float)
-    cp = np.asarray(col_payoffs, dtype=float)
-    if rp.shape != cp.shape or rp.shape != (len(row_strategies), len(col_strategies)):
-        raise ValueError("payoff matrices must match the strategy sets")
-    return NormalFormGame(
-        strategies=[list(row_strategies), list(col_strategies)],
-        payoffs=np.stack([rp, cp], axis=-1),
-    )

@@ -7,12 +7,10 @@ mechanism runs on:
   neighbour set ``D(s)``, per-neighbour observed session-time counters and
   the availability estimate of §2.3.
 - :class:`~repro.network.overlay.Overlay` — the population: join/leave
-  bookkeeping, neighbour assignment and replacement discovery, true
-  availability accounting (session time / lifetime).
-- :class:`~repro.network.churn.ChurnModel` /
-  :func:`~repro.network.churn.churn_process` — Poisson joins, Pareto
-  session times (60-minute median), exponential off-times, permanent
-  departures (free-riding model).
+  bookkeeping, neighbour assignment and replacement discovery.
+- :class:`~repro.network.churn.ChurnModel` — Pareto session times
+  (60-minute median), exponential off-times, permanent departures
+  (free-riding model).
 - :class:`~repro.network.probing.ActiveProber` — periodic liveness probing
   that maintains the §2.3 availability estimator.
 - :class:`~repro.network.bandwidth.BandwidthModel` — symmetric per-link
@@ -23,7 +21,7 @@ mechanism runs on:
 """
 
 from repro.network.bandwidth import BandwidthModel
-from repro.network.churn import ChurnModel, churn_process
+from repro.network.churn import ChurnModel
 from repro.network.gossip import GossipMembership, PartialView
 from repro.network.node import NeighborView, NodeState, PeerNode
 from repro.network.overlay import Overlay
@@ -54,7 +52,6 @@ __all__ = [
     "TraceEvent",
     "TransportNetwork",
     "build_topology",
-    "churn_process",
     "install_topology",
     "measure_path_latency",
     "run_probe_round",

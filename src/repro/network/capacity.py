@@ -117,16 +117,6 @@ class CapacityProfile:
         """Per-node ``C^p``: ``base * cap ** -cost_coupling``."""
         return base_cost * self.capacity(node_id) ** -self.cost_coupling
 
-    def participation_costs(self, base_cost: float) -> Dict[int, float]:
-        return {
-            nid: self.participation_cost(base_cost, nid)
-            for nid in sorted(self.capacities)
-        }
-
-    def session_scale_fn(self) -> Callable[[int], float]:
-        """Adapter for ``node_lifecycle(session_scale=...)``."""
-        return self.session_scale
-
 
 def combined_session_scale(
     *scales: Callable[[int], float],

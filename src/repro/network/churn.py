@@ -1,18 +1,15 @@
-"""Churn: Poisson joins, Pareto sessions, off-times, permanent departures.
+"""Churn: Pareto sessions, off-times, permanent departures.
 
-The paper simulates "a poisson process ... to simulate the joining of
-nodes" with session times "modeled using a Pareto distribution and the
+The paper models session times "using a Pareto distribution and the
 median session time ... set as 60 mins" (§3).  Free riding (§1) appears as
 *permanent* departures: some nodes leave for good after a session, so the
-availability ratio session-time/lifetime (§2.1) is meaningful.
+availability ratio session-time/lifetime (§2.1) is meaningful.  The
+paper's Poisson joins of fresh nodes are not modelled: churn adds no
+nodes, so departures shrink the population.
 
-Two entry points:
-
-- :func:`node_lifecycle` — per-node process: online for a Pareto session,
-  then either depart permanently (probability ``depart_prob``) or go
-  offline for an exponential off-time and rejoin.
-- :func:`churn_process` — population process: brings fresh nodes into the
-  overlay at Poisson arrival times (replacing departures over time).
+:func:`node_lifecycle` is the per-node process: online for a Pareto
+session, then either depart permanently (probability ``depart_prob``) or
+go offline for an exponential off-time and rejoin.
 """
 
 from __future__ import annotations
@@ -35,25 +32,16 @@ class ChurnModel:
     Defaults follow the paper: Pareto sessions with a 60-minute median;
     off-times with a 30-minute mean (the paper does not state a value; the
     estimate is within the range of the Saroiu et al. study it cites);
-    a 10% chance of permanent departure after each session; new-node
-    arrivals at ``arrival_rate`` per minute (0 disables arrivals).
+    a 10% chance of permanent departure after each session.
     """
 
     session: Pareto = field(default_factory=lambda: Pareto.with_median(60.0))
     offtime: Exponential = field(default_factory=lambda: Exponential(mean=30.0))
     depart_prob: float = 0.1
-    arrival_rate: float = 0.0
-    arrival_malicious_prob: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.depart_prob <= 1.0:
             raise ValueError(f"depart_prob out of range: {self.depart_prob}")
-        if self.arrival_rate < 0:
-            raise ValueError(f"negative arrival_rate {self.arrival_rate}")
-        if not 0.0 <= self.arrival_malicious_prob <= 1.0:
-            raise ValueError(
-                f"arrival_malicious_prob out of range: {self.arrival_malicious_prob}"
-            )
 
 
 def node_lifecycle(
@@ -107,46 +95,3 @@ def node_lifecycle(
             overlay.join(node_id, env.now)
             if bus is not None:
                 bus.emit("churn.join", node=node_id)
-
-
-def churn_process(
-    env: Environment,
-    overlay: Overlay,
-    model: ChurnModel,
-    rng: np.random.Generator,
-    participation_cost: float = 1.0,
-    bus: "Optional[EventBus]" = None,
-):
-    """Poisson arrival process: new nodes join and get their own lifecycle."""
-    if model.arrival_rate <= 0:
-        return
-        yield  # pragma: no cover - makes this a generator
-    while True:
-        yield env.timeout(rng.exponential(1.0 / model.arrival_rate))
-        node = overlay.spawn_node(
-            malicious=bool(rng.random() < model.arrival_malicious_prob),
-            participation_cost=participation_cost,
-        )
-        overlay.join(node.node_id, env.now)
-        if bus is not None:
-            bus.emit("churn.join", node=node.node_id, arrival=True)
-        env.process(node_lifecycle(env, overlay, node.node_id, model, rng, bus=bus))
-
-
-def start_population_churn(
-    env: Environment,
-    overlay: Overlay,
-    model: ChurnModel,
-    rng: np.random.Generator,
-) -> int:
-    """Attach a lifecycle process to every currently online node.
-
-    Returns the number of processes started.  Call once after
-    :meth:`Overlay.bootstrap`; combine with :func:`churn_process` for
-    arrivals.
-    """
-    started = 0
-    for node_id in overlay.online_ids():
-        env.process(node_lifecycle(env, overlay, node_id, model, rng))
-        started += 1
-    return started

@@ -183,17 +183,6 @@ class GossipMembership:
         return None
 
     # -- health metrics ---------------------------------------------------
-    def live_fraction(self) -> float:
-        """Mean fraction of live entries across online nodes' views."""
-        fractions = []
-        for node_id in self.overlay.online_ids():
-            view = self.view_of(node_id)
-            if not view.entries:
-                continue
-            live = sum(1 for nid in view.entries if self.overlay.is_online(nid))
-            fractions.append(live / len(view.entries))
-        return float(np.mean(fractions)) if fractions else 0.0
-
     def reach(self) -> float:
         """Fraction of live (node, peer) pairs connected through the
         transitive closure of views — 1.0 means gossip keeps the overlay

@@ -142,11 +142,6 @@ class PeerNode:
     malicious: bool = False
     #: Per-session participation cost ``C^p``.
     participation_cost: float = 1.0
-    #: --- true availability bookkeeping (ground truth, not node knowledge)
-    first_join_time: Optional[float] = None
-    final_departure_time: Optional[float] = None
-    total_session_time: float = 0.0
-    _session_start: Optional[float] = None
     #: Neighbour id -> view, read through :attr:`neighbors`.
     _neighbors: Dict[int, NeighborView] = field(
         default_factory=dict, init=False, repr=False
@@ -233,52 +228,23 @@ class PeerNode:
     def is_online(self) -> bool:
         return self.state is NodeState.ONLINE
 
-    def go_online(self, now: float) -> None:
-        """Start a session at time ``now``."""
+    def go_online(self) -> None:
+        """Start a session."""
         if self.state is NodeState.DEPARTED:
             raise RuntimeError(f"node {self.node_id} departed; cannot rejoin")
         if self.state is NodeState.ONLINE:
             raise RuntimeError(f"node {self.node_id} already online")
         self.state = NodeState.ONLINE
-        self._session_start = now
-        if self.first_join_time is None:
-            self.first_join_time = now
 
-    def go_offline(self, now: float) -> None:
-        """End the current session at time ``now``."""
+    def go_offline(self) -> None:
+        """End the current session."""
         if self.state is not NodeState.ONLINE:
             raise RuntimeError(f"node {self.node_id} is not online")
-        assert self._session_start is not None
-        if now < self._session_start:
-            raise ValueError("session cannot end before it started")
-        self.total_session_time += now - self._session_start
-        self._session_start = None
         self.state = NodeState.OFFLINE
 
-    def depart(self, now: float) -> None:
+    def depart(self) -> None:
         """Leave the system permanently (final departure)."""
-        if self.state is NodeState.ONLINE:
-            self.go_offline(now)
         self.state = NodeState.DEPARTED
-        self.final_departure_time = now
-
-    def true_availability(self, now: float) -> float:
-        """Ground-truth availability: session time / lifetime (§2.1).
-
-        Lifetime runs from first join to final departure (or ``now`` if the
-        node is still in the system).  Returns 0 for a node that never
-        joined.
-        """
-        if self.first_join_time is None:
-            return 0.0
-        end = self.final_departure_time if self.final_departure_time is not None else now
-        lifetime = end - self.first_join_time
-        session = self.total_session_time
-        if self._session_start is not None:
-            session += now - self._session_start
-        if lifetime <= 0:
-            return 1.0 if self.is_online else 0.0
-        return min(1.0, session / lifetime)
 
     # -- neighbour management ---------------------------------------------
     def _invalidate_availability(self) -> None:

@@ -196,7 +196,7 @@ class Overlay:
     def _bring_online(self, node: PeerNode, now: float) -> None:
         """Session-start bookkeeping shared by :meth:`join` and
         :meth:`bootstrap`; wires no neighbours."""
-        node.go_online(now)
+        node.go_online()
         node.follow_sweep_log(self._sweep_log)
         self._online.add(node.node_id)
         self.liveness_version += 1
@@ -205,7 +205,7 @@ class Overlay:
     def leave(self, node_id: int, now: float) -> None:
         """Take a node offline (end of a session; may rejoin later)."""
         node = self.nodes[node_id]
-        node.go_offline(now)
+        node.go_offline()
         self._online.discard(node_id)
         self.liveness_version += 1
         self.trace.leave(now, node_id)
@@ -214,7 +214,7 @@ class Overlay:
         """Remove a node permanently (final departure)."""
         node = self.nodes[node_id]
         was_online = node.is_online
-        node.depart(now)
+        node.depart()
         if was_online:
             self._online.discard(node_id)
             self.liveness_version += 1

@@ -13,10 +13,9 @@ installs them into an :class:`Overlay`:
 - ``scale-free`` — Barabási-Albert preferential attachment (hub-heavy,
   the worst case for availability attacks: hubs are natural targets).
 
-Only the three graph topologies and :func:`topology_stats` need
-networkx, and they import it when called: a run on the paper's
-``random`` topology never loads it, which keeps about 15 MB of
-resident memory out of every scenario process.
+Only the three graph topologies need networkx, and they import it when
+called: a run on the paper's ``random`` topology never loads it, which
+keeps about 15 MB of resident memory out of every scenario process.
 """
 
 from __future__ import annotations
@@ -76,26 +75,3 @@ def install_topology(overlay: Overlay, adjacency: Dict[int, List[int]]) -> None:
     for node_id, neighbors in adjacency.items():
         node = overlay.nodes[node_id]
         node.set_neighbors(neighbors)
-
-
-def topology_stats(adjacency: Dict[int, List[int]]) -> Dict[str, float]:
-    """Connectivity statistics used by the tests and the ablation bench."""
-    import networkx as nx
-
-    g = nx.DiGraph()
-    g.add_nodes_from(adjacency)
-    for node, neighbors in adjacency.items():
-        for nbr in neighbors:
-            g.add_edge(node, nbr)
-    und = g.to_undirected()
-    degrees = [len(v) for v in adjacency.values()]
-    stats: Dict[str, float] = {
-        "n": float(len(adjacency)),
-        "mean_degree": float(np.mean(degrees)),
-        "max_degree": float(np.max(degrees)),
-        "connected": float(nx.is_connected(und)),
-    }
-    if nx.is_connected(und):
-        stats["avg_shortest_path"] = float(nx.average_shortest_path_length(und))
-        stats["clustering"] = float(nx.average_clustering(und))
-    return stats

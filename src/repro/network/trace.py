@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Set
+from typing import FrozenSet, List, Set
 
 
 class TraceEventKind(enum.Enum):
@@ -63,14 +63,6 @@ class NetworkTrace:
             else:
                 online.discard(e.node_id)
         return frozenset(online)
-
-    def session_counts(self) -> Dict[int, int]:
-        """Number of sessions (joins) per node."""
-        counts: Dict[int, int] = {}
-        for e in self.events:
-            if e.kind is TraceEventKind.JOIN:
-                counts[e.node_id] = counts.get(e.node_id, 0) + 1
-        return counts
 
     def __len__(self) -> int:
         return len(self.events)

@@ -35,10 +35,8 @@ TEMPORAL_PROCESSING_DELAY = 0.002
 
 
 class MessageKind(enum.Enum):
-    CONTRACT_OFFER = "contract-offer"
     PAYLOAD = "payload"
     CONFIRMATION = "confirmation"
-    PROBE = "probe"
 
 
 @dataclass(frozen=True)

@@ -276,10 +276,6 @@ class RunTrace:
         return trace
 
     # -- reconstruction helpers -----------------------------------------
-    def events_of(self, *kinds: str) -> List[ObsEvent]:
-        wanted = set(kinds)
-        return [e for e in self.events if e.kind in wanted]
-
     def counts_by_kind(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
         for e in self.events:

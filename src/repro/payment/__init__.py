@@ -17,9 +17,10 @@ implements a faithful, self-contained equivalent:
   issuance (withdrawal), token deposit, settlement.
 - :mod:`~repro.payment.escrow` — per-series escrow: the initiator locks a
   budget when the series opens; validated forwarder claims are paid at
-  series end; the remainder is refunded.
-- :mod:`~repro.payment.fraud` — cheating scenarios (double spending,
-  inflated instance claims, phantom forwarders) and their detection.
+  series end, and inflated or phantom claims are rejected and logged;
+  the remainder is refunded.
+- :mod:`~repro.payment.fraud` — token cheating (double spending,
+  forgery) and its detection.
 """
 
 from repro.payment.bank import Bank, DepositError
@@ -28,7 +29,6 @@ from repro.payment.escrow import EscrowError, SeriesEscrow
 from repro.payment.fraud import (
     FraudKind,
     FraudReport,
-    detect_claim_fraud,
     double_spend_attempt,
 )
 from repro.payment.ledger import Account, InsufficientFunds, Ledger
@@ -48,7 +48,6 @@ __all__ = [
     "SeriesEscrow",
     "Token",
     "TokenError",
-    "detect_claim_fraud",
     "double_spend_attempt",
     "generate_prime",
 ]

@@ -254,19 +254,6 @@ class Bank:
         return tokens
 
     # -- reporting ---------------------------------------------------------
-    def statement(self, owner: int) -> List[Tuple[str, float]]:
-        """The ledger journal filtered to one account: (operation, amount).
-
-        Note what is *absent*: no token serials, no escrow linkage — the
-        bank's per-account view contains only amounts, which is the
-        unlinkability property the §5 discussion requires.
-        """
-        return [
-            (op, amount)
-            for op, acct, amount in self.ledger.journal
-            if acct == owner
-        ]
-
     def stats(self) -> Dict[str, float]:
         """Operational counters for reporting/monitoring."""
         return {

@@ -1,26 +1,26 @@
-"""Cheating scenarios against the payment system, and their detection.
+"""Token cheating against the payment system, and its detection.
 
 The paper (§1, §5) requires the payment system to "handle typical
-scenarios of cheating and malicious attacks".  We model the three obvious
-economic attacks and show each is caught:
+scenarios of cheating and malicious attacks".  The two token attacks
+live here, each caught by the bank:
 
 - **double spend** — depositing the same token twice (caught by the
   bank's spent-serial set);
 - **forgery** — depositing a token with an invalid signature (caught by
   signature verification; serials are blind-signed, so a cheater cannot
-  mint value);
-- **inflated claim** — a forwarder claiming more forwarding instances
-  than it performed (caught by the initiator's reverse-path validation:
-  the recreated path is authoritative at settlement);
-- **phantom forwarder** — a node that never appeared on any path claiming
-  a share (a special case of the above with actual instances = 0).
+  mint value).
+
+Claim fraud — a forwarder claiming more instances than it performed, or
+a phantom forwarder on no path claiming a share — is caught in
+settlement: :meth:`repro.payment.escrow.SeriesEscrow.settle` pays only
+the initiator-validated amounts and logs each claim above the validated
+count.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List
 
 import numpy as np
 
@@ -31,8 +31,6 @@ from repro.payment.tokens import Token, forge_token
 class FraudKind(enum.Enum):
     DOUBLE_SPEND = "double-spend"
     FORGERY = "forgery"
-    INFLATED_CLAIM = "inflated-claim"
-    PHANTOM_FORWARDER = "phantom-forwarder"
 
 
 @dataclass(frozen=True)
@@ -78,26 +76,3 @@ def forgery_attempt(bank: Bank, owner: int, rng: np.random.Generator, denominati
         detail="forged token accepted",
         detected=False,
     )
-
-
-def detect_claim_fraud(
-    claims: Dict[int, int], validated_instances: Dict[int, int]
-) -> List[FraudReport]:
-    """Compare submitted claims against the initiator-validated truth."""
-    reports: List[FraudReport] = []
-    for forwarder, claimed in sorted(claims.items()):
-        actual = validated_instances.get(forwarder, 0)
-        if claimed <= actual:
-            continue
-        kind = (
-            FraudKind.PHANTOM_FORWARDER if actual == 0 else FraudKind.INFLATED_CLAIM
-        )
-        reports.append(
-            FraudReport(
-                kind=kind,
-                offender=forwarder,
-                detail=f"claimed {claimed}, validated {actual}",
-                detected=True,
-            )
-        )
-    return reports

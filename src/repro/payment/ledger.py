@@ -1,10 +1,10 @@
 """Double-entry ledger with a conservation invariant.
 
-Every unit of currency in the system is either in a peer account, in the
-bank's float (escrowed / backing circulating tokens), or destroyed by an
-explicit burn.  :meth:`Ledger.audit` checks that the sum of all balances
-plus the float equals everything ever minted minus everything burned — the
-property-based tests hammer this invariant.
+Every unit of currency in the system is either in a peer account or in
+the bank's float (escrowed / backing circulating tokens).
+:meth:`Ledger.audit` checks that the sum of all balances plus the float
+equals everything ever minted — the property-based tests hammer this
+invariant.
 """
 
 from __future__ import annotations
@@ -83,7 +83,6 @@ class Ledger:
     #: Value held by the bank itself (escrow + token backing).
     bank_float: float = 0.0
     minted: float = 0.0
-    burned: float = 0.0
     journal: List[Tuple[str, int, float]] = field(default_factory=list)
     #: Optional external balances array (float64, indexed by owner id).
     #: When set (see :meth:`bind_balances`), every account's balance
@@ -174,23 +173,13 @@ class Ledger:
         self.debit_to_float(src, amount)
         self.credit_from_float(dst, amount)
 
-    def burn_from_float(self, amount: float) -> None:
-        """Destroy value held in the float (e.g. confiscated fraud escrow)."""
-        self._check_amount(amount)
-        if self.bank_float < amount - 1e-9:
-            raise InsufficientFunds(f"bank float {self.bank_float} < {amount}")
-        self.bank_float -= amount
-        self.burned += amount
-        self.journal.append(("burn", -1, amount))
-
     def total_in_accounts(self) -> float:
         return sum(a.balance for a in self.accounts.values())
 
     def audit(self, tolerance: float = 1e-6) -> bool:
-        """Conservation: accounts + float == minted - burned."""
+        """Conservation: accounts + float == minted."""
         lhs = self.total_in_accounts() + self.bank_float
-        rhs = self.minted - self.burned
-        return abs(lhs - rhs) <= tolerance
+        return abs(lhs - self.minted) <= tolerance
 
     @staticmethod
     def _check_amount(amount: float) -> None:

@@ -4,8 +4,7 @@ A small, self-contained SimPy-style engine used as the substrate for the
 P2P churn/forwarding simulations.  The public surface is:
 
 - :class:`~repro.sim.engine.Environment` — simulation clock + event heap.
-- :class:`~repro.sim.events.Event`, :class:`~repro.sim.events.Timeout`,
-  :class:`~repro.sim.events.AllOf`, :class:`~repro.sim.events.AnyOf` —
+- :class:`~repro.sim.events.Event`, :class:`~repro.sim.events.Timeout` —
   awaitable primitives for processes.
 - :class:`~repro.sim.process.Process` — generator-based coroutine process.
 - :class:`~repro.sim.rng.RandomStreams` — named, independently seeded
@@ -19,7 +18,7 @@ function of the model (ties broken by insertion order).
 """
 
 from repro.sim.engine import Environment, StopSimulation
-from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Timeout
+from repro.sim.events import Event, Interrupt, Timeout
 from repro.sim.faults import (
     BankUnavailable,
     FaultError,
@@ -34,15 +33,12 @@ from repro.sim.monitoring import (
     ascii_bars,
 )
 from repro.sim.process import Process
-from repro.sim.resources import Container, Resource, Store
+from repro.sim.resources import Resource, Store
 from repro.sim.rng import RandomStreams
 from repro.sim import distributions
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "BankUnavailable",
-    "Container",
     "DegradationCounters",
     "Environment",
     "Event",

@@ -1,10 +1,10 @@
 """Distribution helpers for the churn model.
 
 The paper models peer session times with a **Pareto distribution whose
-median is 60 minutes** (following Saroiu et al.'s measurement study) and
-node arrivals with a **Poisson process**.  These helpers expose those
-distributions with the parameterisations the experiments need, plus exact
-analytic moments used by the tests.
+median is 60 minutes** (following Saroiu et al.'s measurement study).
+These helpers expose the session and off-time distributions with the
+parameterisations the experiments need, plus exact analytic moments used
+by the tests.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ __all__ = [
     "Pareto",
     "Exponential",
     "pareto_scale_for_median",
-    "poisson_interarrivals",
 ]
 
 
@@ -78,12 +77,6 @@ class Pareto:
             return 0.0
         return 1.0 - (self.xm / x) ** self.alpha
 
-    def quantile(self, q: float) -> float:
-        if not 0.0 <= q < 1.0:
-            raise ValueError(f"quantile level must be in [0,1), got {q}")
-        return self.xm / (1.0 - q) ** (1.0 / self.alpha)
-
-
 @dataclass(frozen=True)
 class Exponential:
     """Exponential distribution with the given mean (used for off-times)."""
@@ -104,12 +97,3 @@ class Exponential:
 
     def cdf(self, x: float) -> float:
         return 0.0 if x < 0 else 1.0 - math.exp(-x / self.mean)
-
-
-def poisson_interarrivals(rng: np.random.Generator, rate: float, n: int) -> np.ndarray:
-    """``n`` exponential inter-arrival gaps of a Poisson process with ``rate``."""
-    if rate <= 0:
-        raise ValueError(f"rate must be positive, got {rate}")
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    return rng.exponential(1.0 / rate, size=n)

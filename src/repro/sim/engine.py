@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import heapq
-from typing import Any, Iterable, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import Event, Timeout
 from repro.sim.process import Process, ProcessGenerator
 
 #: Heap priority for "urgent" entries (interrupts) vs normal entries.
@@ -40,7 +40,6 @@ class Environment:
         self._now = float(initial_time)
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._eid = 0
-        self._active_process: Optional[Process] = None
         #: Optional per-step hook (e.g. the sharded engine's SIGINT
         #: latch poll).  May raise to abort the run — the exception
         #: propagates out of :meth:`run` so the caller's cleanup runs.
@@ -52,20 +51,11 @@ class Environment:
         """Current simulation time."""
         return self._now
 
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed (None between events)."""
-        return self._active_process
-
     # -- scheduling -----------------------------------------------------
     def schedule(self, event: Event, priority: int = NORMAL, delay: float = 0.0) -> None:
         """Put a triggered event on the heap ``delay`` units from now."""
         self._eid += 1
         heapq.heappush(self._queue, (self._now + delay, priority, self._eid, event))
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
         """Process the single next event (advance the clock to it)."""
@@ -92,12 +82,6 @@ class Environment:
     def process(self, generator: ProcessGenerator) -> Process:
         """Start a new process from a generator function call."""
         return Process(self, generator)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     # -- driving --------------------------------------------------------
     def run(self, until: "float | Event | None" = None) -> Any:

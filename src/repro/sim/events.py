@@ -9,7 +9,7 @@ processed.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.sim.engine import Environment
@@ -94,13 +94,6 @@ class Event:
         self.env.schedule(self)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Mirror another (triggered) event's outcome onto this one."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            self.fail(event._value)
-
     def __repr__(self) -> str:
         state = (
             "processed" if self.processed else "triggered" if self.triggered else "pending"
@@ -122,61 +115,3 @@ class Timeout(Event):
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay}>"
-
-
-class ConditionValue(dict):
-    """Mapping of event -> value for the events that fired in a condition."""
-
-
-class Condition(Event):
-    """Composite event over several sub-events (base for AllOf/AnyOf)."""
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env)
-        self.events = list(events)
-        for e in self.events:
-            if e.env is not env:
-                raise ValueError("events from different environments")
-        self._count = 0
-        if not self.events:
-            self.succeed(ConditionValue())
-            return
-        for e in self.events:
-            if e.processed:
-                self._check(e)
-            else:
-                e.callbacks.append(self._check)
-
-    def _evaluate(self, count: int) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event._ok:
-            event.defused = True
-            self.fail(event._value)
-            return
-        self._count += 1
-        if self._evaluate(self._count):
-            value = ConditionValue()
-            for e in self.events:
-                # Only events that have actually *fired* contribute a value
-                # (Timeouts are born triggered but fire later).
-                if (e.processed or e is event) and e._ok:
-                    value[e] = e._value
-            self.succeed(value)
-
-
-class AllOf(Condition):
-    """Succeeds when *all* sub-events have succeeded."""
-
-    def _evaluate(self, count: int) -> bool:
-        return count == len(self.events)
-
-
-class AnyOf(Condition):
-    """Succeeds when *any* sub-event has succeeded."""
-
-    def _evaluate(self, count: int) -> bool:
-        return count >= 1

@@ -195,11 +195,6 @@ class RetryPolicy:
             d *= 1.0 + self.jitter * (2.0 * float(rng.random()) - 1.0)
         return d
 
-    def delays(self, rng: Optional[np.random.Generator] = None):
-        """The full backoff schedule (one delay per permitted retry)."""
-        for attempt in range(self.max_retries):
-            yield self.delay(attempt, rng)
-
     def call(
         self,
         fn: Callable[[], object],
@@ -336,8 +331,3 @@ class FaultInjector:
         if self.bus is not None:
             self.bus.emit("bank.denial", at=t)
         return False
-
-    def check_bank(self, now: Optional[float] = None) -> None:
-        """Raise :class:`BankUnavailable` inside an outage window."""
-        if not self.bank_available(now):
-            raise BankUnavailable(f"bank outage at t={self.now() if now is None else now:.3f}")

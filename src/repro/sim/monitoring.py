@@ -194,21 +194,6 @@ class DegradationCounters:
             if inc:
                 setattr(self, name, getattr(self, name) + inc)
 
-    def total_faults_injected(self) -> int:
-        """Faults actually injected (drop/delay/loss/crash/timeout/denial)."""
-        return (
-            self.messages_dropped
-            + self.messages_delayed
-            + self.hops_lost
-            + self.forwarder_crashes
-            + self.probe_timeouts
-            + self.bank_denials
-        )
-
-    def total_retries(self) -> int:
-        """Recovery attempts across all subsystems."""
-        return self.path_retries + self.probe_retries + self.settlement_retries
-
 
 def ascii_bars(
     labels: Sequence[str], values: Sequence[float], width: int = 40

@@ -69,7 +69,6 @@ class Process(Event):
         self.env.schedule(carrier, priority=0)
 
     def _resume(self, event: Event) -> None:
-        self.env._active_process = self
         try:
             while True:
                 if event._ok:
@@ -100,5 +99,3 @@ class Process(Event):
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):  # pragma: no cover
                 raise
             self.fail(exc)
-        finally:
-            self.env._active_process = None

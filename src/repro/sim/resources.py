@@ -6,13 +6,11 @@ available to any model built on :mod:`repro.sim`):
 - :class:`Resource` — a counted pool of slots; processes ``yield
   resource.request()`` and later ``resource.release(req)``.  FIFO
   granting.  Models link/CPU capacity.
-- :class:`Container` — a continuous quantity with ``put``/``get``
-  (tokens, credit, buffered bytes).
 - :class:`Store` — a FIFO queue of Python objects with blocking ``get``;
   models per-node message queues.
 
-All three grant strictly in request order (determinism), and all support
-non-blocking inspection (``count``, ``level``, ``items``).
+Both grant strictly in request order (determinism), and both support
+non-blocking inspection (``count``, ``items``).
 """
 
 from __future__ import annotations
@@ -50,10 +48,6 @@ class Resource:
         """Number of slots currently held."""
         return len(self._users)
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._queue)
-
     def request(self) -> Request:
         """Claim a slot; the returned event fires when granted."""
         req = Request(self)
@@ -74,62 +68,6 @@ class Resource:
             nxt = self._queue.popleft()
             self._users.append(nxt)
             nxt.succeed()
-
-
-class Container:
-    """A continuous quantity in ``[0, capacity]`` with blocking get/put."""
-
-    def __init__(self, env: "Environment", capacity: float = float("inf"), init: float = 0.0):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        if not 0 <= init <= capacity:
-            raise ValueError(f"init {init} outside [0, {capacity}]")
-        self.env = env
-        self.capacity = capacity
-        self._level = float(init)
-        self._getters: Deque[tuple] = deque()  # (event, amount)
-        self._putters: Deque[tuple] = deque()
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def put(self, amount: float) -> Event:
-        if amount <= 0:
-            raise ValueError(f"amount must be positive, got {amount}")
-        if amount > self.capacity:
-            raise ValueError(f"amount {amount} exceeds capacity {self.capacity}")
-        ev = Event(self.env)
-        self._putters.append((ev, amount))
-        self._drain()
-        return ev
-
-    def get(self, amount: float) -> Event:
-        if amount <= 0:
-            raise ValueError(f"amount must be positive, got {amount}")
-        ev = Event(self.env)
-        self._getters.append((ev, amount))
-        self._drain()
-        return ev
-
-    def _drain(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._putters:
-                ev, amount = self._putters[0]
-                if self._level + amount <= self.capacity + 1e-12:
-                    self._level += amount
-                    self._putters.popleft()
-                    ev.succeed()
-                    progressed = True
-            if self._getters:
-                ev, amount = self._getters[0]
-                if self._level >= amount - 1e-12:
-                    self._level -= amount
-                    self._getters.popleft()
-                    ev.succeed()
-                    progressed = True
 
 
 class StoreGet(Event):

@@ -10,12 +10,7 @@ them while the member was alive).
 
 import pytest
 
-from repro.adversary.intersection import (
-    CoalitionObserver,
-    IntersectionAttack,
-    coalition_of,
-    pooled_intersection_attack,
-)
+from repro.adversary.intersection import CoalitionObserver, IntersectionAttack
 from repro.core.path import Path
 from repro.network.trace import NetworkTrace
 
@@ -30,6 +25,10 @@ def churny_trace():
     t.leave(20.0, 3)
     t.leave(30.0, 4)
     return t
+
+
+def coalition_of(member_ids, trace):
+    return CoalitionObserver(trace=trace, members=frozenset(member_ids))
 
 
 def path_at(round_index, forwarders, cid=1, initiator=1, responder=7):
@@ -48,8 +47,6 @@ def test_empty_round_set_attack_returns_none():
     attack must report None, not a full-population candidate set."""
     observer = coalition_of([5], churny_trace())
     assert observer.attack(1, initiator=1) is None
-    assert observer.observed_series() == []
-    assert observer.observed_times(1) == []
 
 
 def test_unobserving_member_on_no_path_stays_empty():
@@ -93,7 +90,7 @@ def test_responder_membership_grants_visibility():
     round even with no compromised forwarders."""
     observer = coalition_of([7], churny_trace())
     assert observer.observe_path(path_at(1, [2, 3]), 5.0) is True
-    assert observer.observed_times(1) == [5.0]
+    assert observer.attack(1, initiator=1).observations == 1
 
 
 # --------------------------------------------- departed-member observations
@@ -117,7 +114,7 @@ def test_observation_after_member_departs_still_pools():
     proof it was reachable)."""
     observer = coalition_of([3], churny_trace())
     assert observer.observe_path(path_at(1, [3]), 25.0) is True
-    assert observer.observed_times(1) == [25.0]
+    assert observer.attack(1, initiator=1).observations == 1
 
 
 # ----------------------------------------------------------------- pooling
@@ -125,7 +122,7 @@ def test_duplicate_times_pool_once():
     observer = coalition_of([2, 3], churny_trace())
     observer.observe_path(path_at(1, [2, 3]), 5.0)
     observer.observe_path(path_at(1, [3, 2]), 5.0)
-    assert observer.observed_times(1) == [5.0]
+    assert observer.attack(1, initiator=1).observations == 1
 
 
 def test_series_cid_override_pools_under_target_series():
@@ -134,59 +131,8 @@ def test_series_cid_override_pools_under_target_series():
     observer = coalition_of([2], churny_trace())
     observer.observe_path(path_at(1, [2], cid=901), 5.0, series_cid=1)
     observer.observe_path(path_at(2, [2], cid=902), 15.0, series_cid=1)
-    assert observer.observed_times(1) == [5.0, 15.0]
-    assert observer.observed_times(901) == []
-
-
-def test_merge_pools_members_and_times():
-    trace = churny_trace()
-    a = coalition_of([2], trace)
-    b = coalition_of([4], trace)
-    a.observe_path(path_at(1, [2]), 5.0)
-    b.observe_path(path_at(2, [4]), 15.0)
-    a.merge(b)
-    assert a.members == frozenset({2, 4})
-    assert a.observed_times(1) == [5.0, 15.0]
-    # Merged attack intersects over both pooled rounds.
-    merged = a.attack(1, initiator=1)
-    assert merged.observations == 2
-
-
-def test_merged_attack_never_weaker_than_either_half():
-    trace = churny_trace()
-    rounds = [(path_at(1, [2]), 5.0), (path_at(2, [4]), 25.0)]
-    a = coalition_of([2], trace)
-    b = coalition_of([4], trace)
-    for path, time in rounds:
-        a.observe_path(path, time)
-        b.observe_path(path, time)
-    solo_a = a.attack(1, initiator=1)
-    a.merge(b)
-    merged = a.attack(1, initiator=1)
-    assert merged.final_candidates <= solo_a.final_candidates
-
-
-# ---------------------------------------------------------------- helpers
-def test_pooled_helper_one_shot():
-    trace = churny_trace()
-    rounds = [(path_at(1, [2, 3]), 5.0), (path_at(2, [4]), 25.0)]
-    res = pooled_intersection_attack(
-        trace, members=[3, 4], rounds=rounds, initiator=1, cid=1
-    )
-    assert res is not None
-    assert res.observations == 2
-    assert 1 in res.final_candidates
-
-
-def test_pooled_helper_unobserved_returns_none():
-    res = pooled_intersection_attack(
-        churny_trace(),
-        members=[6],
-        rounds=[(path_at(1, [2, 3]), 5.0)],
-        initiator=1,
-        cid=1,
-    )
-    assert res is None
+    assert observer.attack(1, initiator=1).observations == 2
+    assert observer.attack(901, initiator=1) is None
 
 
 def test_excluded_coalition_members_never_candidates():

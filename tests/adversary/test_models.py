@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.adversary.models import (
-    AvailabilityAttacker,
-    attacker_selection_rate,
-    make_availability_attackers,
-)
+from repro.adversary.models import make_availability_attackers
 from repro.network.overlay import Overlay
 
 
@@ -29,20 +25,6 @@ def test_too_many_attackers_rejected():
     ov = make_overlay(n=4)
     with pytest.raises(ValueError):
         make_availability_attackers(ov, 5, np.random.default_rng(1))
-
-
-def test_selection_recording():
-    a = AvailabilityAttacker(node_id=3)
-    a.record_selection()
-    a.record_selection()
-    assert a.times_selected == 2
-
-
-def test_selection_rate():
-    attackers = [AvailabilityAttacker(1, times_selected=5), AvailabilityAttacker(2, times_selected=5)]
-    assert attacker_selection_rate(attackers, 40) == pytest.approx(0.25)
-    with pytest.raises(ValueError):
-        attacker_selection_rate(attackers, 0)
 
 
 def test_always_on_attacker_gains_availability_weight():

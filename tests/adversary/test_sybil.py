@@ -6,21 +6,11 @@ import pytest
 from repro.adversary.sybil import (
     SYBIL_STRATEGIES,
     SybilColony,
-    SybilResult,
     run_sybil_experiment,
 )
 from repro.core.history import HistoryProfile
 from repro.network.node import NodeState
 from repro.network.overlay import Overlay
-
-
-def test_result_bookkeeping():
-    r = SybilResult(
-        n_honest=20, n_sybil=5, colony_income=100.0, honest_income=900.0,
-        amplification=0.5,
-    )
-    assert not r.profitable
-    assert SybilResult(20, 5, 0, 0, 1.2).profitable
 
 
 def test_parameter_validation():
@@ -47,7 +37,7 @@ def test_utility_routing_starves_late_sybils():
     ]
     mean_amp = sum(r.amplification for r in results) / len(results)
     assert mean_amp < 0.3
-    assert not any(r.profitable for r in results)
+    assert all(r.amplification <= 1.0 for r in results)
 
 
 def make_colony(join_subsidy=0.0, n_honest=6):
@@ -159,16 +149,6 @@ def test_bank_settlement_audits_clean():
     assert r.bank_audit_ok is True
     # Income-by-identity decomposes the colony total exactly.
     assert sum(r.income_by_identity.values()) == pytest.approx(r.colony_income)
-    assert r.net_gain_beyond_subsidy == pytest.approx(r.colony_income)
-
-
-def test_value_per_identity_includes_subsidy():
-    r = SybilResult(
-        n_honest=20, n_sybil=4, colony_income=40.0, honest_income=100.0,
-        amplification=0.5, identities_used=8, subsidy_collected=16.0,
-    )
-    assert r.value_per_identity == pytest.approx((40.0 + 16.0) / 8)
-    assert SybilResult(20, 4, 0, 0, 0).value_per_identity == 0.0
 
 
 def test_random_routing_leaks_more_to_sybils():

@@ -64,23 +64,9 @@ class TestHistoryProfileAttack:
         assert (5, 7) in edges  # outgoing edge
         assert (3, 5) in edges  # incoming edge
 
-    def test_exposure_fraction(self):
-        path = make_path([3, 5], 1)
-        h5 = HistoryProfile(5)
-        h5.record(cid=1, round_index=1, predecessor=3, successor=9)
-        attack = HistoryProfileAttack()
-        attack.capture(h5)
-        # True edges: (0,3),(3,5),(5,9). Captured: (3,5) and (5,9).
-        assert attack.exposure_fraction(1, [path]) == pytest.approx(2 / 3)
-
     def test_wrong_cid_reveals_nothing(self):
         h = HistoryProfile(5)
         h.record(cid=2, round_index=1, predecessor=3, successor=7)
         attack = HistoryProfileAttack()
         attack.capture(h)
         assert attack.linked_edges(1) == set()
-
-    def test_empty_series_rejected(self):
-        attack = HistoryProfileAttack()
-        with pytest.raises(ValueError):
-            attack.exposure_fraction(1, [])

@@ -6,11 +6,10 @@ every noqa-suppressed finding.  The fixtures are laid out as a miniature
 ``repro/`` tree so module-scoped rules (DET002's sim-path scope,
 ARCH001's layer map) resolve exactly as they do against ``src/``.
 
+Each fixture is linted on its own through ``lint_paths``.
 ``fixtures/project/`` is a separate multi-module tree for the
-whole-program rules: it is linted through ``lint_paths`` (which builds a
-ProjectContext) against one combined golden, and excluded from the
-per-file lane — single-file linting deliberately degrades the
-project-aware rules.
+whole-program rules: it is linted as one tree against one combined
+golden, and excluded from the per-file lane.
 """
 
 import json
@@ -18,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import all_rules, lint_file
+from repro.analysis import all_rules
 from repro.analysis.pipeline import lint_paths
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -42,12 +41,12 @@ def test_fixture_matches_golden(fixture):
     )
     golden = json.loads(golden_path.read_text())
 
-    result = lint_file(fixture, all_rules())
-    assert result.error is None, result.error
+    report = lint_paths([fixture], root=FIXTURES)
+    assert not report.errors, report.errors
 
-    got = [{"code": f.code, "line": f.line} for f in sorted(result.findings)]
+    got = [{"code": f.code, "line": f.line} for f in sorted(report.findings)]
     got_suppressed = [
-        {"code": f.code, "line": f.line} for f in sorted(result.suppressed)
+        {"code": f.code, "line": f.line} for f in sorted(report.suppressed)
     ]
     assert got == golden["findings"]
     assert got_suppressed == golden["suppressed"]
@@ -73,24 +72,6 @@ def test_project_fixture_matches_golden():
 
     assert slim(report.findings) == golden["findings"]
     assert slim(report.suppressed) == golden["suppressed"]
-
-
-def test_project_rules_degrade_without_project():
-    """Single-file linting of the project tree yields no project findings.
-
-    ``lint_file`` has no ProjectContext: DET005/CONC002 must
-    no-op (not crash), and CONC001 falls back to its lexical lambda
-    check — the documented degraded contract.
-    """
-    helpers = PROJECT_FIXTURES / "repro" / "helpers.py"
-    result = lint_file(helpers, all_rules())
-    assert result.error is None
-    assert not [f for f in result.findings if f.code in ("DET005", "CONC002")]
-    runner = PROJECT_FIXTURES / "repro" / "runner.py"
-    result = lint_file(runner, all_rules())
-    assert result.error is None
-    lexical = [f for f in result.findings if f.code == "CONC001"]
-    assert [f.line for f in lexical] == [28]  # the lambda; reach needs a project
 
 
 def test_every_rule_has_a_positive_fixture():

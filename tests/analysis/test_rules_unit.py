@@ -5,12 +5,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import FileContext, get_rule, rule_codes
+from repro.analysis import FileContext, all_rules
+from repro.analysis.registry import select_rules
 
 
 def run_rule(code, source, module_path="repro/core/snippet.py"):
     ctx = FileContext(Path(module_path), textwrap.dedent(source))
-    return list(get_rule(code).check(ctx))
+    (rule,) = select_rules([code])
+    return list(rule.check(ctx))
 
 
 def codes_and_lines(findings):
@@ -19,7 +21,7 @@ def codes_and_lines(findings):
 
 class TestRegistry:
     def test_expected_rule_set(self):
-        assert rule_codes() == [
+        assert [rule.code for rule in all_rules()] == [
             "ARCH001",
             "CONC001",
             "CONC002",

@@ -50,10 +50,6 @@ class TestForwarderPayment:
         with pytest.raises(ValueError):
             c.forwarder_payment(1, 0)
 
-    def test_total_cost(self):
-        c = Contract(10.0, 60.0)
-        assert c.total_cost(12) == pytest.approx(180.0)
-
     def test_payments_sum_to_total_cost(self):
         """Conservation: summing members' payments = initiator's outlay."""
         c = Contract(10.0, 60.0)
@@ -61,7 +57,9 @@ class TestForwarderPayment:
         total = sum(
             c.forwarder_payment(m, len(instances)) for m in instances.values()
         )
-        assert total == pytest.approx(c.total_cost(sum(instances.values())))
+        assert total == pytest.approx(
+            sum(instances.values()) * c.forwarding_benefit + c.routing_benefit
+        )
 
 
 class TestDrawContract:

@@ -6,7 +6,7 @@ import pytest
 from repro.adversary.traffic_analysis import HistoryProfileAttack, PredecessorAttack
 from repro.core.contracts import Contract
 from repro.core.costs import CostModel
-from repro.core.defenses import CidRotator, DefenseReport, GuardRegistry, linkable_fraction
+from repro.core.defenses import CidRotator, GuardRegistry
 from repro.core.history import HistoryProfile
 from repro.core.protocol import ConnectionSeries, PathBuilder, TerminationPolicy
 from repro.core.routing import UtilityModelI
@@ -115,25 +115,12 @@ class TestCidRotator:
         b_cids = {b.wire_cid(r) for r in range(1, 100)}
         assert not a_cids & b_cids
 
-    def test_epochs_used(self):
-        rot = CidRotator(series_cid=1, epoch=5)
-        assert rot.epochs_used(0) == 0
-        assert rot.epochs_used(5) == 1
-        assert rot.epochs_used(6) == 2
-
-    def test_linkable_fraction(self):
-        rot = CidRotator(series_cid=1, epoch=5)
-        assert linkable_fraction(rot, 20) == pytest.approx(0.25)
-        assert linkable_fraction(rot, 3) == 1.0
-
     def test_validation(self):
         with pytest.raises(ValueError):
             CidRotator(series_cid=1, epoch=0)
         rot = CidRotator(series_cid=1, epoch=5)
         with pytest.raises(ValueError):
             rot.wire_cid(0)
-        with pytest.raises(ValueError):
-            linkable_fraction(rot, 0)
 
     def test_rotation_limits_history_attack_exposure(self):
         """A captured profile links only the current epoch's hops."""
@@ -169,15 +156,3 @@ class TestCidRotator:
         series.run(6)
         assert all(p.cid == 42 for p in series.log.paths)
         assert [p.round_index for p in series.log.paths] == list(range(1, 7))
-
-
-class TestDefenseReport:
-    def test_reduction_and_cost(self):
-        r = DefenseReport("guard", 0.8, 0.2, 10.0, 12.0)
-        assert r.attack_reduction == pytest.approx(0.75)
-        assert r.utility_cost == pytest.approx(0.2)
-
-    def test_zero_baselines(self):
-        r = DefenseReport("x", 0.0, 0.0, 0.0, 0.0)
-        assert r.attack_reduction == 0.0
-        assert r.utility_cost == 0.0

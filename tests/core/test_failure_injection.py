@@ -10,7 +10,7 @@ from repro.core.path import PathFailure
 from repro.core.protocol import ConnectionSeries, PathBuilder, TerminationPolicy
 from repro.core.routing import UtilityModelI
 from repro.network.overlay import Overlay
-from repro.sim.faults import FaultInjector, FaultPlan, RetryPolicy
+from repro.sim.faults import FaultInjector, FaultPlan
 
 
 def make_builder(loss, seed=0, max_attempts=10):
@@ -131,28 +131,39 @@ def test_exhaustion_reports_accumulated_reformations():
     assert b.reformations - before == 4
 
 
-def test_retry_wrapper_accumulates_across_retried_builds():
-    """build_round_with_retry must not under-report: its terminal
-    PathFailure carries reformations summed across every retried build."""
+def test_retry_round_accumulates_reformations_across_failed_builds():
+    """The recovery layer must not under-report: every failed retry of a
+    round adds its reformations to the series log."""
     b = make_builder(0.0, seed=2, max_attempts=3)
     b.fault_injector = FaultInjector(
         # hop_loss ~1: every attempt of every build fails.
         plan=FaultPlan(hop_loss=0.999999), rng=np.random.default_rng(9)
     )
-    retry = RetryPolicy(max_retries=2, jitter=0.0)
-    with pytest.raises(PathFailure) as exc_info:
-        b.build_round_with_retry(1, 1, 0, 13, Contract(50, 100), retry=retry)
+    series = ConnectionSeries(
+        cid=1, initiator=0, responder=13, contract=Contract(50, 100), builder=b
+    )
+    assert series.run_round() is None
+    for _ in range(2):
+        assert series.retry_round() is None
     # (retries + 1) builds x max_attempts reformations each.
-    assert exc_info.value.reformations == (2 + 1) * 3
-    assert b.fault_injector.stats.path_retries == 2
-    assert "after 2 retries" in str(exc_info.value)
+    assert series.log.reformations == (2 + 1) * 3
+    assert series.log.failed_rounds == 1
 
 
-def test_retry_wrapper_recovers_after_transient_failure():
+def test_retry_round_recovers_after_transient_failure():
     b = make_builder(0.55, seed=8, max_attempts=2)
-    retry = RetryPolicy(max_retries=8, jitter=0.0)
-    path = b.build_round_with_retry(1, 1, 0, 13, Contract(50, 100), retry=retry)
+    series = ConnectionSeries(
+        cid=1, initiator=0, responder=13, contract=Contract(50, 100), builder=b
+    )
+    path = series.run_round()
+    retries = 0
+    while path is None and retries < 8:
+        path = series.retry_round()
+        retries += 1
     assert path is not None and len(path.forwarders) >= 1
+    # A success converts the earlier failure.
+    assert series.log.failed_rounds == 0
+    assert [p.round_index for p in series.log.paths] == [1]
 
 
 def test_forwarder_crash_forces_reformation_and_reports_victim():

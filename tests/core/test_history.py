@@ -84,24 +84,6 @@ def test_round_index_validation():
         h.selectivity(cid=1, successor=3, round_index=0)
 
 
-def test_known_successors_sorted_unique():
-    h = HistoryProfile(5)
-    for rnd, succ in [(1, 9), (2, 3), (3, 9)]:
-        h.record(cid=1, round_index=rnd, predecessor=0, successor=succ)
-    assert h.known_successors(1) == [3, 9]
-
-
-def test_counts_and_forget():
-    h = HistoryProfile(5)
-    h.record(cid=1, round_index=1, predecessor=0, successor=1)
-    h.record(cid=2, round_index=1, predecessor=0, successor=2)
-    assert h.series_count() == 2
-    assert h.total_records() == 2
-    h.forget_series(1)
-    assert h.series_count() == 1
-    assert h.records_for(1) == []
-
-
 def test_observed_edges_leak_shape():
     h = HistoryProfile(5)
     h.record(cid=7, round_index=1, predecessor=2, successor=9)

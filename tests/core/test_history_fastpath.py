@@ -5,7 +5,7 @@ The oracle here is an *independent* reimplementation of the §2.3
 definition (not the class's own ``selectivity_naive``, which is itself
 checked against the oracle), driven through randomized operation
 sequences that exercise every index-mutation path: record, per-cid
-capacity eviction, ``forget_series``, and position-aware queries.
+capacity eviction, and position-aware queries.
 """
 
 import numpy as np
@@ -31,8 +31,8 @@ def oracle_selectivity(records, cid, successor, round_index, predecessor=None):
 
 
 class ShadowStore:
-    """Mirror of the profile's record/evict/forget semantics on plain
-    tuples, so the oracle sees exactly what the profile should hold."""
+    """Mirror of the profile's record/evict semantics on plain tuples, so
+    the oracle sees exactly what the profile should hold."""
 
     def __init__(self, capacity=None):
         self.capacity = capacity
@@ -43,9 +43,6 @@ class ShadowStore:
         bucket.append((cid, round_index, predecessor, successor))
         if self.capacity is not None and len(bucket) > self.capacity:
             del bucket[0 : len(bucket) - self.capacity]
-
-    def forget(self, cid):
-        self.by_cid.pop(cid, None)
 
     def all_records(self):
         return [rec for bucket in self.by_cid.values() for rec in bucket]
@@ -74,10 +71,6 @@ def random_workload(seed, capacity, n_ops=400):
             succ = int(rng.choice(nodes))
             profile.record(cid, rnd, pred, succ)
             shadow.record(cid, rnd, pred, succ)
-        elif op < 0.6:
-            profile.forget_series(cid)
-            shadow.forget(cid)
-            round_clock[cid] = 1
         else:
             rnd = int(rng.integers(1, round_clock[cid] + 3))
             succ = int(rng.choice(nodes))
@@ -99,17 +92,6 @@ def test_indexed_selectivity_matches_oracle(seed, capacity):
     assert random_workload(seed, capacity) > 0
 
 
-def test_indices_survive_forget_and_refill():
-    p = HistoryProfile(node_id=0)
-    for rnd in range(1, 6):
-        p.record(1, rnd, predecessor=9, successor=2)
-    assert p.selectivity(1, 2, 6) == 1.0
-    p.forget_series(1)
-    assert p.selectivity(1, 2, 6) == 0.0
-    p.record(1, 1, predecessor=9, successor=2)
-    assert p.selectivity(1, 2, 3) == 0.5
-
-
 def test_eviction_drops_oldest_from_index():
     p = HistoryProfile(node_id=0, capacity=2)
     p.record(1, 1, predecessor=9, successor=2)
@@ -118,7 +100,7 @@ def test_eviction_drops_oldest_from_index():
     # Only round 2 remains for successor 2.
     assert p.selectivity(1, 2, 4) == pytest.approx(1 / 3)
     assert p.selectivity(1, 2, 4) == p.selectivity_naive(1, 2, 4)
-    assert p.total_records() == 2
+    assert len(p.records_for(1)) == 2
 
 
 def test_position_aware_distinguishes_predecessors():

@@ -4,7 +4,7 @@
 planner's per-(member, edge) ``bisect`` numerators with one row gather.
 Every test here checks a row against those bisect counts directly,
 through each way the histories can change under the store: plain
-records, capacity eviction, ``forget_series``, profiles added after the
+records, capacity eviction, profiles added after the
 store bound, two planners sharing one histories mapping, a topology
 rebuild, and entries at or past the queried round (which must take the
 bisect fallback instead of over-counting).  A leak guard pins that the
@@ -110,19 +110,6 @@ class TestHitRows:
         for _ in range(60):
             _record_random(rng, world, histories, 5)
             _assert_exact(world, store, histories)
-
-    def test_forget_series_matches_bisect(self):
-        overlay = _overlay()
-        histories = {nid: HistoryProfile(node_id=nid) for nid in overlay.nodes}
-        world, store = _store(overlay, histories)
-        rng = np.random.default_rng(7)
-        _record_random(rng, world, histories, 200)
-        _assert_exact(world, store, histories)
-        for nid in list(world.nbr_lists)[::3]:
-            histories[nid].forget_series(1)
-        _assert_exact(world, store, histories)
-        _record_random(rng, world, histories, 50)
-        _assert_exact(world, store, histories)
 
     def test_bind_seeds_from_existing_entries(self):
         overlay = _overlay()

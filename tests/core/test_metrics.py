@@ -5,8 +5,6 @@ import pytest
 
 from repro.core.metrics import (
     ConnectionSeriesStats,
-    aggregate_payoffs,
-    cdf_at,
     confidence_interval95,
     forwarder_set,
     forwarder_set_size,
@@ -66,12 +64,6 @@ class TestPayoffCDF:
         assert probs[-1] == 1.0
         assert all(np.diff(probs) >= 0)
 
-    def test_cdf_at_evaluates(self):
-        values, probs = payoff_cdf([1.0, 2.0, 3.0, 4.0])
-        assert cdf_at(values, probs, 2.5) == pytest.approx(0.5)
-        assert cdf_at(values, probs, 0.0) == 0.0
-        assert cdf_at(values, probs, 10.0) == 1.0
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             payoff_cdf([])
@@ -91,17 +83,6 @@ class TestConfidenceInterval:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             confidence_interval95([])
-
-
-class TestAggregatePayoffs:
-    def test_sums_settlements_minus_costs(self):
-        totals = aggregate_payoffs(
-            [{1: 10.0, 2: 5.0}, {1: 3.0}], costs={1: 2.0, 3: 4.0}
-        )
-        assert totals == {1: 11.0, 2: 5.0, 3: -4.0}
-
-    def test_no_costs(self):
-        assert aggregate_payoffs([{1: 1.0}]) == {1: 1.0}
 
 
 class TestNewEdgeFraction:

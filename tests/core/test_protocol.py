@@ -166,7 +166,8 @@ class TestConnectionSeries:
         )
         log = series.run(6)
         total = sum(series.settlement().values())
-        expected = contract.total_cost(sum(log.total_instances().values()))
+        instances = sum(log.total_instances().values())
+        expected = instances * contract.forwarding_benefit + contract.routing_benefit
         assert total == pytest.approx(expected)
 
     def test_empty_series_settlement_empty(self, overlay):

@@ -115,7 +115,7 @@ class TestMutualConnection:
             mp.initiator_half.length for mp in conn.paths
         )
         assert sum(i_pay.values()) == pytest.approx(
-            contract.total_cost(total_i_instances)
+            total_i_instances * contract.forwarding_benefit + contract.routing_benefit
         )
 
     def test_failed_round_counted(self, world):
@@ -124,9 +124,3 @@ class TestMutualConnection:
         ov.leave(0, 1.0)  # initiator offline -> its half fails
         assert conn.run_round() is None
         assert conn.failed_rounds == 1
-
-    def test_linkers_include_rendezvous(self, world):
-        _ov, builder, registry = world
-        conn = make_connection(builder, registry)
-        mp = conn.run_round()
-        assert mp.rendezvous in mp.linkers()

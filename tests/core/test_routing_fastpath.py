@@ -172,7 +172,7 @@ def test_cache_keys_include_round_index():
     ctx = make_context(ov, histories, round_index=2)
     node = ov.nodes[0]
     nbr = ctx.candidates(node, None)[0]
-    histories[0].forget_series(1)
+    histories[0] = HistoryProfile(0)  # no history for the series yet
     q_before = ctx.edge_quality_for(node, nbr, None)
     histories[0].record(1, 2, predecessor=9, successor=nbr)
     ctx.round_index = 3

@@ -229,12 +229,18 @@ def test_bad_repro_jobs_is_a_usage_error(argv, value, capsys, monkeypatch):
         ["--fault-severity", "1.5"],
         ["--tau", "-1"],
         ["--shards", "2", "--backend", "python"],
+        ["--trace-out", "/nonexistent-dir/t.jsonl"],
+        ["--metrics-out", "/nonexistent-dir/m.prom"],
     ],
-    ids=["nodes", "pairs", "fraction", "severity", "tau", "shards-python"],
+    ids=[
+        "nodes", "pairs", "fraction", "severity", "tau", "shards-python",
+        "trace-out-dir", "metrics-out-dir",
+    ],
 )
 def test_run_with_an_invalid_scenario_is_a_usage_error(argv, capsys, monkeypatch):
-    """An option value the scenario config rejects is one error line and
-    exit 2, before any scenario runs."""
+    """An option value the scenario config rejects, or an output path
+    that cannot be written, is one error line and exit 2, before any
+    scenario runs (not a traceback after it)."""
     import repro.experiments.cli as cli
 
     def no_scenario(config):
@@ -244,4 +250,32 @@ def test_run_with_an_invalid_scenario_is_a_usage_error(argv, capsys, monkeypatch
     assert main(["run", "--no-bank", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["figure", "5", "--seeds", "0"],
+        ["table", "2", "--seeds", "0"],
+        ["prop", "1", "--seeds", "0"],
+        ["suite", "--seeds", "0"],
+        ["figure", "3", "--seeds", "-1"],
+    ],
+    ids=["figure5", "table2", "prop1", "suite", "figure3-negative"],
+)
+def test_seeds_below_one_is_a_usage_error(argv, capsys, monkeypatch):
+    """``--seeds`` < 1 is an argparse usage error (exit 2) naming the
+    option, before any scenario runs; exit 1 would read as a failed claim."""
+    import repro.experiments.runner as runner
+
+    def no_scenario(config):
+        raise AssertionError("a scenario ran")
+
+    monkeypatch.setattr(runner, "run_scenario", no_scenario)
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv)
+    assert exc_info.value.code == 2
+    captured = capsys.readouterr()
+    assert "argument --seeds: must be >= 1" in captured.err
     assert captured.out == ""

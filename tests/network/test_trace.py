@@ -40,15 +40,6 @@ def test_same_time_events_allowed():
     assert t.online_at(1.0) == frozenset({1, 2})
 
 
-def test_session_counts():
-    t = NetworkTrace()
-    t.join(0.0, 1)
-    t.leave(1.0, 1)
-    t.join(2.0, 1)
-    t.join(3.0, 2)
-    assert t.session_counts() == {1: 2, 2: 1}
-
-
 def test_len_counts_events():
     t = NetworkTrace()
     t.join(0.0, 1)

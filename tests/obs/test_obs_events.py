@@ -96,10 +96,6 @@ class TestRunTrace:
 
     def test_reconstruction_helpers(self):
         trace = self._trace()
-        assert [e.kind for e in trace.events_of("path.form", "path.fail")] == [
-            "path.form",
-            "path.fail",
-        ]
         assert trace.counts_by_subsystem()["path"] == {
             "path.form": 1,
             "path.fail": 1,

@@ -68,10 +68,15 @@ def test_inflated_claim_flagged_but_validated_amount_paid(bank):
     esc.open()
     esc.submit_claim(5, instances=99)
     esc.submit_claim(6, instances=2)
+    # Phantom forwarder: node 7 is on no validated path but claims a share.
+    esc.submit_claim(7, instances=3)
     esc.settle({5: 50.0, 6: 20.0}, validated_instances={5: 3, 6: 2})
-    assert esc.rejected_claims == [5]
+    assert esc.rejected_claims == [5, 7]
     assert bank.balance(5) == 50.0  # still paid the validated amount
+    assert bank.balance(6) == 20.0
+    assert bank.balance(7) == 0.0  # the phantom claim pays nothing
     assert any("inflated-claim:5" in entry for entry in bank.fraud_log)
+    assert any("inflated-claim:7:3>0" in entry for entry in bank.fraud_log)
 
 
 def test_claims_after_settlement_rejected(bank):

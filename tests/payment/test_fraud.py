@@ -6,7 +6,6 @@ import pytest
 from repro.payment.bank import Bank
 from repro.payment.fraud import (
     FraudKind,
-    detect_claim_fraud,
     double_spend_attempt,
     forgery_attempt,
 )
@@ -36,27 +35,3 @@ def test_forgery_detected(bank):
     assert report.detected
     assert report.kind is FraudKind.FORGERY
     assert bank.balance(5) == 0.0
-
-
-def test_inflated_claim_detected():
-    reports = detect_claim_fraud({7: 10}, validated_instances={7: 4})
-    assert len(reports) == 1
-    assert reports[0].kind is FraudKind.INFLATED_CLAIM
-    assert reports[0].offender == 7
-    assert reports[0].detected
-
-
-def test_phantom_forwarder_detected():
-    reports = detect_claim_fraud({9: 3}, validated_instances={})
-    assert reports[0].kind is FraudKind.PHANTOM_FORWARDER
-
-
-def test_honest_claims_pass():
-    assert detect_claim_fraud({7: 4, 8: 2}, {7: 4, 8: 3}) == []
-
-
-def test_mixed_claims_sorted_by_offender():
-    reports = detect_claim_fraud(
-        {9: 3, 2: 10, 5: 1}, validated_instances={2: 1, 5: 1}
-    )
-    assert [r.offender for r in reports] == [2, 9]

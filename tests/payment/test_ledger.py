@@ -57,25 +57,11 @@ def test_mint_increases_supply(ledger):
     assert ledger.audit()
 
 
-def test_burn_destroys_float_value(ledger):
-    ledger.debit_to_float(1, 20.0)
-    ledger.burn_from_float(20.0)
-    assert ledger.burned == 20.0
-    assert ledger.bank_float == 0.0
-    assert ledger.audit()
-
-
-def test_burn_beyond_float_rejected(ledger):
-    with pytest.raises(InsufficientFunds):
-        ledger.burn_from_float(1.0)
-
-
 def test_negative_amounts_rejected(ledger):
     for op in (
         lambda: ledger.mint(1, -1.0),
         lambda: ledger.debit_to_float(1, -1.0),
         lambda: ledger.credit_from_float(1, -1.0),
-        lambda: ledger.burn_from_float(-1.0),
     ):
         with pytest.raises(ValueError):
             op()

@@ -61,7 +61,6 @@ def snapshot(overlay, created):
                 list(node.neighbors),
                 node.malicious,
                 node.state,
-                node.first_join_time,
             )
             for nid, node in overlay.nodes.items()
         ],

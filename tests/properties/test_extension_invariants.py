@@ -73,7 +73,8 @@ def test_cid_rotation_partition(series, epoch, rounds):
         er = rot.epoch_round(r)
         assert 1 <= er <= epoch
         assert wc == rot.wire_cid(r - er + 1)  # first round of the epoch
-    assert rot.epochs_used(rounds) == (rounds - 1) // epoch + 1
+    wire_cids = {rot.wire_cid(r) for r in range(1, rounds + 1)}
+    assert len(wire_cids) == (rounds - 1) // epoch + 1
 
 
 # ---------------------------------------------------------------- reputation

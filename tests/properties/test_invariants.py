@@ -30,7 +30,8 @@ def test_settlement_conserves_value(pf, tau, instances):
     c = Contract.from_tau(pf, tau)
     n = len(instances)
     total = sum(c.forwarder_payment(m, n) for m in instances.values())
-    expected = c.total_cost(sum(instances.values()))
+    # The initiator pays P_f per forwarding instance plus P_r once (§2.2).
+    expected = sum(instances.values()) * c.forwarding_benefit + c.routing_benefit
     assert abs(total - expected) <= 1e-6 * max(1.0, expected)
 
 

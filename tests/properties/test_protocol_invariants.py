@@ -91,7 +91,7 @@ def test_settlement_conservation_over_random_worlds(p):
         return
     total_instances = sum(log.total_instances().values())
     assert sum(payments.values()) == pytest.approx(
-        contract.total_cost(total_instances)
+        total_instances * contract.forwarding_benefit + contract.routing_benefit
     )
     assert set(payments) == set(log.union_forwarder_set())
 

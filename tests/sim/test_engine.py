@@ -82,13 +82,6 @@ def test_step_raises_on_empty_queue(env):
         env.step()
 
 
-def test_peek_reports_next_event_time(env):
-    assert env.peek() == float("inf")
-    env.timeout(7.0)
-    env.timeout(2.0)
-    assert env.peek() == 2.0
-
-
 def test_unhandled_failure_surfaces(env):
     ev = env.event()
     ev.fail(ValueError("boom"))

@@ -73,18 +73,3 @@ def test_many_events_heap_stress():
     env.run()
     assert len(seen) == 2000
     assert env.now == pytest.approx(10.0)
-
-
-def test_active_process_visible_during_resume():
-    env = Environment()
-    observed = []
-
-    def proc(env):
-        observed.append(env.active_process)
-        yield env.timeout(1.0)
-        observed.append(env.active_process)
-
-    p = env.process(proc(env))
-    env.run()
-    assert observed == [p, p]
-    assert env.active_process is None

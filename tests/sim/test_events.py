@@ -1,8 +1,8 @@
-"""Tests for event primitives: Event, Timeout, AllOf, AnyOf."""
+"""Tests for event primitives: Event and Timeout."""
 
 import pytest
 
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import Event, Timeout
 
 
 def test_event_lifecycle(env):
@@ -60,56 +60,3 @@ def test_timeout_carries_value(env):
         return got
 
     assert env.run(until=env.process(proc(env))) == "payload"
-
-
-def test_all_of_waits_for_all(env):
-    def proc(env):
-        result = yield env.all_of([env.timeout(1.0, "a"), env.timeout(3.0, "b")])
-        return sorted(result.values())
-
-    assert env.run(until=env.process(proc(env))) == ["a", "b"]
-    assert env.now == 3.0
-
-
-def test_any_of_fires_on_first(env):
-    def proc(env):
-        result = yield env.any_of([env.timeout(1.0, "fast"), env.timeout(9.0, "slow")])
-        return list(result.values())
-
-    assert env.run(until=env.process(proc(env))) == ["fast"]
-    assert env.now == 1.0
-
-
-def test_all_of_empty_succeeds_immediately(env):
-    cond = env.all_of([])
-    assert cond.triggered
-
-
-def test_all_of_fails_if_member_fails(env):
-    ev = env.event()
-
-    def proc(env):
-        try:
-            yield env.all_of([env.timeout(5.0), ev])
-        except RuntimeError as exc:
-            return str(exc)
-
-    p = env.process(proc(env))
-    ev.fail(RuntimeError("member failed"))
-    assert env.run(until=p) == "member failed"
-
-
-def test_condition_rejects_foreign_events(env):
-    from repro.sim.engine import Environment
-
-    other = Environment()
-    with pytest.raises(ValueError):
-        env.all_of([other.timeout(1.0)])
-
-
-def test_trigger_mirrors_outcome(env):
-    src = env.event()
-    dst = env.event()
-    src.succeed("x")
-    dst.trigger(src)
-    assert dst.value == "x"

@@ -1,8 +1,8 @@
-"""Tests for Resource, Container and Store."""
+"""Tests for Resource and Store."""
 
 import pytest
 
-from repro.sim.resources import Container, Resource, Store
+from repro.sim.resources import Resource, Store
 
 
 class TestResource:
@@ -12,7 +12,7 @@ class TestResource:
         assert a.triggered and b.triggered
         c = r.request()
         assert not c.triggered
-        assert r.count == 2 and r.queue_length == 1
+        assert r.count == 2
 
     def test_release_hands_to_next_in_fifo_order(self, env):
         r = Resource(env, capacity=1)
@@ -56,53 +56,6 @@ class TestResource:
             (5.0, "b", "in"),
             (8.0, "b", "out"),
         ]
-
-
-class TestContainer:
-    def test_put_get_levels(self, env):
-        c = Container(env, capacity=10.0, init=2.0)
-        c.put(3.0)
-        assert c.level == 5.0
-        c.get(4.0)
-        assert c.level == 1.0
-
-    def test_get_blocks_until_put(self, env):
-        c = Container(env, capacity=10.0)
-        got = []
-
-        def consumer(env):
-            yield c.get(5.0)
-            got.append(env.now)
-
-        def producer(env):
-            yield env.timeout(4.0)
-            yield c.put(5.0)
-
-        env.process(consumer(env))
-        env.process(producer(env))
-        env.run()
-        assert got == [4.0]
-
-    def test_put_blocks_at_capacity(self, env):
-        c = Container(env, capacity=5.0, init=5.0)
-        ev = c.put(1.0)
-        assert not ev.triggered
-        c.get(2.0)
-        assert ev.triggered
-        assert c.level == pytest.approx(4.0)
-
-    def test_validation(self, env):
-        with pytest.raises(ValueError):
-            Container(env, capacity=0.0)
-        with pytest.raises(ValueError):
-            Container(env, capacity=5.0, init=6.0)
-        c = Container(env, capacity=5.0)
-        with pytest.raises(ValueError):
-            c.put(-1.0)
-        with pytest.raises(ValueError):
-            c.get(0.0)
-        with pytest.raises(ValueError):
-            c.put(6.0)
 
 
 class TestStore:
